@@ -19,11 +19,11 @@ CONFIG = {
     "trials": 100,
     "master_seed": 21,
     "methods": ["proposed-insert", "successive"],
-    "output": str(OUT / "condition_table.csv"),
 }
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     cfg = OUT / "condition_table.config.json"
     cfg.write_text(json.dumps(CONFIG, indent=2))
-    main(["experiment", "condition-table", "--config", str(cfg)] + sys.argv[1:])
+    main(["experiment", "condition-table", "--config", str(cfg),
+          "--out", str(OUT / "condition_table.csv")] + sys.argv[1:])

@@ -14,11 +14,11 @@ CONFIG = {
     "graph": {"kind": "random-geometric", "params": {"n": 100, "radius": 0.15},
               "seed": 4},
     "p_max": 6,
-    "output": str(OUT / "dominating_curve.csv"),
 }
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     cfg = OUT / "dominating_curve.config.json"
     cfg.write_text(json.dumps(CONFIG, indent=2))
-    main(["experiment", "dominating-curve", "--config", str(cfg)] + sys.argv[1:])
+    main(["experiment", "dominating-curve", "--config", str(cfg),
+          "--out", str(OUT / "dominating_curve.csv")] + sys.argv[1:])

@@ -23,11 +23,11 @@ CONFIG = {
     "fixed_m": 15,
     "trials": 200,
     "master_seed": 3,
-    "output": str(OUT / "known_support.csv"),
 }
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     cfg = OUT / "known_support.config.json"
     cfg.write_text(json.dumps(CONFIG, indent=2))
-    main(["experiment", "known-support", "--config", str(cfg)] + sys.argv[1:])
+    main(["experiment", "known-support", "--config", str(cfg),
+          "--out", str(OUT / "known_support.csv")] + sys.argv[1:])

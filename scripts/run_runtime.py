@@ -17,11 +17,11 @@ CONFIG = {
     "samplers": ["proposed-insert", "uniform", "weighted", "minpinv"],
     "sweep": {"variable": "m", "values": [60, 120]},
     "master_seed": 9,
-    "output": str(OUT / "runtime.csv"),
 }
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     cfg = OUT / "runtime.config.json"
     cfg.write_text(json.dumps(CONFIG, indent=2))
-    main(["experiment", "runtime", "--config", str(cfg)] + sys.argv[1:])
+    main(["experiment", "runtime", "--config", str(cfg),
+          "--out", str(OUT / "runtime.csv")] + sys.argv[1:])

@@ -27,11 +27,11 @@ CONFIG = {
     "trials": 200,
     "master_seed": 1,
     "solver": {"tol_abs": 1e-7, "tol_rel": 1e-7, "max_iter": 4000},
-    "output": str(OUT / "unknown_support.csv"),
 }
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     cfg = OUT / "unknown_support.config.json"
     cfg.write_text(json.dumps(CONFIG, indent=2))
-    main(["experiment", "unknown-support", "--config", str(cfg)] + sys.argv[1:])
+    main(["experiment", "unknown-support", "--config", str(cfg),
+          "--out", str(OUT / "unknown_support.csv")] + sys.argv[1:])

@@ -26,11 +26,11 @@ CONFIG = {
     "trials": 10,
     "master_seed": 0,
     "solver": {"tol_abs": 1e-7, "tol_rel": 1e-7, "max_iter": 6000},
-    "output": str(OUT / "wsn_tradeoff.csv"),
 }
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     cfg = OUT / "wsn_tradeoff.config.json"
     cfg.write_text(json.dumps(CONFIG, indent=2))
-    main(["experiment", "wsn", "--config", str(cfg)] + sys.argv[1:])
+    main(["experiment", "wsn", "--config", str(cfg),
+          "--out", str(OUT / "wsn_tradeoff.csv")] + sys.argv[1:])

@@ -123,10 +123,15 @@ class Graph:
 
     @cached_property
     def closed_adjacency(self) -> sp.csr_matrix:
-        """Row i is the indicator of the closed in-neighborhood of i."""
-        a = self._structure.T.tolil() if self.directed else self._structure.tolil()
-        a.setdiag(1.0)
-        return a.tocsr()
+        """Row i is the indicator of the closed in-neighborhood of i, columns sorted."""
+        a = self._structure.T if self.directed else self._structure
+        a = (a + sp.identity(self.n, format="csr")).tocsr()
+        a.sort_indices()
+        return a
+
+    @cached_property
+    def _hop_cache(self) -> "_HopCache":
+        return _HopCache()
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -150,8 +155,8 @@ def closed_in_neighborhood(graph: Graph, i: int) -> np.ndarray:
     """Sorted node indices of the closed in-neighborhood of ``i`` (includes i)."""
     if not 0 <= i < graph.n:
         raise ValueError(f"node {i} out of range for graph with n={graph.n}")
-    nb = graph.in_neighbor_lists[i]
-    return np.union1d(nb, [i]).astype(np.int64)
+    ac = graph.closed_adjacency
+    return ac.indices[ac.indptr[i]:ac.indptr[i + 1]].astype(np.int64)
 
 
 def connected_components(graph: Graph) -> np.ndarray:
@@ -231,46 +236,85 @@ def _reach_to_graph(graph: Graph, reach: sp.csr_matrix) -> Graph:
     return Graph(graph.n, e, directed=graph.directed, positions=graph.positions)
 
 
-def p_hop_graph(graph: Graph, p: int) -> Graph:
-    """Graph connecting nodes joined by a walk of length 1..p; weights all one."""
+@dataclass(frozen=True, eq=False)
+class HopLevel:
+    """Level p of a graph's hop expansion.
+
+    ``reach`` marks the pairs joined by a walk of length 1..p, ``graph`` is
+    the p-hop graph built from it (unit weights, positions kept) and
+    ``dominating_set`` is that graph's greedy dominating set (read-only).
+    """
+
+    p: int
+    reach: sp.csr_matrix
+    graph: Graph
+    dominating_set: np.ndarray
+
+
+@dataclass
+class _HopCache:
+    levels: list = field(default_factory=list)
+    saturated: bool = False    # growing the last level adds no pair
+
+
+def hop_level(graph: Graph, p: int) -> HopLevel:
+    """Level p of the hop expansion, or the saturation level if that is lower.
+
+    Levels are computed once per graph, each grown from the one below, and
+    kept on the graph for its lifetime.  Reachability saturates past the
+    largest component diameter: once one more hop adds no pair, every higher
+    level equals the last one, and that level is returned for any larger p.
+    """
     if p < 1:
         raise ValueError("hop count p must be >= 1")
-    reach = graph._structure.copy().tocsr()
-    reach.data[:] = 1.0
-    for _ in range(p - 1):
-        reach = _grow_reach(reach, graph._structure)
-    return _reach_to_graph(graph, reach)
+    cache = graph._hop_cache
+    levels = cache.levels
+    while len(levels) < p and not cache.saturated:
+        if levels:
+            reach = _grow_reach(levels[-1].reach, graph._structure)
+            if reach.nnz == levels[-1].reach.nnz:
+                cache.saturated = True
+                break
+        else:
+            reach = graph._structure.copy().tocsr()
+            reach.data[:] = 1.0
+        hop = _reach_to_graph(graph, reach)
+        dom = greedy_dominating_set(hop)
+        dom.setflags(write=False)
+        levels.append(HopLevel(len(levels) + 1, reach, hop, dom))
+    return levels[min(p, len(levels)) - 1]
 
 
-def _minimal_hop_search(graph: Graph, m: int):
-    """Smallest p with |greedy dominating set of the p-hop graph| <= m.
+def p_hop_graph(graph: Graph, p: int) -> Graph:
+    """Graph connecting nodes joined by a walk of length 1..p; weights all one."""
+    return hop_level(graph, p).graph
 
-    Returns (p, dominating set, p-hop graph).  Saturation of the reachability
-    structure bounds the search: past the largest component diameter nothing
-    changes, so the budget is infeasible once growth stops.
+
+def minimal_hop_level(graph: Graph, m: int) -> HopLevel:
+    """Lowest hop level whose greedy dominating set has at most m nodes.
+
+    Saturation of the reachability structure bounds the search: past the
+    largest component diameter nothing changes, so the budget is infeasible
+    once growth stops.
     """
     if m < 1:
         raise ValueError("budget m must be >= 1")
-    reach = graph._structure.copy().tocsr()
-    reach.data[:] = 1.0
     p = 1
     while True:
-        hop = _reach_to_graph(graph, reach)
-        dom = greedy_dominating_set(hop)
-        if dom.size <= m:
-            return p, dom, hop
-        nxt = _grow_reach(reach, graph._structure)
-        if nxt.nnz == reach.nnz:
+        level = hop_level(graph, p)
+        if level.dominating_set.size <= m:
+            return level
+        if hop_level(graph, p + 1) is level:
             raise HopPlanInfeasibleError(
-                f"dominating set has {dom.size} nodes at saturation, budget is {m}")
-        reach = nxt
+                f"dominating set has {level.dominating_set.size} nodes at saturation, "
+                f"budget is {m}")
         p += 1
 
 
 def minimal_hop_plan(graph: Graph, m: int) -> tuple[int, np.ndarray]:
     """Smallest hop count whose greedy dominating set fits the budget m."""
-    p, dom, _ = _minimal_hop_search(graph, m)
-    return p, dom
+    level = minimal_hop_level(graph, m)
+    return level.p, level.dominating_set.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,13 @@ from .baselines import (
     uniform_node_sampling,
     weighted_node_sampling,
 )
-from .graph import Graph, generate, geometric_graph_from_positions, closed_in_neighborhood
-from .graph import _grow_reach, _reach_to_graph, greedy_dominating_set
+from .graph import (
+    Graph,
+    closed_in_neighborhood,
+    generate,
+    geometric_graph_from_positions,
+    hop_level,
+)
 from .recon import (
     FLOOR_DB,
     PERFECT_DB,
@@ -337,15 +342,8 @@ def dominating_curve(graph_spec: GraphSpec, p_max: int) -> list[dict]:
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     graph = graph_spec.build()
-    reach = graph._structure.copy().tocsr()
-    reach.data[:] = 1.0
-    rows = []
-    for p in range(1, p_max + 1):
-        hop = _reach_to_graph(graph, reach)
-        rows.append({"p": p, "dominating_size": int(greedy_dominating_set(hop).size)})
-        if p < p_max:
-            reach = _grow_reach(reach, graph._structure)
-    return rows
+    return [{"p": p, "dominating_size": int(hop_level(graph, p).dominating_set.size)}
+            for p in range(1, p_max + 1)]
 
 
 # ---------------------------------------------------------------------------

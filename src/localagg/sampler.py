@@ -19,9 +19,10 @@ import numpy as np
 from .graph import (
     Graph,
     HopPlanInfeasibleError,
-    _minimal_hop_search,
     bfs_distances,
     closed_in_neighborhood,
+    hop_level,
+    minimal_hop_level,
 )
 from .spectral import numerical_rank
 
@@ -97,18 +98,29 @@ def node_multiplicities(graph: Graph, nodes) -> np.ndarray:
     return g
 
 
-def _criterion_pick(agg: Graph, pool: np.ndarray, g: np.ndarray) -> int:
+def _pool(ac, members) -> tuple[np.ndarray, np.ndarray]:
+    """Pool mask of ``members`` and, per node, how many pool rows of ``ac`` contain it."""
+    in_pool = np.zeros(ac.shape[0], dtype=bool)
+    in_pool[members] = True
+    return in_pool, (ac.T @ in_pool.astype(np.float64)).astype(np.int64)
+
+
+def _leave_pool(ac, in_pool: np.ndarray, cover: np.ndarray, v: int) -> None:
+    in_pool[v] = False
+    cover[ac.indices[ac.indptr[v]:ac.indptr[v + 1]]] -= 1
+
+
+def _criterion_pick(ac, in_pool: np.ndarray, cover: np.ndarray, g: np.ndarray) -> int:
     """Node of the pool whose neighborhood covers most minimum-count nodes.
 
-    The minimum is taken over the union of the pool's closed neighborhoods;
-    ties break toward the lowest node index (the pool is kept sorted).
+    ``ac`` is the closed adjacency and ``cover`` the pool's counts from
+    ``_pool``, so the minimum is taken over the union of the pool's closed
+    neighborhoods.  The counts are sums of ones, exact in floating point,
+    and argmax breaks ties toward the lowest node index.
     """
-    ac = agg.closed_adjacency
-    rows = ac[pool]
-    cover = np.asarray(rows.sum(axis=0)).ravel() > 0
-    gmin = g[cover].min()
-    counts = rows @ (g == gmin).astype(np.float64)
-    return int(pool[int(np.argmax(counts))])
+    gmin = g[cover > 0].min()
+    counts = ac @ (g == gmin).astype(np.float64)
+    return int(np.argmax(np.where(in_pool, counts, -1.0)))
 
 
 def _draw_row(agg: Graph, node: int, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -116,6 +128,93 @@ def _draw_row(agg: Graph, node: int, rng: np.random.Generator, n: int) -> np.nda
     nb = closed_in_neighborhood(agg, node)
     row[nb] = rng.standard_normal(nb.size)
     return row
+
+
+# Residual ratios outside this band decide the rank test on their own: a
+# dependent row keeps ~1e-16 of its norm, an independent Gaussian row most
+# of it.  Inside the band the singular-value rule of numerical_rank decides.
+_RESIDUAL_BAND = (1e-12, 1e-6)
+
+
+class _Scaffold:
+    """Operator rows drawn so far, with an orthonormal basis of their span."""
+
+    def __init__(self, first: np.ndarray, capacity: int):
+        k, n = first.shape
+        self.rows = np.empty((capacity, n))
+        self.rows[:k] = first
+        self.basis = np.empty((capacity, n))
+        self.basis[:k] = np.linalg.qr(first.T)[0].T
+        self.size = k
+
+    def admit(self, row: np.ndarray) -> bool:
+        """Append ``row`` if the stack stays full row rank; report whether it did.
+
+        The row's relative residual after two projection passes against the
+        basis decides; in the ambiguous band (or for a zero row, whose ratio
+        is NaN), numerical_rank of the stacked rows decides.
+        """
+        q = self.basis[:self.size]
+        resid = row - (q @ row) @ q
+        resid -= (q @ resid) @ q
+        norm = np.linalg.norm(resid)
+        with np.errstate(invalid="ignore"):
+            ratio = norm / np.linalg.norm(row)
+        lo, hi = _RESIDUAL_BAND
+        if ratio <= lo:
+            return False
+        if not ratio >= hi:
+            stacked = np.vstack([self.rows[:self.size], row])
+            if numerical_rank(stacked) < stacked.shape[0]:
+                return False
+        self.rows[self.size] = row
+        self.basis[self.size] = resid / norm
+        self.size += 1
+        return True
+
+
+def _insert_new(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
+    """Grow ``nodes`` (and ``g``) to m entries with nodes not sampled yet.
+
+    Every node can enter once, so a budget past n exhausts the pool.
+    """
+    if m > agg.n:
+        raise PoolExhaustedError(f"cannot insert new nodes past m = n = {agg.n}")
+    ac = agg.closed_adjacency
+    in_pool, cover = _pool(ac, np.setdiff1d(np.arange(agg.n), nodes))
+    while len(nodes) < m:
+        best = _criterion_pick(ac, in_pool, cover, g)
+        _leave_pool(ac, in_pool, cover, best)
+        nodes.append(best)
+        g[closed_in_neighborhood(agg, best)] += 1
+
+
+def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int,
+                       seed: int | None) -> None:
+    """Grow ``nodes`` (the dominating set) and ``g`` to m entries by repeating dominators.
+
+    A candidate is rejected when its freshly drawn row would make the drawn
+    rows rank deficient; the next best dominator is tried in its place.
+    """
+    ac = agg.closed_adjacency
+    rng = np.random.default_rng(seed)
+    first = np.vstack([_draw_row(agg, v, rng, agg.n) for v in nodes])
+    if numerical_rank(first) < len(nodes):
+        raise PoolExhaustedError("initial dominating rows are rank deficient")
+    scaffold = _Scaffold(first, m)
+    dom_pool, dom_cover = _pool(ac, nodes)
+    while len(nodes) < m:
+        in_pool, cover = dom_pool.copy(), dom_cover.copy()
+        while True:
+            if not in_pool.any():
+                raise PoolExhaustedError(
+                    "no dominator repetition keeps the operator full row rank")
+            cand = _criterion_pick(ac, in_pool, cover, g)
+            if scaffold.admit(_draw_row(agg, cand, rng, agg.n)):
+                break
+            _leave_pool(ac, in_pool, cover, cand)
+        nodes.append(cand)
+        g[closed_in_neighborhood(agg, cand)] += 1
 
 
 def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
@@ -127,52 +226,27 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
     balancing criterion: either repeating dominators ("repeat-dominating",
     each insertion checked to keep a freshly drawn operator full row rank) or
     inserting nodes not yet sampled ("insert-new").  The returned strategy tag
-    is "exact" when no growth was needed.
+    is "exact" when no growth was needed.  Hop levels come from the graph's
+    cache (see graph.hop_level), so plans on one graph share them.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     if m < 1:
         raise ValueError("measurement budget m must be >= 1")
-    p, dom, agg = _minimal_hop_search(graph, m)
-    nodes = list(int(v) for v in dom)
-    agg = graph if p == 1 else agg
+    level = minimal_hop_level(graph, m)
+    agg = graph if level.p == 1 else level.graph
+    nodes = [int(v) for v in level.dominating_set]
     g = node_multiplicities(agg, nodes)
     tag = "exact"
-    rng = np.random.default_rng(seed)
-    scaffold: np.ndarray | None = None
     if len(nodes) < m:
         tag = strategy
-        if strategy == "repeat-dominating":
-            scaffold = np.vstack([_draw_row(agg, v, rng, graph.n) for v in nodes])
-            if numerical_rank(scaffold) < len(nodes):
-                raise PoolExhaustedError("initial dominating rows are rank deficient")
-    while len(nodes) < m:
         if strategy == "insert-new":
-            pool = np.setdiff1d(np.arange(graph.n), np.asarray(nodes, dtype=np.int64))
-            if pool.size == 0:
-                raise PoolExhaustedError(
-                    f"cannot insert new nodes past m = n = {graph.n}")
-            best = _criterion_pick(agg, pool, g)
+            _insert_new(agg, nodes, g, m)
         else:
-            pool = np.asarray(sorted(set(nodes[:dom.size])), dtype=np.int64)
-            best = None
-            while pool.size:
-                cand = _criterion_pick(agg, pool, g)
-                row = _draw_row(agg, cand, rng, graph.n)
-                stacked = np.vstack([scaffold, row])
-                if numerical_rank(stacked) == stacked.shape[0]:
-                    scaffold = stacked
-                    best = cand
-                    break
-                pool = pool[pool != cand]
-            if best is None:
-                raise PoolExhaustedError(
-                    "no dominator repetition keeps the operator full row rank")
-        nodes.append(best)
-        g[closed_in_neighborhood(agg, best)] += 1
-    return SamplingPlan(nodes=np.asarray(nodes, dtype=np.int64), p=p, strategy=tag,
+            _repeat_dominating(agg, nodes, g, m, seed)
+    return SamplingPlan(nodes=np.asarray(nodes, dtype=np.int64), p=level.p, strategy=tag,
                         multiplicities=g, base_graph=agg, source_graph=graph,
-                        dominating_set=dom, seed=seed)
+                        dominating_set=level.dominating_set, seed=seed)
 
 
 def draw_operator(plan: SamplingPlan, seed: int | None = None) -> SamplingOperator:
@@ -261,11 +335,9 @@ def plan_from_json(graph: Graph, text: str) -> SamplingPlan:
     payload = json.loads(text)
     p = int(payload["p"])
     nodes = np.asarray(payload["nodes"], dtype=np.int64)
-    from .graph import p_hop_graph, greedy_dominating_set
-
-    agg = graph if p == 1 else p_hop_graph(graph, p)
-    dom = greedy_dominating_set(agg)
+    level = hop_level(graph, p)
+    agg = graph if p == 1 else level.graph
     return SamplingPlan(nodes=nodes, p=p, strategy=payload["strategy"],
                         multiplicities=node_multiplicities(agg, nodes),
-                        base_graph=agg, source_graph=graph, dominating_set=dom,
-                        seed=payload.get("seed"))
+                        base_graph=agg, source_graph=graph,
+                        dominating_set=level.dominating_set, seed=payload.get("seed"))

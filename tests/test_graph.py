@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localagg as la
-from localagg.graph import GraphFormatError, HopPlanInfeasibleError
+from localagg.graph import GraphFormatError, HopPlanInfeasibleError, hop_level
 
 from conftest import random_graph
 
@@ -77,6 +77,31 @@ def test_closed_neighborhood_path_middle():
 def test_closed_neighborhood_out_of_range(path4):
     with pytest.raises(ValueError):
         la.closed_in_neighborhood(path4, 4)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("erdos-renyi", {"n": 30, "p_e": 0.05}),
+    ("random-geometric", {"n": 30, "radius": 0.15}),
+    ("community", {"n": 30, "n_communities": 6, "p_intra": 0.2, "p_inter": 0.01}),
+    ("grid2d", {"rows": 1, "cols": 1}),
+    ("grid2d", {"rows": 4, "cols": 5}),
+    ("small-world", {"n": 20, "ring_degree": 4, "rewire_prob": 0.3}),
+    ("cycle", {"n": 9}),
+    ("complete", {"n": 6}),
+])
+def test_closed_neighborhood_equals_union_with_node(kind, params):
+    g = la.generate(kind, params, seed=11)
+    for i in range(g.n):
+        nb = la.closed_in_neighborhood(g, i)
+        old = np.union1d(g.in_neighbor_lists[i], [i]).astype(np.int64)
+        assert nb.dtype == np.int64 and np.array_equal(nb, old)
+    if kind in ("erdos-renyi", "random-geometric"):
+        assert (g.degrees == 0).any()   # the sparse draws include isolated nodes
+
+
+def test_closed_neighborhood_is_a_private_copy(path4):
+    la.closed_in_neighborhood(path4, 1)[:] = 0
+    assert la.closed_in_neighborhood(path4, 1).tolist() == [0, 1, 2]
 
 
 @given(st.integers(0, 10 ** 6))
@@ -255,6 +280,30 @@ def test_p_hop_monotone_and_dominating_size_nonincreasing(seed):
         dom = la.greedy_dominating_set(h).size
         assert dom <= prev_dom
         prev_edges, prev_dom = h.edge_set(), dom
+
+
+def test_hop_levels_are_cached_per_graph(path10):
+    level = hop_level(path10, 3)
+    assert level.p == 3
+    assert hop_level(path10, 3) is level
+    assert la.p_hop_graph(path10, 3) is level.graph
+    assert level.dominating_set.tolist() == la.greedy_dominating_set(level.graph).tolist()
+    assert not level.dominating_set.flags.writeable
+    # a fresh graph with the same edges builds its own, equal levels
+    twin = la.Graph(10, path10.edges)
+    assert hop_level(twin, 3) is not level
+    assert hop_level(twin, 3).graph.edge_set() == level.graph.edge_set()
+
+
+def test_hop_levels_stop_at_saturation(path10):
+    # the path's diameter is 9: level 9 joins every pair and one more hop adds none
+    top = hop_level(path10, 9)
+    assert top.graph.num_edges == 45
+    assert hop_level(path10, 10) is top
+    assert hop_level(path10, 40) is top
+    assert la.p_hop_graph(path10, 40) is top.graph
+    with pytest.raises(ValueError):
+        hop_level(path10, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import localagg as la
 from localagg import PoolExhaustedError
 from localagg.graph import HopPlanInfeasibleError
+from localagg.sampler import STRATEGIES
 
 from conftest import random_graph
 
@@ -122,6 +124,27 @@ def test_plan_repeat_keeps_full_row_rank():
     plan = la.build_plan(g, m, "repeat-dominating", seed=1)
     op = la.draw_operator(plan, seed=11)
     assert la.numerical_rank(op.phi) == m
+
+
+@pytest.mark.parametrize("n, extra", [
+    (5, None),           # zero row: NaN ratio, the SVD rejects it
+    (5, 0.0),            # a copy of a scaffold row
+    (5, 1.0),            # clearly independent
+    (5, 1e-9),           # ambiguous band, above the SVD cut: admitted
+    (20_000, 1e-11),     # ambiguous band, below the SVD cut (~8e-10): rejected
+])
+def test_scaffold_admit_agrees_with_numerical_rank(n, extra):
+    from localagg.sampler import _Scaffold
+
+    first = np.eye(3, n)
+    row = np.zeros(n)
+    if extra is not None:
+        row[0] = 1.0
+        row[3] = extra
+    expected = la.numerical_rank(np.vstack([first, row])) == 4
+    scaffold = _Scaffold(first, 4)
+    assert scaffold.admit(row) == expected
+    assert scaffold.size == 3 + int(expected)
 
 
 def test_plan_repeat_pool_exhaustion_on_isolated_nodes():
@@ -361,3 +384,205 @@ def test_plan_json_round_trip_hop_expanded():
     back = la.plan_from_json(g, la.plan_to_json(plan))
     assert back.p == 3
     assert back.base_graph.edge_set() == plan.base_graph.edge_set()
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the non-incremental plan builder
+#
+# _legacy_build_plan is the plan builder as it was before hop levels were
+# cached and the growth loops kept incremental state: it rebuilds the reach
+# matrices, the p-hop graph and its dominating set on every call, re-derives
+# the pool and its cover at every insertion and checks the rank of every
+# candidate with a full SVD.  The incremental build_plan must match it exactly.
+
+def _legacy_closed(g: la.Graph, i: int) -> np.ndarray:
+    return np.union1d(g.in_neighbor_lists[i], [i]).astype(np.int64)
+
+
+def _legacy_reach_to_graph(graph: la.Graph, reach) -> la.Graph:
+    r = reach.tocoo()
+    mask = r.row != r.col
+    i, j = r.row[mask], r.col[mask]
+    if not graph.directed:
+        keep = i < j
+        i, j = i[keep], j[keep]
+    return la.Graph(graph.n, np.column_stack([i, j]).astype(np.int64),
+                    directed=graph.directed, positions=graph.positions)
+
+
+def _legacy_hop_search(graph: la.Graph, m: int):
+    e = graph.edges
+    structure = sp.coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])),
+                              shape=(graph.n, graph.n))
+    if not graph.directed:
+        structure = structure + structure.T
+    structure = structure.tocsr()
+    reach = structure.copy()
+    reach.data[:] = 1.0
+    p = 1
+    while True:
+        hop = _legacy_reach_to_graph(graph, reach)
+        dom = la.greedy_dominating_set(hop)
+        if dom.size <= m:
+            return p, dom, hop
+        nxt = (reach @ structure) + structure
+        nxt.data[:] = 1.0
+        nxt = (nxt + reach).tocsr()
+        nxt.data[:] = 1.0
+        nxt.eliminate_zeros()
+        if nxt.nnz == reach.nnz:
+            raise HopPlanInfeasibleError(
+                f"dominating set has {dom.size} nodes at saturation, budget is {m}")
+        reach = nxt
+        p += 1
+
+
+def _legacy_pick(closed: np.ndarray, pool: np.ndarray, g: np.ndarray) -> int:
+    rows = closed[pool]
+    cover = rows.sum(axis=0) > 0
+    gmin = g[cover].min()
+    return int(pool[int(np.argmax(rows @ (g == gmin).astype(np.float64)))])
+
+
+def _legacy_row(agg, node, rng, n):
+    row = np.zeros(n)
+    nb = _legacy_closed(agg, node)
+    row[nb] = rng.standard_normal(nb.size)
+    return row
+
+
+def _legacy_build_plan(graph: la.Graph, m: int, strategy: str, seed=None):
+    """Returns (plan fields, rank rejections) or raises like build_plan did."""
+    p, dom, agg = _legacy_hop_search(graph, m)
+    nodes = [int(v) for v in dom]
+    agg = graph if p == 1 else agg
+    closed = np.zeros((graph.n, graph.n))
+    for i in range(graph.n):
+        closed[i, _legacy_closed(agg, i)] = 1.0
+    g = closed[nodes].sum(axis=0).astype(np.int64)
+    tag = "exact"
+    rng = np.random.default_rng(seed)
+    scaffold = None
+    rejections = 0
+    if len(nodes) < m:
+        tag = strategy
+        if strategy == "repeat-dominating":
+            scaffold = np.vstack([_legacy_row(agg, v, rng, graph.n) for v in nodes])
+            if la.numerical_rank(scaffold) < len(nodes):
+                raise PoolExhaustedError("initial dominating rows are rank deficient")
+    while len(nodes) < m:
+        if strategy == "insert-new":
+            pool = np.setdiff1d(np.arange(graph.n), np.asarray(nodes, dtype=np.int64))
+            if pool.size == 0:
+                raise PoolExhaustedError(f"cannot insert new nodes past m = n = {graph.n}")
+            best = _legacy_pick(closed, pool, g)
+        else:
+            pool = np.asarray(sorted(set(nodes[:dom.size])), dtype=np.int64)
+            best = None
+            while pool.size:
+                cand = _legacy_pick(closed, pool, g)
+                stacked = np.vstack([scaffold, _legacy_row(agg, cand, rng, graph.n)])
+                if la.numerical_rank(stacked) == stacked.shape[0]:
+                    scaffold = stacked
+                    best = cand
+                    break
+                rejections += 1
+                pool = pool[pool != cand]
+            if best is None:
+                raise PoolExhaustedError(
+                    "no dominator repetition keeps the operator full row rank")
+        nodes.append(best)
+        g[_legacy_closed(agg, best)] += 1
+    fields = (nodes, g.tolist(), p, tag, dom.tolist(), sorted(agg.edge_set()))
+    return fields, rejections
+
+
+def _outcome(build, *args):
+    """Plan fields, or the error type and message, for an exact comparison."""
+    try:
+        return build(*args)
+    except (PoolExhaustedError, HopPlanInfeasibleError) as err:
+        return type(err).__name__, str(err)
+
+
+def _plan_fields(graph, m, strategy, seed=None):
+    plan = la.build_plan(graph, m, strategy, seed=seed)
+    return (plan.nodes.tolist(), plan.multiplicities.tolist(), plan.p, plan.strategy,
+            plan.dominating_set.tolist(), sorted(plan.base_graph.edge_set()))
+
+
+def _legacy_fields(graph, m, strategy, seed=None):
+    return _legacy_build_plan(graph, m, strategy, seed)[0]
+
+
+EQUIVALENCE_GRAPHS = [
+    ("erdos-renyi", {"n": 14, "p_e": 0.2}, 1),
+    ("random-geometric", {"n": 16, "radius": 0.3}, 2),
+    ("community", {"n": 15, "n_communities": 3, "p_intra": 0.5, "p_inter": 0.05}, 3),
+    ("grid2d", {"rows": 3, "cols": 5}, 0),
+    ("small-world", {"n": 14, "ring_degree": 4, "rewire_prob": 0.2}, 4),
+    ("cycle", {"n": 13}, 0),
+]
+
+
+@pytest.mark.parametrize("kind, params, graph_seed", EQUIVALENCE_GRAPHS)
+def test_build_plan_matches_legacy_builder(kind, params, graph_seed):
+    g = la.generate(kind, params, graph_seed)
+    seen = set()
+    for strategy in STRATEGIES:
+        for m in range(1, g.n + 3):
+            new = _outcome(_plan_fields, g, m, strategy, 100 + m)
+            old = _outcome(_legacy_fields, g, m, strategy, 100 + m)
+            assert new == old, (strategy, m)
+            seen.add(new[0] if isinstance(new[0], str) else
+                     "p-hop" if new[2] > 1 else new[3])
+    # every family walks the p-hop path, both growth paths and the pool error
+    assert {"p-hop", "insert-new", "repeat-dominating",
+            "PoolExhaustedError"} <= seen
+
+
+def test_build_plan_matches_legacy_on_error_paths():
+    edgeless = la.Graph(5, np.zeros((0, 2)))
+    split = la.Graph(8, [[0, 1], [1, 2], [4, 5]])
+    cases = [(edgeless, 2, "insert-new"), (edgeless, 7, "repeat-dominating"),
+             (edgeless, 6, "insert-new"), (split, 3, "insert-new"),
+             (split, 9, "insert-new"), (split, 9, "repeat-dominating")]
+    for g, m, strategy in cases:
+        new = _outcome(_plan_fields, g, m, strategy, 0)
+        assert new == _outcome(_legacy_fields, g, m, strategy, 0)
+        assert isinstance(new[0], str), (m, strategy)
+
+
+def test_repeat_rank_rejections_match_legacy():
+    rejections = 0
+    for graph_seed in range(3):
+        g = la.generate("erdos-renyi", {"n": 12, "p_e": 0.3}, graph_seed)
+        d = la.greedy_dominating_set(g).size
+        for extra in range(1, 5):
+            for plan_seed in range(5):
+                m = d + extra
+                new = _outcome(_plan_fields, g, m, "repeat-dominating", plan_seed)
+                old = _outcome(_legacy_build_plan, g, m, "repeat-dominating", plan_seed)
+                if isinstance(old[0], str):
+                    assert new == old
+                else:
+                    assert new == old[0]
+                    rejections += old[1]
+    # the cases must exercise the rank test's rejection branch
+    assert rejections > 0
+
+
+def test_hop_cache_is_independent_of_budget_order():
+    kind, params = "random-geometric", {"n": 40, "radius": 0.2}
+    budgets = list(range(1, 25)) + [30, 40, 41]
+    fresh = la.generate(kind, params, 6)
+    expected = {(s, m): _outcome(_legacy_fields, fresh, m, s, m)
+                for s in STRATEGIES for m in budgets}
+    for order in (budgets, budgets[::-1]):
+        g = la.generate(kind, params, 6)
+        for m in order:
+            for s in STRATEGIES:
+                assert _outcome(_plan_fields, g, m, s, m) == expected[(s, m)], (s, m)
+    assert any(fields[2] > 2 for fields in expected.values()
+               if not isinstance(fields[0], str))
+
