@@ -6,8 +6,14 @@ floor by about 6 dB per step; pass --trials to tighten the averages.
 """
 
 import json
+import os
 import pathlib
 import sys
+
+# one BLAS thread, set before numpy loads: threaded BLAS reorders float sums
+# and changes the last digits of the results
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 from localagg.cli import main
 

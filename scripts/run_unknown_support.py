@@ -7,8 +7,14 @@ point takes under a minute; the default below is lighter.
 """
 
 import json
+import os
 import pathlib
 import sys
+
+# one BLAS thread, set before numpy loads: threaded BLAS reorders float sums
+# and changes the last digits of the results
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 from localagg.cli import main
 

@@ -8,8 +8,14 @@ lives entirely in the forwarding term and the recovery transition.
 """
 
 import json
+import os
 import pathlib
 import sys
+
+# one BLAS thread, set before numpy loads: threaded BLAS reorders float sums
+# and changes the last digits of the results
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 from localagg.cli import main
 

@@ -75,7 +75,6 @@ from .harness import (
     dominating_curve,
     run_known_support,
     run_unknown_support,
-    runtime_benchmark,
     write_csv,
     wsn_experiment,
 )

@@ -103,7 +103,7 @@ def successive_aggregations(graph: Graph, node: int | None, m: int) -> SamplingO
         node = int(np.argmax(graph.degrees))
     if not 0 <= node < graph.n:
         raise ValueError("observation node out of range")
-    a = graph._structure.toarray()
+    a = graph.adjacency.toarray()
     row = np.zeros(graph.n)
     row[node] = 1.0
     out = np.zeros((m, graph.n))

@@ -10,19 +10,9 @@ import numpy as np
 
 from . import harness
 from .graph import generate, load_edge_list, save_edge_list
-from .recon import SolverParams, bp_l1, ls_known_support
+from .recon import bp_l1, ls_known_support
 from .sampler import SamplingOperator, build_plan, draw_operator, plan_to_json
-from .spectral import dct_basis, gft_basis, load_matrix_csv, save_matrix_csv
-
-
-def _basis_for(graph, tag: str):
-    if tag == "gft-normalized":
-        return gft_basis(graph, normalized=True)
-    if tag == "gft-combinatorial":
-        return gft_basis(graph, normalized=False)
-    if tag == "dct":
-        return dct_basis(graph.n)
-    raise SystemExit(f"unknown basis {tag!r}")
+from .spectral import BASIS_TAGS, build_basis, load_matrix_csv, save_matrix_csv
 
 
 def _cmd_generate(args):
@@ -47,8 +37,9 @@ def _cmd_sample(args):
 
 
 def _cmd_reconstruct(args):
-    graph = load_edge_list(args.graph)
-    basis = _basis_for(graph, args.basis)
+    if args.basis not in BASIS_TAGS:
+        raise SystemExit(f"unknown basis {args.basis!r}, expected one of {BASIS_TAGS}")
+    basis = build_basis(load_edge_list(args.graph), args.basis)
     phi = load_matrix_csv(args.operator)
     y = load_matrix_csv(args.measurements).ravel()
     op = SamplingOperator(phi=phi, label="file")
@@ -87,21 +78,17 @@ _FIELDS = {
     "dominating-curve": ["p", "dominating_size"],
     "wsn": ["method", "m", "mean_power", "mean_power_intra", "mean_power_bs",
             "mean_mse_db", "trials", "head_redraws"],
-    "runtime": ["sampler", "m", "repetition", "seconds"],
 }
 
 
 def _cmd_experiment(args):
     payload = _apply_overrides(_load_config(args.config), args)
     kind = args.what
-    if kind in ("known-support", "unknown-support", "runtime"):
+    if kind in ("known-support", "unknown-support"):
         config = harness.ExperimentConfig.from_dict(payload)
-        if kind == "known-support":
-            rows = harness.run_known_support(config)
-        elif kind == "unknown-support":
-            rows = harness.run_unknown_support(config)
-        else:
-            rows = harness.runtime_benchmark(config, repetitions=args.repetitions)
+        run = (harness.run_known_support if kind == "known-support"
+               else harness.run_unknown_support)
+        rows = run(config)
         out = config.output
         seed = config.master_seed
         meta_payload = config.to_dict()
@@ -175,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--seed", type=int, default=None, help="override master seed")
     e.add_argument("--trials", type=int, default=None, help="override trial count")
     e.add_argument("--out", default=None, help="override output path")
-    e.add_argument("--repetitions", type=int, default=1, help="runtime benchmark only")
     e.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -1,7 +1,7 @@
 """Graph container, random generators, dominating sets and hop expansion.
 
-Nodes are integers 0..n-1.  Undirected edges are stored once in canonical
-(i < j) order; the adjacency structure is symmetric.  A graph may carry
+Nodes are integers 0..n-1.  Edges have no orientation: each is stored once in
+canonical (i < j) order and the adjacency is symmetric.  A graph may carry
 per-node 2D positions in the unit square (geometric graphs, sensor layouts).
 """
 
@@ -44,13 +44,10 @@ class Graph:
     n : int
         Number of nodes.
     edges : ndarray of shape (E, 2)
-        Node index pairs.  For undirected graphs each pair is stored once;
-        orientation of the input pairs does not matter.
+        Node index pairs, each stored once; orientation of the input pairs
+        does not matter.
     weights : ndarray of shape (E,), optional
         Positive edge weights.  Defaults to all ones.
-    directed : bool
-        Directed edges (i, j) mean i -> j.  Generators only produce
-        undirected graphs.
     positions : ndarray of shape (n, 2), optional
         Node coordinates in the unit square.
     """
@@ -58,7 +55,6 @@ class Graph:
     n: int
     edges: np.ndarray
     weights: np.ndarray | None = None
-    directed: bool = False
     positions: np.ndarray | None = None
 
     def __post_init__(self):
@@ -77,7 +73,7 @@ class Graph:
             raise ValueError("self-loops are not allowed")
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("edge weights must be positive and finite")
-        if not self.directed and e.size:
+        if e.size:
             flip = e[:, 0] > e[:, 1]
             e[flip] = e[flip][:, ::-1]
         order = np.lexsort((e[:, 1], e[:, 0]))
@@ -103,29 +99,26 @@ class Graph:
         return self.edges.shape[0]
 
     @cached_property
-    def _structure(self) -> sp.csr_matrix:
-        """Unweighted adjacency, symmetric when undirected."""
+    def adjacency(self) -> sp.csr_matrix:
+        """Unweighted symmetric adjacency; csgraph routines walk each edge both ways."""
         i, j = self.edges[:, 0], self.edges[:, 1]
         data = np.ones(self.num_edges)
         a = sp.coo_matrix((data, (i, j)), shape=(self.n, self.n))
-        if not self.directed:
-            a = a + a.T
-        return a.tocsr()
+        return (a + a.T).tocsr()
 
     @cached_property
     def in_neighbor_lists(self) -> tuple[np.ndarray, ...]:
-        """Sorted open in-neighborhoods (symmetric neighborhoods if undirected)."""
-        csc = self._structure.tocsc()
+        """Sorted open neighborhoods."""
+        a = self.adjacency
         return tuple(
-            np.sort(csc.indices[csc.indptr[v]:csc.indptr[v + 1]]).astype(np.int64)
+            np.sort(a.indices[a.indptr[v]:a.indptr[v + 1]]).astype(np.int64)
             for v in range(self.n)
         )
 
     @cached_property
     def closed_adjacency(self) -> sp.csr_matrix:
-        """Row i is the indicator of the closed in-neighborhood of i, columns sorted."""
-        a = self._structure.T if self.directed else self._structure
-        a = (a + sp.identity(self.n, format="csr")).tocsr()
+        """Row i is the indicator of the closed neighborhood of i, columns sorted."""
+        a = (self.adjacency + sp.identity(self.n, format="csr")).tocsr()
         a.sort_indices()
         return a
 
@@ -135,7 +128,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Unweighted in-degree per node (plain degree if undirected)."""
+        """Unweighted degree per node."""
         return np.asarray([len(nb) for nb in self.in_neighbor_lists], dtype=np.int64)
 
     @cached_property
@@ -143,8 +136,7 @@ class Graph:
         d = np.zeros(self.n)
         i, j = self.edges[:, 0], self.edges[:, 1]
         np.add.at(d, i, self.weights)
-        if not self.directed:
-            np.add.at(d, j, self.weights)
+        np.add.at(d, j, self.weights)
         return d
 
     def edge_set(self) -> set[tuple[int, int]]:
@@ -152,7 +144,7 @@ class Graph:
 
 
 def closed_in_neighborhood(graph: Graph, i: int) -> np.ndarray:
-    """Sorted node indices of the closed in-neighborhood of ``i`` (includes i)."""
+    """Sorted node indices of the closed neighborhood of ``i`` (includes i)."""
     if not 0 <= i < graph.n:
         raise ValueError(f"node {i} out of range for graph with n={graph.n}")
     ac = graph.closed_adjacency
@@ -160,11 +152,10 @@ def closed_in_neighborhood(graph: Graph, i: int) -> np.ndarray:
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component label per node (weak components if directed)."""
+    """Component label per node."""
     if graph.n == 0:
         return np.zeros(0, dtype=np.int64)
-    _, labels = csgraph.connected_components(graph._structure, directed=graph.directed,
-                                             connection="weak")
+    _, labels = csgraph.connected_components(graph.adjacency)
     return labels.astype(np.int64)
 
 
@@ -173,8 +164,7 @@ def bfs_distances(graph: Graph, sources) -> np.ndarray:
     sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     if sources.size == 0:
         return np.zeros((0, graph.n), dtype=np.int64)
-    d = csgraph.dijkstra(graph._structure, directed=graph.directed,
-                         indices=sources, unweighted=True)
+    d = csgraph.dijkstra(graph.adjacency, indices=sources, unweighted=True)
     out = np.where(np.isfinite(d), d, -1).astype(np.int64)
     return out
 
@@ -186,7 +176,7 @@ def greedy_dominating_set(graph: Graph) -> np.ndarray:
     selected (ties broken toward the lowest index).  If that pool empties while
     some node is still undominated, the highest-degree undominated node is
     added instead.  Every node ends up with a selected node in its closed
-    in-neighborhood.
+    neighborhood.
     """
     n = graph.n
     if n == 0:
@@ -202,15 +192,10 @@ def greedy_dominating_set(graph: Graph) -> np.ndarray:
         # argmax returns the first maximum, which is the lowest index
         v = int(np.argmax(np.where(pool, deg, -1.0)))
         chosen.append(v)
-        nb_in = graph.in_neighbor_lists[v]
-        dominated[nb_in] = True
+        nb = graph.in_neighbor_lists[v]
+        dominated[nb] = True
         dominated[v] = True
-        if graph.directed:
-            out_nb = graph._structure.indices[
-                graph._structure.indptr[v]:graph._structure.indptr[v + 1]]
-            blocked[out_nb] = True
-        else:
-            blocked[nb_in] = True
+        blocked[nb] = True
         blocked[v] = True
     return np.asarray(chosen, dtype=np.int64)
 
@@ -227,13 +212,9 @@ def _grow_reach(reach: sp.csr_matrix, structure: sp.csr_matrix) -> sp.csr_matrix
 
 def _reach_to_graph(graph: Graph, reach: sp.csr_matrix) -> Graph:
     r = reach.tocoo()
-    mask = r.row != r.col
-    i, j = r.row[mask], r.col[mask]
-    if not graph.directed:
-        keep = i < j
-        i, j = i[keep], j[keep]
-    e = np.column_stack([i, j]).astype(np.int64)
-    return Graph(graph.n, e, directed=graph.directed, positions=graph.positions)
+    keep = r.row < r.col
+    e = np.column_stack([r.row[keep], r.col[keep]]).astype(np.int64)
+    return Graph(graph.n, e, positions=graph.positions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,12 +252,12 @@ def hop_level(graph: Graph, p: int) -> HopLevel:
     levels = cache.levels
     while len(levels) < p and not cache.saturated:
         if levels:
-            reach = _grow_reach(levels[-1].reach, graph._structure)
+            reach = _grow_reach(levels[-1].reach, graph.adjacency)
             if reach.nnz == levels[-1].reach.nnz:
                 cache.saturated = True
                 break
         else:
-            reach = graph._structure.copy().tocsr()
+            reach = graph.adjacency.copy()
             reach.data[:] = 1.0
         hop = _reach_to_graph(graph, reach)
         dom = greedy_dominating_set(hop)

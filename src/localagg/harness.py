@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -33,24 +32,23 @@ from .graph import (
     hop_level,
 )
 from .recon import (
-    FLOOR_DB,
-    PERFECT_DB,
+    SIGNAL_MODELS,
     SolverParams,
     SparseSignalSpec,
     bp_l1,
     ls_known_support,
-    realized_coefficients,
     synthesize,
+    to_db,
 )
 from .sampler import SamplingOperator, build_plan, draw_operator
-from .spectral import OrthoBasis, condition_number, dct_basis, gft_basis
+from .spectral import BASIS_TAGS, OrthoBasis, build_basis, condition_number, dct_basis, gft_basis
 
 SAMPLER_TAGS = ("proposed-insert", "proposed-repeat", "uniform", "weighted",
                 "minpinv", "successive")
 # these need the support at sampling time, so they are excluded from blind runs
 SUPPORT_AWARE = ("weighted", "minpinv")
-
-BASIS_TAGS = ("gft-normalized", "gft-combinatorial", "dct")
+# plan-building strategy of each aggregation sampler
+STRATEGY = {"proposed-insert": "insert-new", "proposed-repeat": "repeat-dominating"}
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -70,10 +68,10 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
-def _to_db(linear_mse: float) -> float:
-    if linear_mse <= 0.0:
-        return FLOOR_DB
-    return max(10.0 * float(np.log10(linear_mse)), FLOOR_DB)
+def _check_samplers(tags) -> None:
+    for tag in tags:
+        if tag not in SAMPLER_TAGS:
+            raise ValueError(f"unknown sampler tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -93,19 +91,9 @@ class GraphSpec:
         return cls(kind=d["kind"], params=dict(d["params"]), seed=int(d["seed"]))
 
 
-def _build_basis(graph: Graph, tag: str) -> OrthoBasis:
-    if tag == "gft-normalized":
-        return gft_basis(graph, normalized=True)
-    if tag == "gft-combinatorial":
-        return gft_basis(graph, normalized=False)
-    if tag == "dct":
-        return dct_basis(graph.n)
-    raise ValueError(f"basis must be one of {BASIS_TAGS}")
-
-
 @dataclass
 class ExperimentConfig:
-    """Knobs for the known/unknown-support sweeps and the runtime benchmark."""
+    """Knobs for the known- and unknown-support sweeps."""
 
     graph: GraphSpec
     k: int
@@ -134,9 +122,12 @@ class ExperimentConfig:
             raise ValueError("sweep_values must be nonempty")
         if list(self.sweep_values) != sorted(set(self.sweep_values)):
             raise ValueError("sweep values must be strictly increasing")
-        for tag in self.samplers:
-            if tag not in SAMPLER_TAGS:
-                raise ValueError(f"unknown sampler tag {tag!r}")
+        _check_samplers(self.samplers)
+        if self.basis not in BASIS_TAGS:
+            raise ValueError(f"unknown basis {self.basis!r}, expected one of {BASIS_TAGS}")
+        if self.signal_model not in SIGNAL_MODELS:
+            raise ValueError(f"unknown signal_model {self.signal_model!r}, "
+                             f"expected one of {SIGNAL_MODELS}")
         if self.sweep_variable == "sigma" and self.fixed_m is None:
             raise ValueError("sweeping sigma requires fixed_m")
         if self.sigma < 0:
@@ -186,39 +177,70 @@ class ExperimentConfig:
 class _OperatorFactory:
     """Realizes sampler tags as operators, caching what is deterministic."""
 
-    def __init__(self, graph: Graph, basis: OrthoBasis, master_seed: int):
+    def __init__(self, graph: Graph, basis: OrthoBasis):
         self.graph = graph
         self.basis = basis
-        self.master = master_seed
-        self._plans: dict = {}
-        self._fixed: dict = {}
+        self._cache: dict = {}
 
-    def plan_for(self, tag: str, m: int):
-        key = (tag, m)
-        if key not in self._plans:
-            strategy = "insert-new" if tag == "proposed-insert" else "repeat-dominating"
-            self._plans[key] = build_plan(self.graph, m, strategy,
-                                          seed=derive_seed(self.master, "plan", tag, m))
-        return self._plans[key]
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
-    def operator(self, tag: str, m: int, support, seed: int) -> SamplingOperator:
-        if tag in ("proposed-insert", "proposed-repeat"):
-            return draw_operator(self.plan_for(tag, m), seed=seed)
+    def operator(self, tag: str, m: int, support, seed: int,
+                 plan_seed: int) -> SamplingOperator:
+        """Operator of sampler ``tag`` with budget m.
+
+        ``seed`` drives the random draw of the operator, ``plan_seed`` the plan
+        of an aggregation sampler; the support is read by the support-aware
+        samplers only.
+        """
+        if tag in STRATEGY:
+            plan = self._cached((tag, m, plan_seed),
+                                lambda: build_plan(self.graph, m, STRATEGY[tag], seed=plan_seed))
+            return draw_operator(plan, seed=seed)
         if tag == "uniform":
             return uniform_node_sampling(self.graph.n, m, seed=seed)
         if tag == "weighted":
             return weighted_node_sampling(self.basis, support, m, seed=seed)
         if tag == "minpinv":
-            key = ("minpinv", m, tuple(int(v) for v in np.asarray(support)))
-            if key not in self._fixed:
-                self._fixed[key] = minpinv_greedy(self.basis, support, m)
-            return self._fixed[key]
+            key = (tag, m, tuple(int(v) for v in np.asarray(support)))
+            return self._cached(key, lambda: minpinv_greedy(self.basis, support, m))
         if tag == "successive":
-            key = ("successive", m)
-            if key not in self._fixed:
-                self._fixed[key] = successive_aggregations(self.graph, None, m)
-            return self._fixed[key]
+            return self._cached((tag, m), lambda: successive_aggregations(self.graph, None, m))
         raise ValueError(f"unknown sampler tag {tag!r}")
+
+
+def _sweep(config: ExperimentConfig, column: str, reduce, trial) -> list[dict]:
+    """One row per sampler and sweep value, ``column`` = reduce(mean trial score).
+
+    ``trial(op, basis, spec, x, trial_seed, sigma)`` scores one trial on the
+    signal x drawn from spec and measured through op.
+    """
+    graph = config.graph.build()
+    basis = build_basis(graph, config.basis)
+    factory = _OperatorFactory(graph, basis)
+    rows = []
+    for tag in config.samplers:
+        for value in config.sweep_values:
+            if config.sweep_variable == "m":
+                m, sigma = int(value), config.sigma
+            else:
+                m, sigma = int(config.fixed_m), float(value)
+            plan_seed = derive_seed(config.master_seed, "plan", tag, m)
+            total = 0.0
+            for t in range(config.trials):
+                ts = derive_seed(config.master_seed, tag, value, t)
+                spec = SparseSignalSpec.draw(graph.n, config.k, config.signal_model,
+                                             derive_seed(ts, "signal"))
+                x = synthesize(basis, spec)
+                op = factory.operator(tag, m, spec.support, derive_seed(ts, "operator"),
+                                      plan_seed)
+                total += trial(op, basis, spec, x, ts, sigma)
+            rows.append({"sampler": tag, "sweep_variable": config.sweep_variable,
+                         "sweep_value": value, column: reduce(total / config.trials),
+                         "trials": config.trials})
+    return rows
 
 
 def run_known_support(config: ExperimentConfig) -> list[dict]:
@@ -228,34 +250,15 @@ def run_known_support(config: ExperimentConfig) -> list[dict]:
     the true support; per-point aggregation is the decibel value of the mean
     linear MSE over trials.
     """
-    graph = config.graph.build()
-    basis = _build_basis(graph, config.basis)
-    factory = _OperatorFactory(graph, basis, config.master_seed)
-    rows = []
-    for tag in config.samplers:
-        for value in config.sweep_values:
-            if config.sweep_variable == "m":
-                m, sigma = int(value), config.sigma
-            else:
-                m, sigma = int(config.fixed_m), float(value)
-            acc = 0.0
-            for t in range(config.trials):
-                ts = derive_seed(config.master_seed, tag, value, t)
-                spec = SparseSignalSpec.draw(graph.n, config.k, config.signal_model,
-                                             derive_seed(ts, "signal"))
-                x = synthesize(basis, spec)
-                op = factory.operator(tag, m, spec.support, derive_seed(ts, "operator"))
-                pre = x
-                if sigma > 0:
-                    noise = np.random.default_rng(derive_seed(ts, "noise"))
-                    pre = x + sigma * noise.standard_normal(graph.n)
-                y = op.phi @ pre
-                res = ls_known_support(op, basis, spec.support, y)
-                acc += float(np.mean((res.x_star - x) ** 2))
-            rows.append({"sampler": tag, "sweep_variable": config.sweep_variable,
-                         "sweep_value": value, "mean_mse_db": _to_db(acc / config.trials),
-                         "trials": config.trials})
-    return rows
+    def trial(op, basis, spec, x, ts, sigma):
+        pre = x
+        if sigma > 0:
+            noise = np.random.default_rng(derive_seed(ts, "noise"))
+            pre = x + sigma * noise.standard_normal(x.size)
+        res = ls_known_support(op, basis, spec.support, op.phi @ pre)
+        return float(np.mean((res.x_star - x) ** 2))
+
+    return _sweep(config, "mean_mse_db", to_db, trial)
 
 
 def run_unknown_support(config: ExperimentConfig) -> list[dict]:
@@ -271,27 +274,11 @@ def run_unknown_support(config: ExperimentConfig) -> list[dict]:
     bad = [t for t in config.samplers if t in SUPPORT_AWARE]
     if bad:
         raise ValueError(f"samplers {bad} need the support and cannot run blind")
-    graph = config.graph.build()
-    basis = _build_basis(graph, config.basis)
-    factory = _OperatorFactory(graph, basis, config.master_seed)
-    rows = []
-    for tag in config.samplers:
-        for value in config.sweep_values:
-            m = int(value)
-            hits = 0
-            for t in range(config.trials):
-                ts = derive_seed(config.master_seed, tag, value, t)
-                spec = SparseSignalSpec.draw(graph.n, config.k, config.signal_model,
-                                             derive_seed(ts, "signal"))
-                x = synthesize(basis, spec)
-                op = factory.operator(tag, m, spec.support, derive_seed(ts, "operator"))
-                y = op.phi @ x
-                res = bp_l1(op, basis, y, config.solver).scored(x)
-                hits += int(res.perfect)
-            rows.append({"sampler": tag, "sweep_variable": "m", "sweep_value": value,
-                         "recovery_prob": hits / config.trials,
-                         "trials": config.trials})
-    return rows
+
+    def trial(op, basis, spec, x, ts, sigma):
+        return float(bp_l1(op, basis, op.phi @ x, config.solver).scored(x).perfect)
+
+    return _sweep(config, "recovery_prob", float, trial)
 
 
 def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int,
@@ -301,40 +288,26 @@ def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int,
     Each trial regenerates the graph, draws a random size-k support, realizes
     each method's operator and records cond(Phi @ U restricted to the support).
     """
+    _check_samplers(methods)
     m_values = [int(m) for m in m_values]
-    rows = []
     conds: dict = {(meth, m): [] for meth in methods for m in m_values}
     for t in range(trials):
         g = generate(graph_spec.kind, graph_spec.params,
                      derive_seed(master_seed, "graph", t))
         basis = gft_basis(g, normalized=True)
+        factory = _OperatorFactory(g, basis)
         rng = np.random.default_rng(derive_seed(master_seed, "support", t))
         support = np.sort(rng.choice(g.n, size=k, replace=False))
         u_s = basis.u[:, support]
         for meth in methods:
             for m in m_values:
-                if meth == "proposed-insert":
-                    plan = build_plan(g, m, "insert-new",
-                                      seed=derive_seed(master_seed, "plan", t, m))
-                    op = draw_operator(plan, seed=derive_seed(master_seed, "draw", t, m))
-                elif meth == "proposed-repeat":
-                    plan = build_plan(g, m, "repeat-dominating",
-                                      seed=derive_seed(master_seed, "plan", t, m))
-                    op = draw_operator(plan, seed=derive_seed(master_seed, "draw", t, m))
-                elif meth == "successive":
-                    op = successive_aggregations(g, None, m)
-                elif meth == "uniform":
-                    op = uniform_node_sampling(g.n, m,
-                                               seed=derive_seed(master_seed, "unif", t, m))
-                else:
-                    raise ValueError(f"unsupported method {meth!r}")
+                draw = "unif" if meth == "uniform" else "draw"
+                op = factory.operator(meth, m, support, derive_seed(master_seed, draw, t, m),
+                                      derive_seed(master_seed, "plan", t, m))
                 conds[(meth, m)].append(condition_number(op.phi @ u_s))
-    for meth in methods:
-        for m in m_values:
-            rows.append({"method": meth, "m": m,
-                         "median_cond": float(np.median(conds[(meth, m)])),
-                         "trials": trials})
-    return rows
+    return [{"method": meth, "m": m, "median_cond": float(np.median(conds[(meth, m)])),
+             "trials": trials}
+            for meth in methods for m in m_values]
 
 
 def dominating_curve(graph_spec: GraphSpec, p_max: int) -> list[dict]:
@@ -411,7 +384,7 @@ def _forward_route_power(graph: Graph, plan) -> float:
     for node in plan.nodes:
         node = int(node)
         nb = closed_in_neighborhood(plan.base_graph, node)
-        _, pred = csgraph.breadth_first_order(graph._structure, node, directed=False,
+        _, pred = csgraph.breadth_first_order(graph.adjacency, node,
                                               return_predecessors=True)
         for j in nb:
             j = int(j)
@@ -503,7 +476,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
             "mean_power": float(arr[:, 0].mean() + arr[:, 1].mean()),
             "mean_power_intra": float(arr[:, 0].mean()),
             "mean_power_bs": float(arr[:, 1].mean()),
-            "mean_mse_db": _to_db(float(arr[:, 2].mean())),
+            "mean_mse_db": to_db(float(arr[:, 2].mean())),
             "trials": scenario.trials,
             "head_redraws": nc_redraws,
         })
@@ -522,44 +495,6 @@ def _draw_clusters(scenario: WsnScenario, pos: np.ndarray, trial: int, nc: int):
         if all(ms.size > 0 for ms in members):
             return heads, members, attempt + 1
     raise RuntimeError("could not draw a clustering without empty clusters")
-
-
-def runtime_benchmark(config: ExperimentConfig, repetitions: int = 1) -> list[dict]:
-    """Wall-clock seconds to realize each sampler, basis work included.
-
-    Times cover sampling only: plan construction plus the operator draw for
-    aggregation samplers, eigendecomposition plus selection for the samplers
-    that need a basis.  Nothing is cached between timings.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    graph = config.graph.build()
-    support = np.arange(config.k)
-    rows = []
-    for tag in config.samplers:
-        for value in config.sweep_values:
-            m = int(value)
-            for rep in range(repetitions):
-                seed = derive_seed(config.master_seed, "runtime", tag, m, rep)
-                t0 = time.perf_counter()
-                if tag in ("proposed-insert", "proposed-repeat"):
-                    strategy = ("insert-new" if tag == "proposed-insert"
-                                else "repeat-dominating")
-                    plan = build_plan(graph, m, strategy, seed=seed)
-                    draw_operator(plan, seed=derive_seed(seed, "draw"))
-                elif tag == "uniform":
-                    uniform_node_sampling(graph.n, m, seed=seed)
-                elif tag == "weighted":
-                    basis = _build_basis(graph, config.basis)
-                    weighted_node_sampling(basis, support, m, seed=seed)
-                elif tag == "minpinv":
-                    basis = _build_basis(graph, config.basis)
-                    minpinv_greedy(basis, support, m)
-                elif tag == "successive":
-                    successive_aggregations(graph, None, m)
-                rows.append({"sampler": tag, "m": m, "repetition": rep,
-                             "seconds": time.perf_counter() - t0})
-    return rows
 
 
 # ---------------------------------------------------------------------------

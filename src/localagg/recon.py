@@ -83,16 +83,20 @@ def synthesize(basis: OrthoBasis, spec: SparseSignalSpec) -> np.ndarray:
     return basis.u[:, spec.support] @ realized_coefficients(spec)
 
 
+def to_db(linear: float) -> float:
+    """Decibel value of a linear mean squared error, floored at -400 dB."""
+    if linear <= 0.0:
+        return FLOOR_DB
+    return max(10.0 * float(np.log10(linear)), FLOOR_DB)
+
+
 def mse_db(x_star: np.ndarray, x: np.ndarray) -> float:
     """Mean squared error in decibels, floored at -400 dB."""
     x_star = np.asarray(x_star, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if x_star.shape != x.shape:
         raise ValueError("vectors must have the same shape")
-    err = float(np.mean((x_star - x) ** 2))
-    if err <= 0.0:
-        return FLOOR_DB
-    return max(10.0 * np.log10(err), FLOOR_DB)
+    return to_db(float(np.mean((x_star - x) ** 2)))
 
 
 @dataclass(eq=False)

@@ -11,6 +11,8 @@ from .graph import Graph, closed_in_neighborhood
 # relative singular-value cutoff used for rank decisions
 RANK_RTOL = 2.0 ** -45
 
+BASIS_TAGS = ("gft-normalized", "gft-combinatorial", "dct")
+
 
 @dataclass(frozen=True, eq=False)
 class OrthoBasis:
@@ -48,8 +50,6 @@ def laplacian(graph: Graph, normalized: bool = False) -> np.ndarray:
     Isolated nodes get zero rows and columns in the normalized form.  Output
     is exactly symmetric.
     """
-    if graph.directed:
-        raise ValueError("Laplacian is defined here for undirected graphs only")
     n = graph.n
     w = np.zeros((n, n))
     i, j = graph.edges[:, 0], graph.edges[:, 1]
@@ -139,6 +139,17 @@ def dct_basis(n: int) -> OrthoBasis:
     u = np.sqrt(2.0 / n) * np.cos(np.pi * (j + 0.5) * k / n)
     u[:, 0] = np.sqrt(1.0 / n)
     return OrthoBasis(u=u, ordering="natural", label="dct")
+
+
+def build_basis(graph: Graph, tag: str) -> OrthoBasis:
+    """The basis named by one of ``BASIS_TAGS`` for this graph."""
+    if tag == "gft-normalized":
+        return gft_basis(graph, normalized=True)
+    if tag == "gft-combinatorial":
+        return gft_basis(graph, normalized=False)
+    if tag == "dct":
+        return dct_basis(graph.n)
+    raise ValueError(f"unknown basis {tag!r}, expected one of {BASIS_TAGS}")
 
 
 def graph_basis_coherence(graph: Graph, sampling_nodes, basis: OrthoBasis) -> CoherenceReport:

@@ -218,20 +218,6 @@ def test_experiment_wsn(tmp_path):
     assert len(lines) == 2 + 2  # proposed and one cluster scheme
 
 
-def test_experiment_runtime(tmp_path):
-    cfg = _write_config(tmp_path, {
-        "graph": _graph_payload(), "k": 3,
-        "samplers": ["proposed-insert", "uniform"],
-        "sweep": {"variable": "m", "values": [6]},
-        "trials": 1, "master_seed": 0})
-    out = tmp_path / "runtime.csv"
-    assert _run("experiment", "runtime", "--config", cfg, "--out", out,
-                "--repetitions", 2) == 0
-    lines = _read_table(out)
-    assert lines[1] == "sampler,m,repetition,seconds"
-    assert len(lines) == 2 + 4
-
-
 def test_experiment_requires_output(tmp_path):
     cfg = _write_config(tmp_path, {
         "graph": _graph_payload(), "k": 3,

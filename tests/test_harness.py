@@ -17,7 +17,6 @@ from localagg.harness import (
     result_meta,
     run_known_support,
     run_unknown_support,
-    runtime_benchmark,
     write_csv,
     wsn_experiment,
 )
@@ -85,6 +84,10 @@ def test_config_validation_errors():
         _small_config(sweep_values=(8, 8))
     with pytest.raises(ValueError, match="sampler"):
         _small_config(samplers=("nope",))
+    with pytest.raises(ValueError, match="basis"):
+        _small_config(basis="wavelet")
+    with pytest.raises(ValueError, match="signal_model"):
+        _small_config(signal_model="smooth")
     with pytest.raises(ValueError, match="fixed_m"):
         _small_config(sweep_variable="sigma", sweep_values=(0.1, 0.2))
     with pytest.raises(ValueError, match="sigma"):
@@ -182,8 +185,13 @@ def test_condition_table_shape_and_determinism():
 
 def test_condition_table_rejects_unknown_method():
     spec = GraphSpec("cycle", {"n": 10}, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sampler"):
         condition_table(spec, k=2, m_values=(4,), trials=1, master_seed=0,
+                        methods=("nope",))
+    # the methods are checked before any graph is generated
+    unbuildable = GraphSpec("no-such-kind", {}, seed=0)
+    with pytest.raises(ValueError, match="sampler"):
+        condition_table(unbuildable, k=2, m_values=(4,), trials=1, master_seed=0,
                         methods=("nope",))
 
 
@@ -230,21 +238,6 @@ def test_wsn_rerun_is_bit_identical():
                      m_values=(8,), trials=1, master_seed=2,
                      solver=SolverParams(max_iter=1000))
     assert wsn_experiment(sc) == wsn_experiment(sc)
-
-
-# ---------------------------------------------------------------------------
-# runtime benchmark
-
-def test_runtime_benchmark_rows():
-    cfg = _small_config(samplers=("proposed-insert", "uniform", "successive"),
-                        sweep_values=(4, 8))
-    rows = runtime_benchmark(cfg, repetitions=2)
-    assert len(rows) == 12
-    for row in rows:
-        assert row["seconds"] >= 0.0
-        assert row["repetition"] in (0, 1)
-    with pytest.raises(ValueError):
-        runtime_benchmark(cfg, repetitions=0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import localagg as la
-from localagg.recon import FLOOR_DB, PERFECT_DB, SolverParams, realized_coefficients
+from localagg.recon import (FLOOR_DB, PERFECT_DB, SolverParams, realized_coefficients,
+                            to_db)
 
 
 def _setup(n=24, p_e=0.3, seed=0, k=4, m=12):
@@ -88,6 +89,8 @@ def test_synthesize_rejects_out_of_range():
 # error metric
 
 def test_mse_db_floor_and_hand_values():
+    assert to_db(0.0) == FLOOR_DB and to_db(1e-50) == FLOOR_DB
+    assert to_db(1e-2) == -20.0 and isinstance(to_db(0.5), float)
     x = np.ones(4)
     assert la.mse_db(x, x) == FLOOR_DB
     assert la.mse_db(np.array([1.0]), np.array([0.0])) == 0.0

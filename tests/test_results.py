@@ -1,8 +1,8 @@
 """Seeded determinism: the committed result tables regenerate byte for byte.
 
 Each case reruns one committed experiment config through the command line
-into a temporary file and compares it with the CSV under results/.  Only the
-experiments that finish in about a second are rerun here.
+into a temporary file and compares it with a committed CSV.  Only the
+experiments that finish in a few seconds are rerun here.
 """
 
 import pathlib
@@ -11,7 +11,9 @@ import pytest
 
 from localagg.cli import main
 
-RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS = ROOT / "results"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 @pytest.mark.parametrize("kind, stem", [
@@ -24,3 +26,13 @@ def test_committed_results_regenerate_byte_identical(tmp_path, kind, stem):
     main(["experiment", kind, "--config", str(RESULTS / f"{stem}.config.json"),
           "--out", str(out)])
     assert out.read_bytes() == (RESULTS / f"{stem}.csv").read_bytes()
+
+
+def test_unknown_support_short_run_matches_fixture(tmp_path):
+    # the committed blind sweep at 20 trials per point; the fixture was written
+    # by the two-loop harness that preceded the shared sweep loop
+    out = tmp_path / "unknown_support.csv"
+    main(["experiment", "unknown-support",
+          "--config", str(RESULTS / "unknown_support.config.json"),
+          "--trials", "20", "--out", str(out)])
+    assert out.read_bytes() == (FIXTURES / "unknown_support_trials20.csv").read_bytes()

@@ -401,22 +401,16 @@ def _legacy_closed(g: la.Graph, i: int) -> np.ndarray:
 
 def _legacy_reach_to_graph(graph: la.Graph, reach) -> la.Graph:
     r = reach.tocoo()
-    mask = r.row != r.col
-    i, j = r.row[mask], r.col[mask]
-    if not graph.directed:
-        keep = i < j
-        i, j = i[keep], j[keep]
-    return la.Graph(graph.n, np.column_stack([i, j]).astype(np.int64),
-                    directed=graph.directed, positions=graph.positions)
+    keep = r.row < r.col
+    return la.Graph(graph.n, np.column_stack([r.row[keep], r.col[keep]]).astype(np.int64),
+                    positions=graph.positions)
 
 
 def _legacy_hop_search(graph: la.Graph, m: int):
     e = graph.edges
     structure = sp.coo_matrix((np.ones(e.shape[0]), (e[:, 0], e[:, 1])),
                               shape=(graph.n, graph.n))
-    if not graph.directed:
-        structure = structure + structure.T
-    structure = structure.tocsr()
+    structure = (structure + structure.T).tocsr()
     reach = structure.copy()
     reach.data[:] = 1.0
     p = 1

@@ -6,7 +6,7 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 import localagg as la
-from localagg.spectral import CoherenceReport
+from localagg.spectral import BASIS_TAGS, CoherenceReport, build_basis
 
 from conftest import random_graph
 
@@ -39,12 +39,6 @@ def test_laplacian_normalized_isolated_zero_row():
     ln = la.laplacian(g, normalized=True)
     assert np.abs(ln[2]).max() == 0.0 and np.abs(ln[:, 2]).max() == 0.0
     assert ln[0, 0] == 1.0
-
-
-def test_laplacian_rejects_directed():
-    g = la.Graph(3, [[0, 1]], directed=True)
-    with pytest.raises(ValueError):
-        la.laplacian(g)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +131,17 @@ def test_dct_matches_scipy_transform():
 def test_dct_rejects_empty():
     with pytest.raises(ValueError):
         la.dct_basis(0)
+
+
+def test_build_basis_tags():
+    g = la.generate("cycle", {"n": 8}, seed=0)
+    for tag in BASIS_TAGS:
+        basis = build_basis(g, tag)
+        assert basis.label == tag and basis.n == 8
+    assert np.array_equal(build_basis(g, "gft-combinatorial").u,
+                          la.gft_basis(g, normalized=False).u)
+    with pytest.raises(ValueError, match="basis"):
+        build_basis(g, "wavelet")
 
 
 # ---------------------------------------------------------------------------
