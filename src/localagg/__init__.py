@@ -20,7 +20,7 @@ from .graph import (
     geometric_graph_from_positions,
     greedy_dominating_set,
     load_edge_list,
-    minimal_hop_plan,
+    minimal_hop_level,
     p_hop_graph,
     save_edge_list,
 )

@@ -58,7 +58,10 @@ def _cmd_reconstruct(args):
 
 def _load_config(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if "output" in payload:
+        raise SystemExit("config key 'output' is not read: pass the CSV path with --out")
+    return payload
 
 
 def _apply_overrides(payload: dict, args) -> dict:
@@ -66,8 +69,6 @@ def _apply_overrides(payload: dict, args) -> dict:
         payload["master_seed"] = args.seed
     if args.trials is not None:
         payload["trials"] = args.trials
-    if args.out is not None:
-        payload["output"] = args.out
     return payload
 
 
@@ -89,13 +90,11 @@ def _cmd_experiment(args):
         run = (harness.run_known_support if kind == "known-support"
                else harness.run_unknown_support)
         rows = run(config)
-        out = config.output
         seed = config.master_seed
         meta_payload = config.to_dict()
     elif kind == "wsn":
         scenario = harness.WsnScenario.from_dict(payload)
         rows = harness.wsn_experiment(scenario)
-        out = scenario.output
         seed = scenario.master_seed
         meta_payload = scenario.to_dict()
     elif kind == "condition-table":
@@ -105,20 +104,16 @@ def _cmd_experiment(args):
                                        int(payload.get("trials", 10)), seed,
                                        methods=tuple(payload.get(
                                            "methods", ("proposed-insert", "successive"))))
-        out = payload.get("output")
         meta_payload = payload
     elif kind == "dominating-curve":
         spec = harness.GraphSpec.from_dict(payload["graph"])
         seed = spec.seed
         rows = harness.dominating_curve(spec, int(payload.get("p_max", 4)))
-        out = payload.get("output")
         meta_payload = payload
     else:
         raise SystemExit(f"unknown experiment {kind!r}")
-    if not out:
-        raise SystemExit("no output path: set it in the config or pass --out")
-    harness.write_csv(out, rows, _FIELDS[kind], harness.result_meta(meta_payload, seed))
-    print(f"wrote {len(rows)} rows to {out}")
+    harness.write_csv(args.out, rows, _FIELDS[kind], harness.result_meta(meta_payload, seed))
+    print(f"wrote {len(rows)} rows to {args.out}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", required=True)
     e.add_argument("--seed", type=int, default=None, help="override master seed")
     e.add_argument("--trials", type=int, default=None, help="override trial count")
-    e.add_argument("--out", default=None, help="override output path")
+    e.add_argument("--out", required=True, help="CSV result path")
     e.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -107,15 +107,6 @@ class Graph:
         return (a + a.T).tocsr()
 
     @cached_property
-    def in_neighbor_lists(self) -> tuple[np.ndarray, ...]:
-        """Sorted open neighborhoods."""
-        a = self.adjacency
-        return tuple(
-            np.sort(a.indices[a.indptr[v]:a.indptr[v + 1]]).astype(np.int64)
-            for v in range(self.n)
-        )
-
-    @cached_property
     def closed_adjacency(self) -> sp.csr_matrix:
         """Row i is the indicator of the closed neighborhood of i, columns sorted."""
         a = (self.adjacency + sp.identity(self.n, format="csr")).tocsr()
@@ -129,15 +120,7 @@ class Graph:
     @cached_property
     def degrees(self) -> np.ndarray:
         """Unweighted degree per node."""
-        return np.asarray([len(nb) for nb in self.in_neighbor_lists], dtype=np.int64)
-
-    @cached_property
-    def weighted_degrees(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        np.add.at(d, i, self.weights)
-        np.add.at(d, j, self.weights)
-        return d
+        return np.diff(self.adjacency.indptr).astype(np.int64)
 
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.edges}
@@ -192,42 +175,30 @@ def greedy_dominating_set(graph: Graph) -> np.ndarray:
         # argmax returns the first maximum, which is the lowest index
         v = int(np.argmax(np.where(pool, deg, -1.0)))
         chosen.append(v)
-        nb = graph.in_neighbor_lists[v]
+        nb = closed_in_neighborhood(graph, v)
         dominated[nb] = True
-        dominated[v] = True
         blocked[nb] = True
-        blocked[v] = True
     return np.asarray(chosen, dtype=np.int64)
 
 
-def _grow_reach(reach: sp.csr_matrix, structure: sp.csr_matrix) -> sp.csr_matrix:
-    """One more hop of cumulative reachability (walks of length 1..p+1)."""
-    nxt = (reach @ structure) + structure
-    nxt.data[:] = 1.0
-    nxt = (nxt + reach).tocsr()
-    nxt.data[:] = 1.0
-    nxt.eliminate_zeros()
-    return nxt
-
-
-def _reach_to_graph(graph: Graph, reach: sp.csr_matrix) -> Graph:
-    r = reach.tocoo()
+def _next_hop_graph(graph: Graph, prev: Graph) -> Graph:
+    """Level p+1 of the hop expansion from level p: one more hop of walks."""
+    r = (prev.adjacency @ graph.adjacency + prev.adjacency).tocoo()
     keep = r.row < r.col
-    e = np.column_stack([r.row[keep], r.col[keep]]).astype(np.int64)
-    return Graph(graph.n, e, positions=graph.positions)
+    return Graph(graph.n, np.column_stack([r.row[keep], r.col[keep]]),
+                 positions=graph.positions)
 
 
 @dataclass(frozen=True, eq=False)
 class HopLevel:
     """Level p of a graph's hop expansion.
 
-    ``reach`` marks the pairs joined by a walk of length 1..p, ``graph`` is
-    the p-hop graph built from it (unit weights, positions kept) and
+    ``graph`` joins the pairs linked by a walk of length 1..p; level 1 is the
+    graph itself, higher levels have unit weights and keep the positions.
     ``dominating_set`` is that graph's greedy dominating set (read-only).
     """
 
     p: int
-    reach: sp.csr_matrix
     graph: Graph
     dominating_set: np.ndarray
 
@@ -235,15 +206,15 @@ class HopLevel:
 @dataclass
 class _HopCache:
     levels: list = field(default_factory=list)
-    saturated: bool = False    # growing the last level adds no pair
+    saturated: bool = False    # growing the last level adds no edge
 
 
 def hop_level(graph: Graph, p: int) -> HopLevel:
     """Level p of the hop expansion, or the saturation level if that is lower.
 
     Levels are computed once per graph, each grown from the one below, and
-    kept on the graph for its lifetime.  Reachability saturates past the
-    largest component diameter: once one more hop adds no pair, every higher
+    kept on the graph for its lifetime.  The expansion saturates at the
+    largest component diameter: once one more hop adds no edge, every higher
     level equals the last one, and that level is returned for any larger p.
     """
     if p < 1:
@@ -251,32 +222,33 @@ def hop_level(graph: Graph, p: int) -> HopLevel:
     cache = graph._hop_cache
     levels = cache.levels
     while len(levels) < p and not cache.saturated:
+        hop = graph
         if levels:
-            reach = _grow_reach(levels[-1].reach, graph.adjacency)
-            if reach.nnz == levels[-1].reach.nnz:
+            hop = _next_hop_graph(graph, levels[-1].graph)
+            if hop.num_edges == levels[-1].graph.num_edges:
                 cache.saturated = True
                 break
-        else:
-            reach = graph.adjacency.copy()
-            reach.data[:] = 1.0
-        hop = _reach_to_graph(graph, reach)
         dom = greedy_dominating_set(hop)
         dom.setflags(write=False)
-        levels.append(HopLevel(len(levels) + 1, reach, hop, dom))
+        levels.append(HopLevel(len(levels) + 1, hop, dom))
     return levels[min(p, len(levels)) - 1]
 
 
 def p_hop_graph(graph: Graph, p: int) -> Graph:
-    """Graph connecting nodes joined by a walk of length 1..p; weights all one."""
+    """Graph connecting nodes joined by a walk of length 1..p.
+
+    ``p_hop_graph(g, 1)`` is ``g`` itself, with its weights; higher levels
+    have unit weights.
+    """
     return hop_level(graph, p).graph
 
 
 def minimal_hop_level(graph: Graph, m: int) -> HopLevel:
     """Lowest hop level whose greedy dominating set has at most m nodes.
 
-    Saturation of the reachability structure bounds the search: past the
-    largest component diameter nothing changes, so the budget is infeasible
-    once growth stops.
+    Saturation of the hop expansion bounds the search: past the largest
+    component diameter nothing changes, so the budget is infeasible once
+    growth stops.
     """
     if m < 1:
         raise ValueError("budget m must be >= 1")
@@ -290,12 +262,6 @@ def minimal_hop_level(graph: Graph, m: int) -> HopLevel:
                 f"dominating set has {level.dominating_set.size} nodes at saturation, "
                 f"budget is {m}")
         p += 1
-
-
-def minimal_hop_plan(graph: Graph, m: int) -> tuple[int, np.ndarray]:
-    """Smallest hop count whose greedy dominating set fits the budget m."""
-    level = minimal_hop_level(graph, m)
-    return level.p, level.dominating_set.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,6 @@ class ExperimentConfig:
     sigma: float = 0.0
     fixed_m: int | None = None
     solver: SolverParams = field(default_factory=SolverParams)
-    output: str | None = None
 
     def __post_init__(self):
         self.samplers = tuple(self.samplers)
@@ -149,8 +148,6 @@ class ExperimentConfig:
         }
         if self.fixed_m is not None:
             d["fixed_m"] = self.fixed_m
-        if self.output is not None:
-            d["output"] = self.output
         return d
 
     @classmethod
@@ -170,7 +167,6 @@ class ExperimentConfig:
             sigma=float(d.get("sigma", 0.0)),
             fixed_m=(int(d["fixed_m"]) if "fixed_m" in d else None),
             solver=solver,
-            output=d.get("output"),
         )
 
 
@@ -335,7 +331,6 @@ class WsnScenario:
     trials: int = 10
     master_seed: int = 0
     solver: SolverParams = field(default_factory=SolverParams)
-    output: str | None = None
 
     def __post_init__(self):
         self.cluster_head_counts = tuple(int(v) for v in self.cluster_head_counts)
@@ -416,9 +411,9 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
     reconstruction error.
     """
     ms = scenario.master_seed
-    d_bs = scenario.bs_distance_factor * 1.0
-    agg: dict = {}
-    redraws: dict = {}
+    d_bs2 = float(scenario.bs_distance_factor) ** 2
+    agg: dict = {}        # (method, m) -> per-trial (intra-network power, mse)
+    redraws: dict = {}    # method -> head redraws summed over trials
     for t in range(scenario.trials):
         rng_pos = np.random.default_rng(derive_seed(ms, "positions", t))
         pos = rng_pos.random((scenario.n, 2))
@@ -434,13 +429,13 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
             op = draw_operator(plan, seed=derive_seed(ms, "draw", t, m))
             res = bp_l1(op, basis, op.phi @ x, scenario.solver)
             err = float(np.mean((res.x_star - x) ** 2))
-            p_intra = _forward_route_power(graph, plan)
-            p_bs = m * d_bs ** 2
-            agg.setdefault(("proposed", m), []).append((p_intra, p_bs, err))
+            agg.setdefault(("proposed", m), []).append(
+                (_forward_route_power(graph, plan), err))
 
         for nc in scenario.cluster_head_counts:
+            method = f"cluster-{nc}"
             heads, members, tries = _draw_clusters(scenario, pos, t, nc)
-            redraws[nc] = redraws.get(nc, 0) + tries - 1
+            redraws[method] = redraws.get(method, 0) + tries - 1
             sizes = np.asarray([members[c].size for c in range(nc)])
             dists2 = [((pos[members[c]] - pos[heads[c]]) ** 2).sum(axis=1)
                       for c in range(nc)]
@@ -459,26 +454,23 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
                     row += mc
                     # the head's own reading travels distance zero
                     p_intra += mc * float(dists2[c].sum())
-                op = SamplingOperator(phi=phi, label=f"cluster-{nc}")
+                op = SamplingOperator(phi=phi, label=method)
                 res = bp_l1(op, basis, op.phi @ x, scenario.solver)
                 err = float(np.mean((res.x_star - x) ** 2))
-                p_bs = m * d_bs ** 2
-                agg.setdefault((f"cluster-{nc}", m), []).append((p_intra, p_bs, err))
+                agg.setdefault((method, m), []).append((p_intra, err))
 
     rows = []
     for (method, m), vals in agg.items():
-        arr = np.asarray(vals)
-        nc_redraws = 0
-        if method.startswith("cluster-"):
-            nc_redraws = redraws.get(int(method.split("-")[1]), 0)
+        intra, err = np.asarray(vals).T
+        p_bs = m * d_bs2
         rows.append({
             "method": method, "m": m,
-            "mean_power": float(arr[:, 0].mean() + arr[:, 1].mean()),
-            "mean_power_intra": float(arr[:, 0].mean()),
-            "mean_power_bs": float(arr[:, 1].mean()),
-            "mean_mse_db": to_db(float(arr[:, 2].mean())),
+            "mean_power": float(intra.mean() + p_bs),
+            "mean_power_intra": float(intra.mean()),
+            "mean_power_bs": p_bs,
+            "mean_mse_db": to_db(float(err.mean())),
             "trials": scenario.trials,
-            "head_redraws": nc_redraws,
+            "head_redraws": redraws.get(method, 0),
         })
     return rows
 
@@ -511,7 +503,5 @@ def write_csv(path, rows: list[dict], fieldnames: list[str], meta: dict) -> None
 
 
 def result_meta(payload: dict, master_seed: int) -> dict:
-    # the output path is not part of an experiment's identity
-    payload = {k: v for k, v in payload.items() if k != "output"}
     return {"config-hash": config_hash(payload), "seed": master_seed,
             "version": __version__}

@@ -12,13 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .graph import (
     Graph,
-    HopPlanInfeasibleError,
     bfs_distances,
     closed_in_neighborhood,
     hop_level,
@@ -39,8 +37,8 @@ class SamplingPlan:
 
     nodes[t] is the node whose closed neighborhood (on ``base_graph``) feeds
     measurement t.  ``multiplicities[j]`` counts how many measurements touch
-    node j.  ``base_graph`` is the aggregation graph (the p-hop expansion of
-    ``source_graph``; identical to it when p == 1).
+    node j.  ``base_graph`` is the aggregation graph, the p-hop expansion of
+    ``source_graph`` (``source_graph`` itself at one hop).
     """
 
     nodes: np.ndarray
@@ -86,16 +84,46 @@ class SamplingOperator:
         return self.phi.shape[1]
 
 
+def _closed_rows(graph: Graph, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """Row position and column of every entry of the closed neighborhoods of ``nodes``.
+
+    Entries come row by row in ascending column order: the ``closed_adjacency``
+    rows of ``nodes``, gathered through its ``indptr``/``indices``.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= graph.n):
+        raise ValueError(f"node index out of range for graph with n={graph.n}")
+    ac = graph.closed_adjacency
+    start = ac.indptr[nodes]
+    length = ac.indptr[nodes + 1] - start
+    offset = np.repeat(start - (np.cumsum(length) - length), length)
+    cols = ac.indices[offset + np.arange(offset.size)]
+    return np.repeat(np.arange(nodes.size), length), cols
+
+
+def _gaussian_rows(agg: Graph, nodes, rng: np.random.Generator,
+                   scale: np.ndarray | None = None) -> np.ndarray:
+    """One standard Gaussian row per entry of ``nodes``, supported on its closed
+    neighborhood in ``agg``; the entry at column j is divided by ``scale[j]``.
+
+    Values are drawn in one call, row by row in ascending column order, which
+    is the order of drawing each row separately from the same generator.
+    """
+    rows, cols = _closed_rows(agg, nodes)
+    vals = rng.standard_normal(cols.size)
+    if scale is not None:
+        vals /= scale[cols]
+    out = np.zeros((len(nodes), agg.n))
+    out[rows, cols] = vals
+    return out
+
+
 def node_multiplicities(graph: Graph, nodes) -> np.ndarray:
     """How many entries of ``nodes`` contain each node in their closed neighborhood.
 
     Repeated sampling nodes count once per repetition.
     """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    g = np.zeros(graph.n, dtype=np.int64)
-    for i in nodes:
-        g[closed_in_neighborhood(graph, int(i))] += 1
-    return g
+    return np.bincount(_closed_rows(graph, nodes)[1], minlength=graph.n).astype(np.int64)
 
 
 def _pool(ac, members) -> tuple[np.ndarray, np.ndarray]:
@@ -121,13 +149,6 @@ def _criterion_pick(ac, in_pool: np.ndarray, cover: np.ndarray, g: np.ndarray) -
     gmin = g[cover > 0].min()
     counts = ac @ (g == gmin).astype(np.float64)
     return int(np.argmax(np.where(in_pool, counts, -1.0)))
-
-
-def _draw_row(agg: Graph, node: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    row = np.zeros(n)
-    nb = closed_in_neighborhood(agg, node)
-    row[nb] = rng.standard_normal(nb.size)
-    return row
 
 
 # Residual ratios outside this band decide the rank test on their own: a
@@ -198,7 +219,7 @@ def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int,
     """
     ac = agg.closed_adjacency
     rng = np.random.default_rng(seed)
-    first = np.vstack([_draw_row(agg, v, rng, agg.n) for v in nodes])
+    first = _gaussian_rows(agg, nodes, rng)
     if numerical_rank(first) < len(nodes):
         raise PoolExhaustedError("initial dominating rows are rank deficient")
     scaffold = _Scaffold(first, m)
@@ -210,7 +231,7 @@ def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int,
                 raise PoolExhaustedError(
                     "no dominator repetition keeps the operator full row rank")
             cand = _criterion_pick(ac, in_pool, cover, g)
-            if scaffold.admit(_draw_row(agg, cand, rng, agg.n)):
+            if scaffold.admit(_gaussian_rows(agg, [cand], rng)[0]):
                 break
             _leave_pool(ac, in_pool, cover, cand)
         nodes.append(cand)
@@ -234,7 +255,7 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
     if m < 1:
         raise ValueError("measurement budget m must be >= 1")
     level = minimal_hop_level(graph, m)
-    agg = graph if level.p == 1 else level.graph
+    agg = level.graph
     nodes = [int(v) for v in level.dominating_set]
     g = node_multiplicities(agg, nodes)
     tag = "exact"
@@ -257,13 +278,8 @@ def draw_operator(plan: SamplingPlan, seed: int | None = None) -> SamplingOperat
     isotropic ensemble on average.  Entries are filled row by row in ascending
     column order from a PCG64 generator, making draws reproducible per seed.
     """
-    agg = plan.base_graph
-    rng = np.random.default_rng(seed)
-    phi = np.zeros((plan.m, agg.n))
     scale = np.sqrt(np.where(plan.multiplicities > 0, plan.multiplicities, 1))
-    for t, node in enumerate(plan.nodes):
-        nb = closed_in_neighborhood(agg, int(node))
-        phi[t, nb] = rng.standard_normal(nb.size) / scale[nb]
+    phi = _gaussian_rows(plan.base_graph, plan.nodes, np.random.default_rng(seed), scale)
     return SamplingOperator(phi=phi, plan=plan, seed=seed)
 
 
@@ -336,8 +352,7 @@ def plan_from_json(graph: Graph, text: str) -> SamplingPlan:
     p = int(payload["p"])
     nodes = np.asarray(payload["nodes"], dtype=np.int64)
     level = hop_level(graph, p)
-    agg = graph if p == 1 else level.graph
     return SamplingPlan(nodes=nodes, p=p, strategy=payload["strategy"],
-                        multiplicities=node_multiplicities(agg, nodes),
-                        base_graph=agg, source_graph=graph,
+                        multiplicities=node_multiplicities(level.graph, nodes),
+                        base_graph=level.graph, source_graph=graph,
                         dominating_set=level.dominating_set, seed=payload.get("seed"))

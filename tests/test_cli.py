@@ -155,8 +155,9 @@ def test_experiment_unknown_support(tmp_path):
                   "seed": 2},
         "k": 2, "samplers": ["proposed-insert"],
         "sweep": {"variable": "m", "values": [12]},
-        "trials": 2, "master_seed": 0, "output": str(tmp_path / "blind.csv")})
-    assert _run("experiment", "unknown-support", "--config", cfg) == 0
+        "trials": 2, "master_seed": 0})
+    assert _run("experiment", "unknown-support", "--config", cfg,
+                "--out", tmp_path / "blind.csv") == 0
     lines = _read_table(tmp_path / "blind.csv")
     assert lines[1] == "sampler,sweep_variable,sweep_value,recovery_prob,trials"
     assert lines[2].endswith(",1.0,2")
@@ -218,11 +219,17 @@ def test_experiment_wsn(tmp_path):
     assert len(lines) == 2 + 2  # proposed and one cluster scheme
 
 
-def test_experiment_requires_output(tmp_path):
-    cfg = _write_config(tmp_path, {
-        "graph": _graph_payload(), "k": 3,
-        "samplers": ["proposed-insert"],
-        "sweep": {"variable": "m", "values": [6]},
-        "trials": 1, "master_seed": 0})
-    with pytest.raises(SystemExit, match="output"):
+def test_experiment_requires_output(tmp_path, capsys):
+    payload = {"graph": _graph_payload(), "k": 3,
+               "samplers": ["proposed-insert"],
+               "sweep": {"variable": "m", "values": [6]},
+               "trials": 1, "master_seed": 0}
+    cfg = _write_config(tmp_path, payload)
+    with pytest.raises(SystemExit):
         _run("experiment", "known-support", "--config", cfg)
+    assert "--out" in capsys.readouterr().err
+    # the path comes from --out only; a config that still names one is refused
+    cfg = _write_config(tmp_path, dict(payload, output=str(tmp_path / "x.csv")))
+    with pytest.raises(SystemExit, match="--out"):
+        _run("experiment", "known-support", "--config", cfg, "--out", tmp_path / "y.csv")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()

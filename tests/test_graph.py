@@ -53,11 +53,20 @@ def test_input_arrays_are_copied():
 
 def test_degrees_path(path4):
     assert path4.degrees.tolist() == [1, 2, 2, 1]
-    assert path4.weighted_degrees.tolist() == [1.0, 2.0, 2.0, 1.0]
+    assert path4.degrees.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
 # neighborhoods
+
+def _open_neighbors(g: la.Graph) -> list[set[int]]:
+    """Open neighborhood of each node, read from the edge list alone."""
+    neigh: list[set[int]] = [set() for _ in range(g.n)]
+    for i, j in g.edges:
+        neigh[int(i)].add(int(j))
+        neigh[int(j)].add(int(i))
+    return neigh
+
 
 def test_closed_neighborhood_isolated_node():
     g = la.Graph(3, np.zeros((0, 2)))
@@ -91,10 +100,12 @@ def test_closed_neighborhood_out_of_range(path4):
 ])
 def test_closed_neighborhood_equals_union_with_node(kind, params):
     g = la.generate(kind, params, seed=11)
+    neigh = _open_neighbors(g)
     for i in range(g.n):
         nb = la.closed_in_neighborhood(g, i)
-        old = np.union1d(g.in_neighbor_lists[i], [i]).astype(np.int64)
+        old = np.union1d(sorted(neigh[i]), [i]).astype(np.int64)
         assert nb.dtype == np.int64 and np.array_equal(nb, old)
+    assert g.degrees.tolist() == [len(nb) for nb in neigh]
     if kind in ("erdos-renyi", "random-geometric"):
         assert (g.degrees == 0).any()   # the sparse draws include isolated nodes
 
@@ -142,7 +153,7 @@ def _is_dominating(g: la.Graph, nodes) -> bool:
 def _greedy_reference(g: la.Graph) -> list[int]:
     """Independent reimplementation with sets: max degree, no closed neighbor
     already chosen, lowest index on ties; fall back to undominated nodes."""
-    neigh = {i: set(map(int, g.in_neighbor_lists[i])) for i in range(g.n)}
+    neigh = _open_neighbors(g)
     deg = {i: len(neigh[i]) for i in range(g.n)}
     chosen: list[int] = []
     dominated: set[int] = set()
@@ -237,7 +248,7 @@ def _hop_oracle(g: la.Graph, p: int) -> set[tuple[int, int]]:
 
 def test_p_hop_identity_at_one():
     g = random_graph(7)
-    assert la.p_hop_graph(g, 1).edge_set() == g.edge_set()
+    assert la.p_hop_graph(g, 1) is g
 
 
 def test_p_hop_path4_two_hops(path4):
@@ -309,38 +320,38 @@ def test_hop_levels_stop_at_saturation(path10):
 
 
 # ---------------------------------------------------------------------------
-# minimal hop plans
+# minimal hop levels
 
 def test_minimal_hop_trivial_budget(path4):
-    p, dom = la.minimal_hop_plan(path4, 4)
-    assert p == 1
-    assert dom.tolist() == la.greedy_dominating_set(path4).tolist()
+    level = la.minimal_hop_level(path4, 4)
+    assert level.p == 1 and level.graph is path4
+    assert level.dominating_set.tolist() == la.greedy_dominating_set(path4).tolist()
 
 
 def test_minimal_hop_path6():
     p6 = la.Graph(6, np.column_stack([np.arange(5), np.arange(1, 6)]))
-    p, dom = la.minimal_hop_plan(p6, 2)
-    assert (p, dom.tolist()) == (2, [2, 5])
+    level = la.minimal_hop_level(p6, 2)
+    assert (level.p, level.dominating_set.tolist()) == (2, [2, 5])
 
 
 def test_minimal_hop_path10_brute_force(path10):
-    p, dom = la.minimal_hop_plan(path10, 2)
+    level = la.minimal_hop_level(path10, 2)
     # smallest p whose greedy dominating set fits the budget, checked directly
     sizes = [la.greedy_dominating_set(la.p_hop_graph(path10, q)).size
-             for q in range(1, p + 1)]
+             for q in range(1, level.p + 1)]
     assert all(s > 2 for s in sizes[:-1]) and sizes[-1] <= 2
-    assert (p, dom.tolist()) == (3, [3, 7])
+    assert (level.p, level.dominating_set.tolist()) == (3, [3, 7])
 
 
 def test_minimal_hop_infeasible_on_disconnected():
     g = la.Graph(5, np.zeros((0, 2)))  # five components can never fit m=2
     with pytest.raises(HopPlanInfeasibleError):
-        la.minimal_hop_plan(g, 2)
+        la.minimal_hop_level(g, 2)
 
 
 def test_minimal_hop_rejects_bad_budget(path4):
     with pytest.raises(ValueError):
-        la.minimal_hop_plan(path4, 0)
+        la.minimal_hop_level(path4, 0)
 
 
 # ---------------------------------------------------------------------------

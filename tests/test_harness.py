@@ -95,10 +95,11 @@ def test_config_validation_errors():
 
 
 def test_config_dict_round_trip():
-    cfg = _small_config(sigma=0.05, fixed_m=None, output="out.csv",
+    cfg = _small_config(sigma=0.05, fixed_m=None,
                         solver=SolverParams(rho=2.0, max_iter=100))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
+    assert "output" not in cfg.to_dict()
     assert again.solver.rho == 2.0 and again.solver.max_iter == 100
 
 

@@ -5,7 +5,10 @@ into a temporary file and compares it with a committed CSV.  Only the
 experiments that finish in a few seconds are rerun here.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +39,19 @@ def test_unknown_support_short_run_matches_fixture(tmp_path):
           "--config", str(RESULTS / "unknown_support.config.json"),
           "--trials", "20", "--out", str(out)])
     assert out.read_bytes() == (FIXTURES / "unknown_support_trials20.csv").read_bytes()
+
+
+def test_wsn_short_run_matches_fixture(tmp_path):
+    # the committed sensor-field run at 2 trials; the fixture was written by the
+    # per-row operator drawer that preceded the shared row gather.  A child
+    # process pins BLAS to one thread before numpy loads: threaded BLAS changes
+    # the last digits of mean_mse_db.
+    out = tmp_path / "wsn_tradeoff.csv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "localagg.cli", "experiment", "wsn",
+                    "--config", str(RESULTS / "wsn_tradeoff.config.json"),
+                    "--trials", "2", "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    assert out.read_bytes() == (FIXTURES / "wsn_tradeoff_trials2.csv").read_bytes()

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import localagg as la
 from localagg import PoolExhaustedError
-from localagg.graph import HopPlanInfeasibleError
+from localagg.graph import HopPlanInfeasibleError, hop_level
 from localagg.sampler import STRATEGIES
 
 from conftest import random_graph
@@ -396,7 +396,10 @@ def test_plan_json_round_trip_hop_expanded():
 # candidate with a full SVD.  The incremental build_plan must match it exactly.
 
 def _legacy_closed(g: la.Graph, i: int) -> np.ndarray:
-    return np.union1d(g.in_neighbor_lists[i], [i]).astype(np.int64)
+    # the open neighborhood read from the edge list, independent of the CSR rows
+    e = g.edges
+    return np.union1d(np.concatenate([e[e[:, 0] == i, 1], e[e[:, 1] == i, 0]]),
+                      [i]).astype(np.int64)
 
 
 def _legacy_reach_to_graph(graph: la.Graph, reach) -> la.Graph:
@@ -580,3 +583,78 @@ def test_hop_cache_is_independent_of_budget_order():
     assert any(fields[2] > 2 for fields in expected.values()
                if not isinstance(fields[0], str))
 
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-row operator drawer
+#
+# _legacy_draw_operator and _legacy_multiplicities are draw_operator and
+# node_multiplicities as they were before the closed-neighborhood rows were
+# gathered in one pass: one Python iteration and one generator call per row.
+
+def _legacy_draw_operator(plan, seed):
+    agg = plan.base_graph
+    rng = np.random.default_rng(seed)
+    phi = np.zeros((plan.m, agg.n))
+    scale = np.sqrt(np.where(plan.multiplicities > 0, plan.multiplicities, 1))
+    for t, node in enumerate(plan.nodes):
+        nb = la.closed_in_neighborhood(agg, int(node))
+        phi[t, nb] = rng.standard_normal(nb.size) / scale[nb]
+    return phi
+
+
+def _legacy_multiplicities(graph, nodes):
+    g = np.zeros(graph.n, dtype=np.int64)
+    for i in np.asarray(nodes, dtype=np.int64):
+        g[la.closed_in_neighborhood(graph, int(i))] += 1
+    return g
+
+
+@pytest.mark.parametrize("kind, params, graph_seed", EQUIVALENCE_GRAPHS)
+def test_draw_operator_and_multiplicities_match_per_row_loops(kind, params, graph_seed):
+    g = la.generate(kind, params, graph_seed)
+    seen = set()
+    for strategy in STRATEGIES:
+        for m in range(1, g.n + 3):
+            try:
+                plan = la.build_plan(g, m, strategy, seed=100 + m)
+            except (PoolExhaustedError, HopPlanInfeasibleError):
+                continue
+            mult = la.node_multiplicities(plan.base_graph, plan.nodes)
+            assert mult.dtype == np.int64
+            assert np.array_equal(mult, _legacy_multiplicities(plan.base_graph, plan.nodes))
+            assert np.array_equal(mult, plan.multiplicities)
+            for seed in (0, 200 + m):
+                phi = la.draw_operator(plan, seed=seed).phi
+                assert np.array_equal(phi, _legacy_draw_operator(plan, seed)), (strategy, m)
+            if strategy == "repeat-dominating" and plan.strategy == strategy:
+                seen.add("repeated")
+            seen.add("p-hop" if plan.p > 1 else "one-hop")
+    assert {"repeated", "p-hop", "one-hop"} <= seen
+
+
+def test_multiplicities_reject_nodes_out_of_range(path4):
+    for bad in ([4], [0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            la.node_multiplicities(path4, bad)
+    text = json.dumps({"nodes": [0, 7], "p": 1, "strategy": "exact", "seed": None})
+    with pytest.raises(ValueError, match="out of range"):
+        la.plan_from_json(path4, text)
+
+
+@pytest.mark.parametrize("graph", [
+    la.generate("complete", {"n": 6}, 0),
+    la.Graph(6, [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]),
+], ids=["K6", "two-triangles"])
+def test_clique_components_saturate_at_level_one(graph):
+    # one hop already joins every pair within a component, so no second level
+    # is built; plans and the infeasible-budget error are those of the legacy
+    # builder, which grew a redundant level 2 with the same edges
+    assert la.p_hop_graph(graph, 1) is graph
+    level = hop_level(graph, 1)
+    assert level.graph is graph
+    assert hop_level(graph, 2) is level and hop_level(graph, 5) is level
+    for strategy in STRATEGIES:
+        for m in range(1, graph.n + 3):
+            new = _outcome(_plan_fields, graph, m, strategy, m)
+            assert new == _outcome(_legacy_fields, graph, m, strategy, m), (strategy, m)
