@@ -82,37 +82,40 @@ _FIELDS = {
 }
 
 
-def _cmd_experiment(args):
-    payload = _apply_overrides(_load_config(args.config), args)
-    kind = args.what
+def _run_kind(kind: str, payload: dict) -> tuple[list[dict], int, dict]:
+    """Rows, master seed and hashed config payload of one experiment kind."""
     if kind in ("known-support", "unknown-support"):
         config = harness.ExperimentConfig.from_dict(payload)
         run = (harness.run_known_support if kind == "known-support"
                else harness.run_unknown_support)
-        rows = run(config)
-        seed = config.master_seed
-        meta_payload = config.to_dict()
-    elif kind == "wsn":
+        return run(config), config.master_seed, config.to_dict()
+    if kind == "wsn":
         scenario = harness.WsnScenario.from_dict(payload)
-        rows = harness.wsn_experiment(scenario)
-        seed = scenario.master_seed
-        meta_payload = scenario.to_dict()
-    elif kind == "condition-table":
+        return harness.wsn_experiment(scenario), scenario.master_seed, scenario.to_dict()
+    if kind == "condition-table":
+        harness.check_keys(payload, ("graph", "k", "m_values", "trials", "master_seed",
+                                     "methods"), "config")
         spec = harness.GraphSpec.from_dict(payload["graph"])
         seed = int(payload.get("master_seed", 0))
         rows = harness.condition_table(spec, int(payload["k"]), payload["m_values"],
                                        int(payload.get("trials", 10)), seed,
                                        methods=tuple(payload.get(
                                            "methods", ("proposed-insert", "successive"))))
-        meta_payload = payload
-    elif kind == "dominating-curve":
+        return rows, seed, payload
+    if kind == "dominating-curve":
+        harness.check_keys(payload, ("graph", "p_max"), "config")
         spec = harness.GraphSpec.from_dict(payload["graph"])
-        seed = spec.seed
-        rows = harness.dominating_curve(spec, int(payload.get("p_max", 4)))
-        meta_payload = payload
-    else:
-        raise SystemExit(f"unknown experiment {kind!r}")
-    harness.write_csv(args.out, rows, _FIELDS[kind], harness.result_meta(meta_payload, seed))
+        return harness.dominating_curve(spec, int(payload.get("p_max", 4))), spec.seed, payload
+    raise SystemExit(f"unknown experiment {kind!r}")
+
+
+def _cmd_experiment(args):
+    payload = _apply_overrides(_load_config(args.config), args)
+    try:
+        rows, seed, meta_payload = _run_kind(args.what, payload)
+    except harness.ConfigError as exc:
+        raise SystemExit(f"{args.config}: {exc}") from None
+    harness.write_csv(args.out, rows, _FIELDS[args.what], harness.result_meta(meta_payload, seed))
     print(f"wrote {len(rows)} rows to {args.out}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -68,6 +68,23 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
 
+class ConfigError(ValueError):
+    """An experiment config holds a key that nothing reads."""
+
+
+def check_keys(d: dict, accepted, where: str) -> None:
+    """Refuse keys of ``d`` outside ``accepted``; a typo must not go unread."""
+    unknown = sorted(set(d) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                          f"accepted: {', '.join(sorted(accepted))}")
+
+
+def _solver_from_dict(d: dict) -> SolverParams:
+    check_keys(d, [f.name for f in fields(SolverParams)], "solver")
+    return SolverParams(**d)
+
+
 def _check_samplers(tags) -> None:
     for tag in tags:
         if tag not in SAMPLER_TAGS:
@@ -88,6 +105,7 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
+        check_keys(d, ("kind", "params", "seed"), "graph")
         return cls(kind=d["kind"], params=dict(d["params"]), seed=int(d["seed"]))
 
 
@@ -152,8 +170,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        solver = SolverParams(**d.get("solver", {}))
+        check_keys(d, ("graph", "k", "samplers", "basis", "signal_model", "sweep", "trials",
+                       "master_seed", "sigma", "fixed_m", "solver"), "config")
+        solver = _solver_from_dict(d.get("solver", {}))
         sweep = d.get("sweep", {})
+        check_keys(sweep, ("variable", "values"), "sweep")
         return cls(
             graph=GraphSpec.from_dict(d["graph"]),
             k=int(d["k"]),
@@ -351,9 +372,10 @@ class WsnScenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WsnScenario":
+        check_keys(d, [f.name for f in fields(cls)], "config")
         d = dict(d)
         if "solver" in d:
-            d["solver"] = SolverParams(**d["solver"])
+            d["solver"] = _solver_from_dict(d["solver"])
         return cls(**d)
 
 

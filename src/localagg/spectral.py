@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,11 +227,22 @@ def save_matrix_csv(path, a) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    rows = []
+    rows: list[list[float]] = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            row = []
+            for tok in line.split(","):
+                try:
+                    row.append(float(tok))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: entry {tok.strip()!r} is not a number")
+                if not math.isfinite(row[-1]):
+                    raise ValueError(f"{path}:{lineno}: entry {tok.strip()!r} is not finite")
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} entries "
+                                 f"as on the first row, found {len(row)}")
+            rows.append(row)
     return np.asarray(rows)

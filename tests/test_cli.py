@@ -233,3 +233,52 @@ def test_experiment_requires_output(tmp_path, capsys):
     with pytest.raises(SystemExit, match="--out"):
         _run("experiment", "known-support", "--config", cfg, "--out", tmp_path / "y.csv")
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()
+
+
+@pytest.mark.parametrize("kind, payload, key", [
+    ("known-support", {"graph": _graph_payload(), "k": 3, "sigmaa": 0.5,
+                       "sweep": {"variable": "m", "values": [6]}}, "sigmaa"),
+    ("unknown-support", {"graph": _graph_payload(), "k": 3,
+                         "sweep": {"variable": "m", "value": [6]}}, "value"),
+    ("unknown-support", {"graph": _graph_payload(), "k": 3, "solver": {"max_iters": 9},
+                         "sweep": {"variable": "m", "values": [6]}}, "max_iters"),
+    ("known-support", {"graph": dict(_graph_payload(), sed=2), "k": 3,
+                       "sweep": {"variable": "m", "values": [6]}}, "sed"),
+    ("wsn", {"n": 16, "k": 3, "trails": 1}, "trails"),
+    ("wsn", {"n": 16, "k": 3, "solver": {"rh": 2.0}}, "rh"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4],
+                         "method": ["uniform"]}, "method"),
+    ("dominating-curve", {"graph": _graph_payload(), "pmax": 3}, "pmax"),
+])
+def test_experiment_rejects_unknown_config_keys(tmp_path, kind, payload, key):
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        _run("experiment", kind, "--config", cfg, "--out", out)
+    message = str(info.value)
+    assert f"{cfg}: unknown" in message and repr(key) in message
+    assert "accepted: " in message and "\n" not in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, text, line, problem", [
+    ("operator", "1,0,0\n# comment\n0,1\n", 3, "expected 3 entries"),
+    ("operator", "1,0,0\n0,x1,0\n", 2, "'x1' is not a number"),
+    ("operator", "\n1,nan,0\n", 2, "'nan' is not finite"),
+    ("measurements", "1\n-inf\n", 2, "'-inf' is not finite"),
+    ("measurements", "1\n\n2,3\n", 3, "expected 1 entries"),
+])
+def test_reconstruct_reports_matrix_file_errors_by_line(tmp_path, target, text, line,
+                                                       problem):
+    gpath = tmp_path / "graph.txt"
+    _run("generate", "--kind", "cycle", "--params", '{"n": 3}', "--out", gpath)
+    files = {"operator": tmp_path / "phi.csv", "measurements": tmp_path / "y.csv"}
+    files["operator"].write_text("1,0,0\n0,1,0\n")
+    files["measurements"].write_text("1\n2\n")
+    files[target].write_text(text)
+    with pytest.raises(ValueError) as info:
+        _run("reconstruct", "--graph", gpath, "--operator", files["operator"],
+             "--measurements", files["measurements"], "--out", tmp_path / "x.csv")
+    assert str(info.value).startswith(f"{files[target]}:{line}: ")
+    assert problem in str(info.value)
+    assert not (tmp_path / "x.csv").exists()

@@ -1,5 +1,8 @@
 """Experiment drivers: seeding, sweeps, result tables, sensor-network costs."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,47 @@ def test_config_dict_round_trip():
     assert again.to_dict() == cfg.to_dict()
     assert "output" not in cfg.to_dict()
     assert again.solver.rho == 2.0 and again.solver.max_iter == 100
+
+
+@pytest.mark.parametrize("path, key", [
+    ((), "sigmaa"), (("sweep",), "value"), (("solver",), "max_iters"), (("graph",), "sed"),
+])
+def test_config_from_dict_rejects_unknown_keys(path, key):
+    d = _small_config().to_dict()
+    target = d
+    for part in path:
+        target = target[part]
+    target[key] = 1
+    where = path[0] if path else "config"
+    with pytest.raises(ValueError, match=f"unknown {where} key\\(s\\) '{key}'; accepted: "):
+        ExperimentConfig.from_dict(d)
+
+
+def test_wsn_scenario_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="'trails'; accepted: .*trials"):
+        WsnScenario.from_dict({"trails": 2})
+    with pytest.raises(ValueError, match="unknown solver key\\(s\\) 'tol'"):
+        WsnScenario.from_dict({"solver": {"tol": 1e-3}})
+
+
+@pytest.mark.parametrize("kind, stem", [
+    ("known-support", "known_support"), ("unknown-support", "unknown_support"),
+    ("wsn", "wsn_tradeoff"), ("condition-table", "condition_table"),
+    ("dominating-curve", "dominating_curve"),
+])
+def test_committed_configs_load_with_their_hashes(kind, stem):
+    # every committed config passes the unknown-key checks, and the hash its
+    # table was written with is the hash of what the parser reads back
+    results = pathlib.Path(__file__).resolve().parent.parent / "results"
+    payload = json.loads((results / f"{stem}.config.json").read_text())
+    if kind in ("known-support", "unknown-support"):
+        payload = ExperimentConfig.from_dict(payload).to_dict()
+    elif kind == "wsn":
+        payload = WsnScenario.from_dict(payload).to_dict()
+    else:
+        GraphSpec.from_dict(payload["graph"])
+    header = (results / f"{stem}.csv").read_text().splitlines()[0]
+    assert header.startswith(f"# config-hash={config_hash(payload)}, ")
 
 
 def test_wsn_scenario_round_trip_and_validation():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import localagg as la
-from localagg.recon import (FLOOR_DB, PERFECT_DB, SolverParams, realized_coefficients,
-                            to_db)
+from localagg.recon import (FLOOR_DB, PERFECT_DB, ReconResult, SolverParams,
+                            realized_coefficients, to_db)
+from localagg.sampler import SamplingOperator
+from localagg.spectral import pseudoinverse
 
 
 def _setup(n=24, p_e=0.3, seed=0, k=4, m=12):
@@ -151,9 +153,16 @@ def test_ls_rank_deficiency_flagged():
 
 
 def test_ls_rejects_bad_measurement_shape():
-    _, basis, op, spec, _ = _setup()
-    with pytest.raises(ValueError):
+    _, basis, op, spec, x = _setup()
+    with pytest.raises(ValueError, match="shape"):
         la.ls_known_support(op, basis, spec.support, np.zeros(op.m + 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = la.measure(op, x)
+        y[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            la.ls_known_support(op, basis, spec.support, y)
+    with pytest.raises(ValueError, match="columns but the basis has"):
+        la.ls_known_support(op, la.dct_basis(op.n - 1), spec.support, np.zeros(op.m))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +227,153 @@ def test_bp_iteration_cap_flags_nonconvergence():
 
 
 def test_bp_rejects_bad_measurement_shape():
-    _, basis, op, _, _ = _setup()
-    with pytest.raises(ValueError):
+    _, basis, op, _, x = _setup()
+    with pytest.raises(ValueError, match="shape"):
         la.bp_l1(op, basis, np.zeros(op.m + 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = la.measure(op, x)
+        y[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            la.bp_l1(op, basis, y)
+    with pytest.raises(ValueError, match="columns but the basis has"):
+        la.bp_l1(op, la.dct_basis(op.n + 1), np.zeros(op.m))
+
+
+# ---------------------------------------------------------------------------
+# the ADMM loop against its textbook form, byte for byte
+
+def _legacy_soft(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def _legacy_bp_l1(op, basis, y, params):
+    """The l1 loop as first written: one numpy call per textbook step."""
+    y = np.asarray(y, dtype=np.float64)
+    psi = op.phi @ basis.u
+    n = psi.shape[1]
+    pinv = pseudoinverse(psi)
+    x_feas = pinv @ y
+
+    def project(v):
+        return v - pinv @ (psi @ v) + x_feas
+
+    z = np.zeros(n)
+    u = np.zeros(n)
+    x = x_feas.copy()
+    trace = []
+    sqrt_n = np.sqrt(n)
+    converged = False
+    iterations = 0
+    r_norm = s_norm = float("nan")
+    for it in range(1, params.max_iter + 1):
+        x = project(z - u)
+        z_prev = z
+        z = _legacy_soft(x + u, 1.0 / params.rho)
+        u = u + x - z
+        iterations = it
+        if params.track_objective:
+            trace.append(float(np.abs(x).sum()))
+        r_norm = float(np.linalg.norm(x - z))
+        s_norm = float(params.rho * np.linalg.norm(z - z_prev))
+        eps_pri = sqrt_n * params.tol_abs + params.tol_rel * max(
+            np.linalg.norm(x), np.linalg.norm(z))
+        eps_dual = sqrt_n * params.tol_abs + params.tol_rel * params.rho * np.linalg.norm(u)
+        if r_norm <= eps_pri and s_norm <= eps_dual:
+            converged = True
+            break
+    xhat = x
+    stats = {"method": "bp", "iterations": iterations, "converged": converged,
+             "primal_residual": r_norm, "dual_residual": s_norm,
+             "objective": float(np.abs(xhat).sum())}
+    if params.track_objective:
+        stats["objective_trace"] = np.asarray(trace)
+    return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _blind_problem(name):
+    """(op, basis, y, params) of one named case for the byte comparison."""
+    _, basis, op, _, x = _setup(n=30, m=18, k=3, seed=11)
+    y = la.measure(op, x)
+    params = SolverParams()
+    if name == "capped-3":
+        params = SolverParams(max_iter=3)
+    elif name == "capped-50":
+        params = SolverParams(max_iter=50)
+    elif name in ("rho-0.5", "rho-1.3", "rho-2.0"):
+        params = SolverParams(rho=float(name[4:]), tol_abs=1e-7, tol_rel=1e-7)
+    elif name == "track":
+        params = SolverParams(track_objective=True, max_iter=4000)
+    elif name == "square":
+        g = la.generate("erdos-renyi", {"n": 12, "p_e": 0.4}, seed=3)
+        basis = la.gft_basis(g)
+        op = la.draw_operator(la.build_plan(g, 12, "insert-new"), seed=4)
+        y = op.phi @ (basis.u @ np.random.default_rng(5).standard_normal(12))
+    elif name == "community":
+        g = la.generate("community", {"n": 100, "n_communities": 5, "p_intra": 0.1,
+                                      "p_inter": 0.001}, seed=7)
+        basis = la.gft_basis(g)
+        op = la.draw_operator(la.build_plan(g, 50, "insert-new"), seed=8)
+        spec = la.SparseSignalSpec.draw(100, 10, "random-support", seed=9)
+        y = la.measure(op, la.synthesize(basis, spec))
+        params = SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=4000,
+                              track_objective=True)
+    elif name in ("repeated-rows", "inconsistent"):
+        op = SamplingOperator(phi=np.vstack([op.phi, op.phi[:4]]), label="repeated")
+        y = la.measure(op, x)
+        if name == "inconsistent":
+            y = y + 1e-3 * np.random.default_rng(12).standard_normal(op.m)
+        params = SolverParams(max_iter=2000, track_objective=True)
+    elif name == "zero":
+        y = np.zeros(op.m)
+    return op, basis, y, params
+
+
+_BLIND_CASES = ("default", "capped-3", "capped-50", "rho-0.5", "rho-1.3", "rho-2.0", "track",
+                "square", "community", "repeated-rows", "inconsistent", "zero")
+
+
+@pytest.mark.parametrize("name", _BLIND_CASES)
+def test_bp_loop_matches_textbook_form_byte_for_byte(name):
+    op, basis, y, params = _blind_problem(name)
+    new = la.bp_l1(op, basis, y, params)
+    old = _legacy_bp_l1(op, basis, y, params)
+    assert _same_bytes(new.x_star, old.x_star)
+    assert _same_bytes(new.xhat_star, old.xhat_star)
+    assert new.solver_stats.keys() == old.solver_stats.keys()
+    for key, value in old.solver_stats.items():
+        assert type(new.solver_stats[key]) is type(value), key
+        assert _same_bytes(new.solver_stats[key], value), key
+
+
+def test_bp_byte_cases_cover_each_regime():
+    # the byte comparison above is only as good as the regimes it reaches
+    problems = {name: _blind_problem(name) for name in _BLIND_CASES}
+    stats = {name: la.bp_l1(*problem).solver_stats for name, problem in problems.items()}
+    assert stats["default"]["converged"] and stats["community"]["converged"]
+    assert all(stats[f"rho-{rho}"]["converged"] for rho in ("0.5", "1.3", "2.0"))
+    assert stats["rho-0.5"]["primal_residual"] != stats["rho-2.0"]["primal_residual"]
+    for name, cap in (("capped-3", 3), ("capped-50", 50)):
+        assert not stats[name]["converged"] and stats[name]["iterations"] == cap
+        assert np.isfinite(stats[name]["dual_residual"])
+    assert stats["track"]["objective_trace"].size == stats["track"]["iterations"] > 1
+    assert stats["zero"]["converged"] and stats["zero"]["objective"] == 0.0
+    for name, (op, basis, y, _) in problems.items():
+        psi = op.phi @ basis.u
+        rank = la.numerical_rank(psi)
+        consistent = bool(np.linalg.norm(psi @ (pseudoinverse(psi) @ y) - y) <= 1e-9)
+        if name == "square":
+            assert op.m == op.n == rank
+        elif name in ("repeated-rows", "inconsistent"):
+            assert op.m < op.n and rank < op.m
+            assert consistent is (name == "repeated-rows")
+        else:
+            assert op.m < op.n and rank == op.m and consistent
+    assert not stats["inconsistent"]["converged"]
 
 
 def test_solver_params_validation():
