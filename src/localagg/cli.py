@@ -6,11 +6,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import harness
 from .graph import generate, load_edge_list, save_edge_list
-from .recon import bp_l1, ls_known_support
+from .recon import bp_l1, check_support, ls_known_support
 from .sampler import SamplingOperator, build_plan, draw_operator, plan_to_json
 from .spectral import BASIS_TAGS, build_basis, load_matrix_csv, save_matrix_csv
 
@@ -39,17 +37,26 @@ def _cmd_sample(args):
 def _cmd_reconstruct(args):
     if args.basis not in BASIS_TAGS:
         raise SystemExit(f"unknown basis {args.basis!r}, expected one of {BASIS_TAGS}")
-    basis = build_basis(load_edge_list(args.graph), args.basis)
-    phi = load_matrix_csv(args.operator)
-    y = load_matrix_csv(args.measurements).ravel()
+    if args.method == "ls" and not args.support:
+        raise SystemExit("ls reconstruction needs --support")
+    try:
+        # each loader's message starts with the file name and line
+        basis = build_basis(load_edge_list(args.graph), args.basis)
+        phi = load_matrix_csv(args.operator)
+        y = load_matrix_csv(args.measurements).ravel()
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     op = SamplingOperator(phi=phi, label="file")
     if args.method == "ls":
-        if not args.support:
-            raise SystemExit("ls reconstruction needs --support")
-        support = np.asarray([int(v) for v in args.support.split(",")])
-        res = ls_known_support(op, basis, support, y)
-    else:
-        res = bp_l1(op, basis, y)
+        try:
+            support = check_support([int(v) for v in args.support.split(",")], basis.n)
+        except ValueError as exc:
+            raise SystemExit(f"--support {args.support}: {exc}") from None
+    try:
+        res = (ls_known_support(op, basis, support, y) if args.method == "ls"
+               else bp_l1(op, basis, y))
+    except ValueError as exc:
+        raise SystemExit(f"{args.operator}, {args.measurements}: {exc}") from None
     save_matrix_csv(args.out, res.x_star.reshape(-1, 1))
     stats = ", ".join(f"{k}={v}" for k, v in res.solver_stats.items()
                       if k != "objective_trace")

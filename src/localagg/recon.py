@@ -124,11 +124,22 @@ def _check_problem(op, basis: OrthoBasis, y: np.ndarray) -> None:
         raise ValueError("measurements must be finite (found NaN or inf)")
 
 
+def check_support(support, n: int) -> np.ndarray:
+    """Support indices as int64, refusing negative, repeated and >= n ones."""
+    support = np.asarray(support, dtype=np.int64)
+    bad = support[(support < 0) | (support >= n)]
+    if bad.size:
+        raise ValueError(f"support index {int(bad[0])} is outside 0..{n - 1}")
+    if np.unique(support).size != support.size:
+        raise ValueError("support indices must be distinct")
+    return support
+
+
 def ls_known_support(op, basis: OrthoBasis, support, y: np.ndarray) -> ReconResult:
     """Least-squares coefficients on a known support via the pseudoinverse."""
-    support = np.asarray(support, dtype=np.int64)
     y = np.asarray(y, dtype=np.float64)
     _check_problem(op, basis, y)
+    support = check_support(support, basis.n)
     psi_s = op.phi @ basis.u[:, support]
     rank = numerical_rank(psi_s)
     coef = pseudoinverse(psi_s) @ y
@@ -140,9 +151,22 @@ def ls_known_support(op, basis: OrthoBasis, support, y: np.ndarray) -> ReconResu
     return ReconResult(x_star=x_star, xhat_star=xhat, solver_stats=stats)
 
 
+# residual balancing (Boyd et al. 2011, section 3.4.1): every BALANCE_EVERY-th
+# iteration the penalty moves by a factor BALANCE_TAU when one residual exceeds
+# BALANCE_MU times the other
+BALANCE_EVERY = 10
+BALANCE_MU = 10.0
+BALANCE_TAU = 2.0
+
+
 @dataclass(frozen=True)
 class SolverParams:
-    """Operator-splitting settings for the equality-constrained l1 problem."""
+    """Operator-splitting settings for the equality-constrained l1 problem.
+
+    ``rho`` is the starting penalty; the solver rebalances it as it runs.  The
+    tolerances apply to the problem divided by the norm of its minimum-norm
+    feasible point, so they are relative to the signal's scale.
+    """
 
     rho: float = 1.0
     tol_abs: float = 1e-9
@@ -168,12 +192,22 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     projection-side iterate, so it satisfies the measurement constraint to
     machine precision whenever the system is consistent.
 
+    The iteration runs on the problem divided by ``scale``, the norm of the
+    minimum-norm feasible point (1 when that is 0), so ``bp_l1(c * y)`` is
+    ``c * bp_l1(y)``: bit for bit when c is a power of two.  Every
+    ``BALANCE_EVERY``-th iteration rebalances the penalty rho against the two
+    residuals and rescales the scaled dual u to match.  The estimate, the
+    residuals, the objective and its trace are reported in the caller's units
+    (``dual_residual`` is rho times the last change of z); ``rho`` is the final
+    penalty of the normalised problem.
+
     At small n an iteration costs numpy call overhead rather than arithmetic,
     so the loop body is written with as few calls as give the same float64
     values as the textbook form (``tests/test_recon.py`` pins it byte for
     byte): norms are ``sqrt(a.dot(a))`` as in ``np.linalg.norm``, the soft
     threshold is ``max(w - t, 0) + min(w + t, 0)``, and the dual residual is
-    only computed once the primal test passes or on the last iteration.
+    only computed once the primal test passes, on a balancing iteration or on
+    the last one.
     """
     if params is None:
         params = SolverParams()
@@ -183,6 +217,8 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     n = psi.shape[1]
     pinv = pseudoinverse(psi)
     x_feas = pinv @ y
+    scale = math.sqrt(x_feas.dot(x_feas)) or 1.0
+    x_feas = x_feas / scale
 
     rho = params.rho
     thresh = 1.0 / rho
@@ -212,17 +248,26 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
         r_norm = math.sqrt(r.dot(r))
         eps_pri = eps_abs + tol_rel * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z)))
         primal_ok = r_norm <= eps_pri
-        if primal_ok or it == max_iter:
+        balance = it % BALANCE_EVERY == 0
+        if primal_ok or balance or it == max_iter:
             dz = z - z_prev
             s_norm = rho * math.sqrt(dz.dot(dz))
             if primal_ok and s_norm <= eps_abs + rel_dual * math.sqrt(u.dot(u)):
                 converged = True
                 break
-    xhat = x
+            if balance and r_norm > BALANCE_MU * s_norm:
+                rho *= BALANCE_TAU
+                u = u / BALANCE_TAU
+            elif balance and s_norm > BALANCE_MU * r_norm:
+                rho /= BALANCE_TAU
+                u = u * BALANCE_TAU
+            thresh = 1.0 / rho
+            rel_dual = tol_rel * rho
+    xhat = scale * x
     x_star = basis.u @ xhat
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
-             "primal_residual": r_norm, "dual_residual": s_norm,
-             "objective": float(np.abs(xhat).sum())}
+             "primal_residual": scale * r_norm, "dual_residual": scale * s_norm,
+             "objective": float(np.abs(xhat).sum()), "rho": rho}
     if track:
-        stats["objective_trace"] = np.asarray(trace)
+        stats["objective_trace"] = scale * np.asarray(trace)
     return ReconResult(x_star=x_star, xhat_star=xhat, solver_stats=stats)

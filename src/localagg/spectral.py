@@ -245,4 +245,6 @@ def load_matrix_csv(path) -> np.ndarray:
                 raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} entries "
                                  f"as on the first row, found {len(row)}")
             rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no rows")
     return np.asarray(rows)

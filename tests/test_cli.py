@@ -276,9 +276,59 @@ def test_reconstruct_reports_matrix_file_errors_by_line(tmp_path, target, text, 
     files["operator"].write_text("1,0,0\n0,1,0\n")
     files["measurements"].write_text("1\n2\n")
     files[target].write_text(text)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(SystemExit) as info:
         _run("reconstruct", "--graph", gpath, "--operator", files["operator"],
              "--measurements", files["measurements"], "--out", tmp_path / "x.csv")
     assert str(info.value).startswith(f"{files[target]}:{line}: ")
-    assert problem in str(info.value)
+    assert problem in str(info.value) and "\n" not in str(info.value)
     assert not (tmp_path / "x.csv").exists()
+
+
+def _reconstruct_inputs(tmp_path, n=3, m=2):
+    gpath = tmp_path / "graph.txt"
+    _run("generate", "--kind", "cycle", "--params", json.dumps({"n": n}), "--out", gpath)
+    la.save_matrix_csv(tmp_path / "phi.csv", np.eye(n)[:m])
+    la.save_matrix_csv(tmp_path / "y.csv", np.ones((m, 1)))
+    return ["reconstruct", "--graph", gpath, "--operator", tmp_path / "phi.csv",
+            "--measurements", tmp_path / "y.csv", "--out", tmp_path / "x.csv"]
+
+
+def test_reconstruct_reports_graph_file_errors_by_line(tmp_path):
+    argv = _reconstruct_inputs(tmp_path)
+    (tmp_path / "graph.txt").write_text("3\n0 1\n1 1\n")
+    with pytest.raises(SystemExit) as info:
+        _run(*argv)
+    assert str(info.value) == f"{tmp_path / 'graph.txt'}:3: self-loop 1"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("support, problem", [
+    ("0,-1", "support index -1 is outside 0..4"),
+    ("1,5", "support index 5 is outside 0..4"),
+    ("2,0,2", "support indices must be distinct"),
+])
+def test_reconstruct_rejects_bad_support(tmp_path, support, problem):
+    argv = _reconstruct_inputs(tmp_path, n=5, m=4)
+    with pytest.raises(SystemExit) as info:
+        _run(*argv, "--method", "ls", "--support", support)
+    assert str(info.value) == f"--support {support}: {problem}"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["phi.csv", "y.csv"])
+def test_reconstruct_rejects_an_empty_matrix_file(tmp_path, target):
+    # an operator file without rows used to end in an IndexError traceback
+    argv = _reconstruct_inputs(tmp_path)
+    (tmp_path / target).write_text("# no rows\n\n")
+    with pytest.raises(SystemExit) as info:
+        _run(*argv)
+    assert str(info.value) == f"{tmp_path / target}: no rows"
+
+
+def test_reconstruct_names_files_that_do_not_fit_the_graph(tmp_path):
+    argv = _reconstruct_inputs(tmp_path)
+    la.save_matrix_csv(tmp_path / "phi.csv", np.eye(4))
+    with pytest.raises(SystemExit) as info:
+        _run(*argv)
+    assert str(info.value) == (f"{tmp_path / 'phi.csv'}, {tmp_path / 'y.csv'}: "
+                               "operator has 4 columns but the basis has 3 nodes")

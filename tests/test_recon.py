@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import localagg as la
 from localagg.recon import (FLOOR_DB, PERFECT_DB, ReconResult, SolverParams,
@@ -165,6 +166,19 @@ def test_ls_rejects_bad_measurement_shape():
         la.ls_known_support(op, la.dct_basis(op.n - 1), spec.support, np.zeros(op.m))
 
 
+@pytest.mark.parametrize("support, problem", [
+    ([-1, 2], "support index -1 is outside 0..23"),
+    ([3, 24], "support index 24 is outside 0..23"),
+    ([1, 5, 1], "support indices must be distinct"),
+])
+def test_ls_rejects_bad_support(support, problem):
+    # a negative index used to wrap to the last atoms, a duplicate passed and
+    # an index >= n raised numpy's IndexError
+    _, basis, op, _, x = _setup()
+    with pytest.raises(ValueError, match=problem):
+        la.ls_known_support(op, basis, support, la.measure(op, x))
+
+
 # ---------------------------------------------------------------------------
 # l1 minimization
 
@@ -247,16 +261,21 @@ def _legacy_soft(v, t):
 
 
 def _legacy_bp_l1(op, basis, y, params):
-    """The l1 loop as first written: one numpy call per textbook step."""
+    """The balanced l1 loop in textbook form: one numpy call per step."""
     y = np.asarray(y, dtype=np.float64)
     psi = op.phi @ basis.u
     n = psi.shape[1]
     pinv = pseudoinverse(psi)
     x_feas = pinv @ y
+    scale = float(np.linalg.norm(x_feas))
+    if scale == 0.0:
+        scale = 1.0
+    x_feas = x_feas / scale
 
     def project(v):
         return v - pinv @ (psi @ v) + x_feas
 
+    rho = params.rho
     z = np.zeros(n)
     u = np.zeros(n)
     x = x_feas.copy()
@@ -268,25 +287,33 @@ def _legacy_bp_l1(op, basis, y, params):
     for it in range(1, params.max_iter + 1):
         x = project(z - u)
         z_prev = z
-        z = _legacy_soft(x + u, 1.0 / params.rho)
+        z = _legacy_soft(x + u, 1.0 / rho)
         u = u + x - z
         iterations = it
         if params.track_objective:
             trace.append(float(np.abs(x).sum()))
         r_norm = float(np.linalg.norm(x - z))
-        s_norm = float(params.rho * np.linalg.norm(z - z_prev))
+        s_norm = float(rho * np.linalg.norm(z - z_prev))
         eps_pri = sqrt_n * params.tol_abs + params.tol_rel * max(
             np.linalg.norm(x), np.linalg.norm(z))
-        eps_dual = sqrt_n * params.tol_abs + params.tol_rel * params.rho * np.linalg.norm(u)
+        eps_dual = sqrt_n * params.tol_abs + params.tol_rel * rho * np.linalg.norm(u)
         if r_norm <= eps_pri and s_norm <= eps_dual:
             converged = True
             break
-    xhat = x
+        # residual balancing with mu = 10, tau = 2 on every 10th iteration
+        if it % 10 == 0:
+            if r_norm > 10.0 * s_norm:
+                rho = rho * 2.0
+                u = u / 2.0
+            elif s_norm > 10.0 * r_norm:
+                rho = rho / 2.0
+                u = u * 2.0
+    xhat = scale * x
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
-             "primal_residual": r_norm, "dual_residual": s_norm,
-             "objective": float(np.abs(xhat).sum())}
+             "primal_residual": scale * r_norm, "dual_residual": scale * s_norm,
+             "objective": float(np.abs(xhat).sum()), "rho": rho}
     if params.track_objective:
-        stats["objective_trace"] = np.asarray(trace)
+        stats["objective_trace"] = scale * np.asarray(trace)
     return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
@@ -304,7 +331,7 @@ def _blind_problem(name):
         params = SolverParams(max_iter=3)
     elif name == "capped-50":
         params = SolverParams(max_iter=50)
-    elif name in ("rho-0.5", "rho-1.3", "rho-2.0"):
+    elif name.startswith("rho-"):
         params = SolverParams(rho=float(name[4:]), tol_abs=1e-7, tol_rel=1e-7)
     elif name == "track":
         params = SolverParams(track_objective=True, max_iter=4000)
@@ -333,8 +360,9 @@ def _blind_problem(name):
     return op, basis, y, params
 
 
-_BLIND_CASES = ("default", "capped-3", "capped-50", "rho-0.5", "rho-1.3", "rho-2.0", "track",
-                "square", "community", "repeated-rows", "inconsistent", "zero")
+_BLIND_CASES = ("default", "capped-3", "capped-50", "rho-0.5", "rho-1.3", "rho-2.0",
+                "rho-0.001", "rho-1000", "track", "square", "community", "repeated-rows",
+                "inconsistent", "zero")
 
 
 @pytest.mark.parametrize("name", _BLIND_CASES)
@@ -355,8 +383,13 @@ def test_bp_byte_cases_cover_each_regime():
     problems = {name: _blind_problem(name) for name in _BLIND_CASES}
     stats = {name: la.bp_l1(*problem).solver_stats for name, problem in problems.items()}
     assert stats["default"]["converged"] and stats["community"]["converged"]
-    assert all(stats[f"rho-{rho}"]["converged"] for rho in ("0.5", "1.3", "2.0"))
+    assert all(stats[f"rho-{rho}"]["converged"]
+               for rho in ("0.5", "1.3", "2.0", "0.001", "1000"))
     assert stats["rho-0.5"]["primal_residual"] != stats["rho-2.0"]["primal_residual"]
+    # balancing moves the penalty both ways, from a poor start and from rho = 1
+    assert stats["rho-0.001"]["rho"] >= 0.001 * 2 ** 8
+    assert stats["rho-1000"]["rho"] <= 1000 / 2 ** 8
+    assert stats["square"]["rho"] > 1.0 > stats["capped-50"]["rho"]
     for name, cap in (("capped-3", 3), ("capped-50", 50)):
         assert not stats[name]["converged"] and stats[name]["iterations"] == cap
         assert np.isfinite(stats[name]["dual_residual"])
@@ -374,6 +407,53 @@ def test_bp_byte_cases_cover_each_regime():
         else:
             assert op.m < op.n and rank == op.m and consistent
     assert not stats["inconsistent"]["converged"]
+
+
+def _scaled_pair(c, seed=11):
+    """bp_l1 on y and on c * y for one problem."""
+    _, basis, op, _, x = _setup(n=30, m=18, k=3, seed=seed)
+    y = la.measure(op, x)
+    params = SolverParams(track_objective=True, max_iter=2000)
+    return la.bp_l1(op, basis, y, params), la.bp_l1(op, basis, c * y, params)
+
+
+@given(st.integers(min_value=-40, max_value=40), st.sampled_from((1.0, -1.0)),
+       st.integers(min_value=0, max_value=1000))
+@settings(max_examples=20)
+def test_bp_power_of_two_scaling_is_exact(k, sign, seed):
+    c = sign * 2.0 ** k
+    base, scaled = _scaled_pair(c, seed)
+    assert _same_bytes(scaled.x_star, c * base.x_star)
+    assert _same_bytes(scaled.xhat_star, c * base.xhat_star)
+    for key, value in base.solver_stats.items():
+        # residuals and objectives are norms, so they scale by |c|
+        expect = abs(c) * value if key in ("primal_residual", "dual_residual", "objective",
+                                           "objective_trace") else value
+        assert _same_bytes(scaled.solver_stats[key], expect), key
+
+
+@given(st.floats(min_value=-12.0, max_value=12.0), st.sampled_from((1.0, -1.0)))
+@settings(max_examples=20)
+def test_bp_scaling_is_equivariant(log10_c, sign):
+    c = sign * 10.0 ** log10_c
+    base, scaled = _scaled_pair(c)
+    assert scaled.solver_stats["converged"]
+    gap = np.linalg.norm(scaled.xhat_star - c * base.xhat_star)
+    assert gap <= 1e-9 * np.linalg.norm(c * base.xhat_star)
+    assert scaled.solver_stats["objective"] == pytest.approx(
+        abs(c) * base.solver_stats["objective"], rel=1e-9)
+
+
+def test_bp_small_signal_converges():
+    # tolerances and the penalty used to be in the caller's units: at signal
+    # scale 1e-3 this criterion-6 solve ran into max_iter
+    op, basis, y, params = _blind_problem("community")
+    base = la.bp_l1(op, basis, y, params)
+    small = la.bp_l1(op, basis, 1e-3 * y, params)
+    assert small.solver_stats["converged"] and base.solver_stats["converged"]
+    assert small.solver_stats["iterations"] < params.max_iter
+    gap = np.linalg.norm(small.x_star - 1e-3 * base.x_star)
+    assert gap <= 1e-9 * np.linalg.norm(1e-3 * base.x_star)
 
 
 def test_solver_params_validation():

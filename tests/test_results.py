@@ -42,10 +42,10 @@ def test_unknown_support_short_run_matches_fixture(tmp_path):
 
 
 def test_wsn_short_run_matches_fixture(tmp_path):
-    # the committed sensor-field run at 2 trials; the fixture was written by the
-    # per-row operator drawer that preceded the shared row gather.  A child
-    # process pins BLAS to one thread before numpy loads: threaded BLAS changes
-    # the last digits of mean_mse_db.
+    # the committed sensor-field run at 2 trials; the fixture was last written
+    # when bp_l1 began to normalise the problem and rebalance its penalty,
+    # which moved only mean_mse_db.  A child process pins BLAS to one thread
+    # before numpy loads: threaded BLAS changes the last digits of mean_mse_db.
     out = tmp_path / "wsn_tradeoff.csv"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
