@@ -36,6 +36,7 @@ from .recon import (
     SolverParams,
     SparseSignalSpec,
     bp_l1,
+    bp_l1_many,
     ls_known_support,
     synthesize,
     to_db,
@@ -69,7 +70,7 @@ def config_hash(payload: dict) -> str:
 
 
 class ConfigError(ValueError):
-    """An experiment config holds a key that nothing reads."""
+    """An experiment config holds a key that nothing reads or a bad solver setting."""
 
 
 def check_keys(d: dict, accepted, where: str) -> None:
@@ -82,7 +83,10 @@ def check_keys(d: dict, accepted, where: str) -> None:
 
 def _solver_from_dict(d: dict) -> SolverParams:
     check_keys(d, [f.name for f in fields(SolverParams)], "solver")
-    return SolverParams(**d)
+    try:
+        return SolverParams(**d)
+    except ValueError as exc:
+        raise ConfigError(f"solver {exc}") from None
 
 
 def _check_samplers(tags) -> None:
@@ -228,11 +232,13 @@ class _OperatorFactory:
         raise ValueError(f"unknown sampler tag {tag!r}")
 
 
-def _sweep(config: ExperimentConfig, column: str, reduce, trial) -> list[dict]:
+def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[dict]:
     """One row per sampler and sweep value, ``column`` = reduce(mean trial score).
 
-    ``trial(op, basis, spec, x, trial_seed, sigma)`` scores one trial on the
-    signal x drawn from spec and measured through op.
+    ``score_cell(basis, trials, sigma)`` returns or yields the scores of one
+    cell's trials in trial order; ``trials`` yields each trial as
+    ``(op, spec, x, trial_seed)``, the signal x drawn from spec and measured
+    through op, drawing it only when asked for.
     """
     graph = config.graph.build()
     basis = build_basis(graph, config.basis)
@@ -245,15 +251,19 @@ def _sweep(config: ExperimentConfig, column: str, reduce, trial) -> list[dict]:
             else:
                 m, sigma = int(config.fixed_m), float(value)
             plan_seed = derive_seed(config.master_seed, "plan", tag, m)
-            total = 0.0
-            for t in range(config.trials):
+
+            def draw(t):
                 ts = derive_seed(config.master_seed, tag, value, t)
                 spec = SparseSignalSpec.draw(graph.n, config.k, config.signal_model,
                                              derive_seed(ts, "signal"))
                 x = synthesize(basis, spec)
                 op = factory.operator(tag, m, spec.support, derive_seed(ts, "operator"),
                                       plan_seed)
-                total += trial(op, basis, spec, x, ts, sigma)
+                return op, spec, x, ts
+
+            total = 0.0
+            for score in score_cell(basis, map(draw, range(config.trials)), sigma):
+                total += score
             rows.append({"sampler": tag, "sweep_variable": config.sweep_variable,
                          "sweep_value": value, column: reduce(total / config.trials),
                          "trials": config.trials})
@@ -267,22 +277,24 @@ def run_known_support(config: ExperimentConfig) -> list[dict]:
     the true support; per-point aggregation is the decibel value of the mean
     linear MSE over trials.
     """
-    def trial(op, basis, spec, x, ts, sigma):
-        pre = x
-        if sigma > 0:
-            noise = np.random.default_rng(derive_seed(ts, "noise"))
-            pre = x + sigma * noise.standard_normal(x.size)
-        res = ls_known_support(op, basis, spec.support, op.phi @ pre)
-        return float(np.mean((res.x_star - x) ** 2))
+    def score_cell(basis, trials, sigma):
+        for op, spec, x, ts in trials:
+            pre = x
+            if sigma > 0:
+                noise = np.random.default_rng(derive_seed(ts, "noise"))
+                pre = x + sigma * noise.standard_normal(x.size)
+            res = ls_known_support(op, basis, spec.support, op.phi @ pre)
+            yield float(np.mean((res.x_star - x) ** 2))
 
-    return _sweep(config, "mean_mse_db", to_db, trial)
+    return _sweep(config, "mean_mse_db", to_db, score_cell)
 
 
 def run_unknown_support(config: ExperimentConfig) -> list[dict]:
     """Perfect-recovery probability per sampler and budget, support unknown.
 
     Noiseless measurements, minimum-l1 reconstruction; a trial counts as
-    recovered when its error lands below the -40 dB threshold.
+    recovered when its error lands below the -40 dB threshold.  Each cell's
+    solves run through ``bp_l1_many``, in blocks of same-shape problems.
     """
     if config.sweep_variable != "m":
         raise ValueError("blind recovery sweeps measurements only")
@@ -292,10 +304,18 @@ def run_unknown_support(config: ExperimentConfig) -> list[dict]:
     if bad:
         raise ValueError(f"samplers {bad} need the support and cannot run blind")
 
-    def trial(op, basis, spec, x, ts, sigma):
-        return float(bp_l1(op, basis, op.phi @ x, config.solver).scored(x).perfect)
+    def score_cell(basis, trials, sigma):
+        signals = []
 
-    return _sweep(config, "recovery_prob", float, trial)
+        def problems():
+            for op, _, x, _ in trials:
+                signals.append(x)
+                yield op, op.phi @ x
+
+        results = bp_l1_many(problems(), basis, config.solver)
+        return [float(res.scored(x).perfect) for res, x in zip(results, signals)]
+
+    return _sweep(config, "recovery_prob", float, score_cell)
 
 
 def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int,

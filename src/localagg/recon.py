@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -175,12 +177,38 @@ class SolverParams:
     track_objective: bool = False
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("rho", "tol_abs", "tol_rel"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+
+
+def _bp_setup(op, basis: OrthoBasis, y):
+    """(psi, pinv, x_feas, scale) of one l1 problem, x_feas divided by scale."""
+    y = np.asarray(y, dtype=np.float64)
+    _check_problem(op, basis, y)
+    psi = op.phi @ basis.u
+    pinv = pseudoinverse(psi)
+    x_feas = pinv @ y
+    scale = math.sqrt(x_feas.dot(x_feas)) or 1.0
+    return psi, pinv, x_feas / scale, scale
+
+
+def _bp_result(basis: OrthoBasis, scale: float, x: np.ndarray, iterations: int,
+               converged: bool, r_norm: float, s_norm: float, rho: float,
+               trace: list | None) -> ReconResult:
+    """The finished solve of the normalised problem, in the caller's units."""
+    xhat = scale * x
+    stats = {"method": "bp", "iterations": iterations, "converged": converged,
+             "primal_residual": scale * r_norm, "dual_residual": scale * s_norm,
+             "objective": float(np.abs(xhat).sum()), "rho": rho}
+    if trace is not None:
+        stats["objective_trace"] = scale * np.asarray(trace)
+    return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
 def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
@@ -204,23 +232,23 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     At small n an iteration costs numpy call overhead rather than arithmetic,
     so the loop body is written with as few calls as give the same float64
     values as the textbook form (``tests/test_recon.py`` pins it byte for
-    byte): norms are ``sqrt(a.dot(a))`` as in ``np.linalg.norm``, the soft
-    threshold is ``max(w - t, 0) + min(w + t, 0)``, and the dual residual is
-    only computed once the primal test passes, on a balancing iteration or on
-    the last one.
+    byte): the soft threshold is ``w - min(max(w, -t), t)``, which has the bits
+    of ``max(w - t, 0) + min(w + t, 0)``; norms are ``sqrt(a.dot(a))`` as in
+    ``np.linalg.norm``, with one square root for the larger of ``|x|`` and
+    ``|z|``; the products go through the bound ``dot`` of each matrix; and the
+    dual residual is only computed once the primal test passes, on a balancing
+    iteration or on the last one.
     """
     if params is None:
         params = SolverParams()
-    y = np.asarray(y, dtype=np.float64)
-    _check_problem(op, basis, y)
-    psi = op.phi @ basis.u
+    psi, pinv, x_feas, scale = _bp_setup(op, basis, y)
     n = psi.shape[1]
-    pinv = pseudoinverse(psi)
-    x_feas = pinv @ y
-    scale = math.sqrt(x_feas.dot(x_feas)) or 1.0
-    x_feas = x_feas / scale
+    psi_dot = psi.dot
+    pinv_dot = pinv.dot
+    maximum = np.maximum
+    minimum = np.minimum
 
-    rho = params.rho
+    rho = float(params.rho)
     thresh = 1.0 / rho
     tol_rel = params.tol_rel
     eps_abs = np.sqrt(n) * params.tol_abs
@@ -236,17 +264,17 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     r_norm = s_norm = float("nan")
     for it in range(1, max_iter + 1):
         v = z - u
-        x = v - np.dot(pinv, np.dot(psi, v)) + x_feas
+        x = v - pinv_dot(psi_dot(v)) + x_feas
         z_prev = z
         w = x + u
-        z = np.maximum(w - thresh, 0.0) + np.minimum(w + thresh, 0.0)
+        z = w - minimum(maximum(w, -thresh), thresh)
         u = w - z
         iterations = it
         if track:
             trace.append(float(np.abs(x).sum()))
         r = x - z
         r_norm = math.sqrt(r.dot(r))
-        eps_pri = eps_abs + tol_rel * max(math.sqrt(x.dot(x)), math.sqrt(z.dot(z)))
+        eps_pri = eps_abs + tol_rel * math.sqrt(max(x.dot(x), z.dot(z)))
         primal_ok = r_norm <= eps_pri
         balance = it % BALANCE_EVERY == 0
         if primal_ok or balance or it == max_iter:
@@ -263,11 +291,121 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
                 u = u * BALANCE_TAU
             thresh = 1.0 / rho
             rel_dual = tol_rel * rho
-    xhat = scale * x
-    x_star = basis.u @ xhat
-    stats = {"method": "bp", "iterations": iterations, "converged": converged,
-             "primal_residual": scale * r_norm, "dual_residual": scale * s_norm,
-             "objective": float(np.abs(xhat).sum()), "rho": rho}
-    if track:
-        stats["objective_trace"] = scale * np.asarray(trace)
-    return ReconResult(x_star=x_star, xhat_star=xhat, solver_stats=stats)
+    return _bp_result(basis, scale, x, iterations, converged, r_norm, s_norm, rho,
+                      trace if track else None)
+
+
+# bytes of operator stacks (each problem's psi and its pseudoinverse, 16 m n)
+# that bp_l1_many keeps in one block
+BLOCK_BYTES = 1 << 22
+
+
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """``a[i].dot(a[i])`` for every row, with the same BLAS dot and bits."""
+    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def bp_l1_many(problems, basis: OrthoBasis,
+               params: SolverParams | None = None) -> list[ReconResult]:
+    """``[bp_l1(op, basis, y, params) for op, y in problems]``, byte for byte.
+
+    The operators must share one shape (m, n).  Up to
+    ``BLOCK_BYTES // (16 m n)`` problems run the ``bp_l1`` iteration in
+    lockstep as the rows of (B, n) arrays: the projections are ``np.matmul``
+    over (B, m, n) and (B, n, m) stacks and the norms batched dots, which give
+    each row the bits of ``bp_l1``'s ``ndarray.dot`` calls, and every row keeps
+    its own penalty and iteration count.  A row that converges or reaches
+    ``max_iter`` is recorded, and the next problem takes its slot, so a
+    capped solve does not leave the block nearly empty; once the problems run
+    out, finished rows leave the block.  Problems are read one by one as slots
+    free up, so a generator of them holds at most one block of operators.
+    """
+    if params is None:
+        params = SolverParams()
+    tol_rel = params.tol_rel
+    max_iter = params.max_iter
+    track = params.track_objective
+    pending = (_bp_setup(op, basis, y) for op, y in problems)
+    first = next(pending, None)
+    if first is None:
+        return []
+    m, n = first[0].shape
+
+    def same_shape(setup):
+        if setup[0].shape != (m, n):
+            raise ValueError(f"operators must share one shape: {setup[0].shape} after {(m, n)}")
+        return setup
+
+    pending = map(same_shape, pending)
+    block = [first, *itertools.islice(pending, max(1, BLOCK_BYTES // (16 * m * n)) - 1)]
+    results: list = [None] * len(block)
+    psi, pinv, x_feas = (np.stack([s[i] for s in block]) for i in range(3))
+    scales = [s[3] for s in block]
+    slot = list(range(len(block)))       # row -> index of its problem
+    b = len(block)
+    z = np.zeros((b, n))
+    u = np.zeros((b, n))
+    rho = np.full(b, float(params.rho))
+    its = np.zeros(b, dtype=np.int64)
+    s_norm = np.full(b, np.nan)
+    traces = [[] for _ in range(b)]
+    eps_abs = np.sqrt(n) * params.tol_abs
+    while b:
+        thresh = (1.0 / rho)[:, None]
+        v = z - u
+        x = v - np.matmul(pinv, np.matmul(psi, v[:, :, None]))[:, :, 0] + x_feas
+        z_prev = z
+        w = x + u
+        z = w - np.minimum(np.maximum(w, -thresh), thresh)
+        u = w - z
+        its += 1
+        if track:
+            for trace, value in zip(traces, np.abs(x).sum(axis=1).tolist()):
+                trace.append(value)
+        r_norm = np.sqrt(_row_dots(x - z))
+        eps_pri = eps_abs + tol_rel * np.sqrt(np.maximum(_row_dots(x), _row_dots(z)))
+        primal_ok = r_norm <= eps_pri
+        balance = its % BALANCE_EVERY == 0
+        last = its == max_iter
+        check = primal_ok | balance | last
+        if not check.any():
+            continue
+        s_norm = np.where(check, rho * np.sqrt(_row_dots(z - z_prev)), s_norm)
+        converged = primal_ok & (s_norm <= eps_abs + tol_rel * rho * np.sqrt(_row_dots(u)))
+        balance &= ~converged
+        up = balance & (r_norm > BALANCE_MU * s_norm)
+        down = balance & ~up & (s_norm > BALANCE_MU * r_norm)
+        if up.any():
+            rho[up] *= BALANCE_TAU
+            u[up] /= BALANCE_TAU
+        if down.any():
+            rho[down] /= BALANCE_TAU
+            u[down] *= BALANCE_TAU
+        finished = converged | last
+        if not finished.any():
+            continue
+        for row in np.flatnonzero(finished).tolist():
+            results[slot[row]] = _bp_result(
+                basis, scales[row], x[row], int(its[row]), bool(converged[row]),
+                float(r_norm[row]), float(s_norm[row]), float(rho[row]),
+                traces[row] if track else None)
+            setup = next(pending, None)
+            if setup is None:
+                continue
+            psi[row], pinv[row], x_feas[row], scales[row] = setup
+            slot[row] = len(results)
+            results.append(None)
+            z[row] = u[row] = 0.0
+            rho[row] = params.rho
+            its[row] = 0
+            s_norm[row] = np.nan
+            traces[row] = []
+            finished[row] = False
+        if finished.any():
+            keep = np.flatnonzero(~finished)
+            psi, pinv, x_feas, z, u, rho, its, s_norm = (
+                a[keep] for a in (psi, pinv, x_feas, z, u, rho, its, s_norm))
+            scales, slot, traces = ([seq[i] for i in keep.tolist()]
+                                    for seq in (scales, slot, traces))
+            b = keep.size
+    return results

@@ -261,6 +261,23 @@ def test_experiment_rejects_unknown_config_keys(tmp_path, kind, payload, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, payload, problem", [
+    ("unknown-support", {"graph": _graph_payload(), "k": 3, "solver": {"rho": float("nan")},
+                         "sweep": {"variable": "m", "values": [6]}},
+     "solver rho must be a positive finite number, got nan"),
+    ("wsn", {"n": 16, "k": 3, "solver": {"max_iter": 2.5}},
+     "solver max_iter must be an integer >= 1, got 2.5"),
+])
+def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem):
+    # Python's json reads and writes NaN, so a config file can carry one
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        _run("experiment", kind, "--config", cfg, "--out", out)
+    assert str(info.value) == f"{cfg}: {problem}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target, text, line, problem", [
     ("operator", "1,0,0\n# comment\n0,1\n", 3, "expected 3 entries"),
     ("operator", "1,0,0\n0,x1,0\n", 2, "'x1' is not a number"),

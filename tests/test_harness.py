@@ -23,6 +23,7 @@ from localagg.harness import (
     write_csv,
     wsn_experiment,
 )
+from localagg import harness, recon
 from localagg.recon import SolverParams
 
 
@@ -201,6 +202,37 @@ def test_unknown_support_full_budget_recovers():
     for row in rows:
         assert row["recovery_prob"] == 1.0
         assert row["trials"] == 5
+
+
+def test_unknown_support_blocks_match_a_per_trial_loop(monkeypatch):
+    # blocks of 3 (m = 8) and 2 (m = 12) problems, so slots are refilled in each cell
+    monkeypatch.setattr(recon, "BLOCK_BYTES", 3 * 16 * 8 * 20)
+    cfg = _small_config(trials=7, signal_model="random-support",
+                        solver=SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=60))
+    solved = {}
+
+    def recording(name, solve):
+        def run(problems, basis, params):
+            out = solve(problems, basis, params)
+            solved.setdefault(name, []).extend(out)
+            return out
+        return run
+
+    def per_trial(problems, basis, params):
+        return [recon.bp_l1(op, basis, y, params) for op, y in problems]
+
+    monkeypatch.setattr(harness, "bp_l1_many", recording("blocks", recon.bp_l1_many))
+    rows = run_unknown_support(cfg)
+    monkeypatch.setattr(harness, "bp_l1_many", recording("loop", per_trial))
+    assert run_unknown_support(cfg) == rows
+    assert len(solved["blocks"]) == len(solved["loop"]) == 4 * 7
+    for new, old in zip(solved["blocks"], solved["loop"]):
+        assert new.x_star.tobytes() == old.x_star.tobytes()
+        assert new.xhat_star.tobytes() == old.xhat_star.tobytes()
+        assert repr(new.solver_stats) == repr(old.solver_stats)
+    converged = [res.solver_stats["converged"] for res in solved["loop"]]
+    assert any(converged) and not all(converged)
+    assert {row["recovery_prob"] for row in rows} - {0.0, 1.0}
 
 
 def test_unknown_support_rejects_bad_configs():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import localagg as la
+from localagg import recon
 from localagg.recon import (FLOOR_DB, PERFECT_DB, ReconResult, SolverParams,
                             realized_coefficients, to_db)
 from localagg.sampler import SamplingOperator
@@ -457,14 +458,128 @@ def test_bp_small_signal_converges():
 
 
 def test_solver_params_validation():
-    with pytest.raises(ValueError):
-        SolverParams(rho=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(tol_abs=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(tol_rel=-1.0)
-    with pytest.raises(ValueError):
-        SolverParams(max_iter=0)
+    inf, nan = float("inf"), float("nan")
+    for key, bad in [("rho", 0.0), ("rho", nan), ("rho", inf), ("rho", -inf), ("rho", True),
+                     ("tol_abs", 0.0), ("tol_abs", nan), ("tol_abs", inf),
+                     ("tol_rel", -1.0), ("tol_rel", nan), ("tol_rel", -inf),
+                     ("max_iter", 0), ("max_iter", 2.5), ("max_iter", True),
+                     ("max_iter", 100.0)]:
+        with pytest.raises(ValueError, match=key):
+            SolverParams(**{key: bad})
     defaults = SolverParams()
     assert (defaults.rho, defaults.tol_abs, defaults.tol_rel, defaults.max_iter) == \
         (1.0, 1e-9, 1e-9, 50_000)
+    assert SolverParams(rho=2, max_iter=np.int64(7)).max_iter == 7
+
+
+# ---------------------------------------------------------------------------
+# the soft threshold and the lockstep engine, against bp_l1 byte for byte
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+                1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(st.lists(st.floats(allow_nan=False) | st.sampled_from(_EDGE_FLOATS), max_size=16),
+       st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+       | st.sampled_from([5e-324, 2.2250738585072014e-308, 1e300]))
+@settings(max_examples=300)
+def test_soft_threshold_forms_agree_bit_for_bit(values, t):
+    # bp_l1 thresholds as w - min(max(w, -t), t); the textbook-equivalent form is
+    # max(w - t, 0) + min(w + t, 0), +0.0 where |w| <= t
+    w = np.array(values + _EDGE_FLOATS + [t, -t, np.nextafter(t, 0.0), -np.nextafter(t, 0.0),
+                                          np.nextafter(t, np.inf)])
+    with np.errstate(over="ignore"):
+        old = np.maximum(w - t, 0.0) + np.minimum(w + t, 0.0)
+    new = w - np.minimum(np.maximum(w, -t), t)
+    assert new.tobytes() == old.tobytes()
+    assert not np.signbit(new[np.abs(w) <= t]).any()
+
+
+def _engine_block(name):
+    """(problems, basis, params) of one named block of same-shape problems."""
+    g = la.generate("erdos-renyi", {"n": 30, "p_e": 0.3}, seed=11)
+    basis = la.gft_basis(g)
+    plan = la.build_plan(g, 18, "insert-new")
+    rng = np.random.default_rng(12)
+    problems = []
+    for s in range(6):
+        op = la.draw_operator(plan, seed=100 + s)
+        if name == "repeated":
+            op = SamplingOperator(phi=np.vstack([op.phi, op.phi[:4]]), label="repeated")
+        spec = la.SparseSignalSpec.draw(30, 2 + s % 3, "random-support", seed=200 + s)
+        y = la.measure(op, la.synthesize(basis, spec))
+        if name == "repeated" and s % 2:
+            y = y + 1e-3 * rng.standard_normal(op.m)     # inconsistent
+        problems.append((op, (1e-3 if s == 4 else 1.0) * y))
+    problems.insert(2, (problems[0][0], np.zeros(problems[0][0].m)))
+    params = {"default": SolverParams(),
+              "capped-3": SolverParams(rho=1, max_iter=3),   # an int rho is reported as a float
+              "capped-50": SolverParams(max_iter=50),
+              "rho-0.001": SolverParams(rho=0.001, tol_abs=1e-7, tol_rel=1e-7),
+              "rho-1000": SolverParams(rho=1000.0, tol_abs=1e-7, tol_rel=1e-7),
+              "repeated": SolverParams(max_iter=2000, track_objective=True)}[name]
+    return problems, basis, params
+
+
+_ENGINE_BLOCKS = ("default", "capped-3", "capped-50", "rho-0.001", "rho-1000", "repeated")
+# block budgets: one problem per block, two (slots refilled), all seven at once
+_ENGINE_BUDGETS = {"B1": 1, "B2": 2 * 16 * 22 * 30, "all": 1 << 22}
+
+
+def _assert_same_result(new, old):
+    assert _same_bytes(new.x_star, old.x_star)
+    assert _same_bytes(new.xhat_star, old.xhat_star)
+    assert new.solver_stats.keys() == old.solver_stats.keys()
+    for key, value in old.solver_stats.items():
+        assert type(new.solver_stats[key]) is type(value), key
+        assert _same_bytes(new.solver_stats[key], value), key
+
+
+@pytest.mark.parametrize("budget", _ENGINE_BUDGETS)
+@pytest.mark.parametrize("name", _ENGINE_BLOCKS)
+def test_engine_matches_bp_l1_byte_for_byte(monkeypatch, name, budget):
+    problems, basis, params = _engine_block(name)
+    monkeypatch.setattr(recon, "BLOCK_BYTES", _ENGINE_BUDGETS[budget])
+    many = la.bp_l1_many(iter(problems), basis, params)
+    assert len(many) == len(problems)
+    for res, (op, y) in zip(many, problems):
+        _assert_same_result(res, la.bp_l1(op, basis, y, params))
+
+
+def test_engine_blocks_cover_each_regime():
+    stats = {name: [la.bp_l1(op, basis, y, params).solver_stats
+                    for op, y in problems]
+             for name, (problems, basis, params) in
+             ((name, _engine_block(name)) for name in _ENGINE_BLOCKS)}
+    # rows of one block converge at different iterations, y = 0 at the first
+    assert all(s["converged"] for s in stats["default"])
+    assert len({s["iterations"] for s in stats["default"]}) >= 4
+    assert stats["default"][2]["iterations"] == 1 and stats["default"][2]["objective"] == 0.0
+    for name, cap in (("capped-3", 3), ("capped-50", 50)):
+        capped = [s for s in stats[name] if not s["converged"]]
+        assert len(capped) >= 4 and all(s["iterations"] == cap for s in capped)
+        assert any(s["converged"] for s in stats[name])
+    assert any(s["rho"] != 1.0 for s in stats["capped-50"])
+    assert all(s["converged"] for name in ("rho-0.001", "rho-1000") for s in stats[name])
+    assert all(s["rho"] >= 0.001 * 2 ** 8 for s in stats["rho-0.001"] if s["iterations"] > 1)
+    assert all(s["rho"] <= 1000 / 2 ** 7 for s in stats["rho-1000"] if s["iterations"] > 1)
+    # repeated rows: consistent rows converge, inconsistent ones run to the cap
+    repeated = stats["repeated"]
+    assert [s["converged"] for s in repeated] == [True, False, True, True, False, True, False]
+    assert all(s["objective_trace"].size == s["iterations"] for s in repeated)
+    # block sizes of the budgets: 1, 2 (fewer than the problems), all of them
+    for budget, size in (("B1", 1), ("B2", 2), ("all", 7)):
+        for name in ("default", "repeated"):
+            m, n = _engine_block(name)[0][0][0].phi.shape
+            assert min(7, max(1, _ENGINE_BUDGETS[budget] // (16 * m * n))) == size
+
+
+def test_engine_edge_cases():
+    problems, basis, params = _engine_block("default")
+    assert la.bp_l1_many([], basis, params) == []
+    mixed = [problems[0], _engine_block("repeated")[0][0]]
+    with pytest.raises(ValueError, match="share one shape"):
+        la.bp_l1_many(mixed, basis, params)
+    op, y = problems[0]
+    with pytest.raises(ValueError, match="finite"):
+        la.bp_l1_many([(op, np.full(op.m, np.nan))], basis, params)
