@@ -13,7 +13,6 @@ from .graph import (
     Graph,
     GraphFormatError,
     HopPlanInfeasibleError,
-    bfs_distances,
     closed_in_neighborhood,
     connected_components,
     generate,
@@ -47,8 +46,6 @@ from .sampler import (
     node_multiplicities,
     plan_from_json,
     plan_to_json,
-    theorem1_gmin_threshold,
-    transmission_bounds,
 )
 from .baselines import (
     minpinv_greedy,

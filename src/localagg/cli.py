@@ -58,8 +58,7 @@ def _cmd_reconstruct(args):
     except ValueError as exc:
         raise SystemExit(f"{args.operator}, {args.measurements}: {exc}") from None
     save_matrix_csv(args.out, res.x_star.reshape(-1, 1))
-    stats = ", ".join(f"{k}={v}" for k, v in res.solver_stats.items()
-                      if k != "objective_trace")
+    stats = ", ".join(f"{k}={v}" for k, v in res.solver_stats.items())
     print(f"wrote reconstruction to {args.out} ({stats})")
 
 
@@ -103,16 +102,16 @@ def _run_kind(kind: str, payload: dict) -> tuple[list[dict], int, dict]:
         harness.check_keys(payload, ("graph", "k", "m_values", "trials", "master_seed",
                                      "methods"), "config")
         spec = harness.GraphSpec.from_dict(payload["graph"])
-        seed = int(payload.get("master_seed", 0))
-        rows = harness.condition_table(spec, int(payload["k"]), payload["m_values"],
-                                       int(payload.get("trials", 10)), seed,
+        seed = payload.get("master_seed", 0)
+        rows = harness.condition_table(spec, payload["k"], payload["m_values"],
+                                       payload.get("trials", 10), seed,
                                        methods=tuple(payload.get(
                                            "methods", ("proposed-insert", "successive"))))
         return rows, seed, payload
     if kind == "dominating-curve":
         harness.check_keys(payload, ("graph", "p_max"), "config")
         spec = harness.GraphSpec.from_dict(payload["graph"])
-        return harness.dominating_curve(spec, int(payload.get("p_max", 4))), spec.seed, payload
+        return harness.dominating_curve(spec, payload.get("p_max", 4)), spec.seed, payload
     raise SystemExit(f"unknown experiment {kind!r}")
 
 

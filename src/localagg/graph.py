@@ -142,16 +142,6 @@ def connected_components(graph: Graph) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def bfs_distances(graph: Graph, sources) -> np.ndarray:
-    """Hop distances from each source to all nodes, -1 where unreachable."""
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if sources.size == 0:
-        return np.zeros((0, graph.n), dtype=np.int64)
-    d = csgraph.dijkstra(graph.adjacency, indices=sources, unweighted=True)
-    out = np.where(np.isfinite(d), d, -1).astype(np.int64)
-    return out
-
-
 def greedy_dominating_set(graph: Graph) -> np.ndarray:
     """Greedy dominating set, in selection order.
 

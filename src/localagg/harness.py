@@ -37,6 +37,7 @@ from .recon import (
     SparseSignalSpec,
     bp_l1,
     bp_l1_many,
+    check_int,
     ls_known_support,
     synthesize,
     to_db,
@@ -70,7 +71,7 @@ def config_hash(payload: dict) -> str:
 
 
 class ConfigError(ValueError):
-    """An experiment config holds a key that nothing reads or a bad solver setting."""
+    """An experiment config holds a key that nothing reads or a value that no run takes."""
 
 
 def check_keys(d: dict, accepted, where: str) -> None:
@@ -92,7 +93,7 @@ def _solver_from_dict(d: dict) -> SolverParams:
 def _check_samplers(tags) -> None:
     for tag in tags:
         if tag not in SAMPLER_TAGS:
-            raise ValueError(f"unknown sampler tag {tag!r}")
+            raise ConfigError(f"unknown sampler tag {tag!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ class GraphSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
         check_keys(d, ("kind", "params", "seed"), "graph")
-        return cls(kind=d["kind"], params=dict(d["params"]), seed=int(d["seed"]))
+        check_int("graph seed", d["seed"], 0, ConfigError)
+        return cls(kind=d["kind"], params=dict(d["params"]), seed=d["seed"])
 
 
 @dataclass
@@ -134,25 +136,25 @@ class ExperimentConfig:
         self.samplers = tuple(self.samplers)
         self.sweep_values = tuple(self.sweep_values)
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ConfigError("k must be >= 1")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials must be >= 1")
         if self.sweep_variable not in ("m", "sigma"):
-            raise ValueError("sweep_variable must be 'm' or 'sigma'")
+            raise ConfigError("sweep_variable must be 'm' or 'sigma'")
         if not self.sweep_values:
-            raise ValueError("sweep_values must be nonempty")
+            raise ConfigError("sweep_values must be nonempty")
         if list(self.sweep_values) != sorted(set(self.sweep_values)):
-            raise ValueError("sweep values must be strictly increasing")
+            raise ConfigError("sweep values must be strictly increasing")
         _check_samplers(self.samplers)
         if self.basis not in BASIS_TAGS:
-            raise ValueError(f"unknown basis {self.basis!r}, expected one of {BASIS_TAGS}")
+            raise ConfigError(f"unknown basis {self.basis!r}, expected one of {BASIS_TAGS}")
         if self.signal_model not in SIGNAL_MODELS:
-            raise ValueError(f"unknown signal_model {self.signal_model!r}, "
-                             f"expected one of {SIGNAL_MODELS}")
+            raise ConfigError(f"unknown signal_model {self.signal_model!r}, "
+                              f"expected one of {SIGNAL_MODELS}")
         if self.sweep_variable == "sigma" and self.fixed_m is None:
-            raise ValueError("sweeping sigma requires fixed_m")
+            raise ConfigError("sweeping sigma requires fixed_m")
         if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise ConfigError("sigma must be nonnegative")
 
     def to_dict(self) -> dict:
         d = {
@@ -179,18 +181,25 @@ class ExperimentConfig:
         solver = _solver_from_dict(d.get("solver", {}))
         sweep = d.get("sweep", {})
         check_keys(sweep, ("variable", "values"), "sweep")
+        # a count such as "trials": 2.5 is refused, not truncated
+        for name, minimum in (("k", 1), ("trials", 1), ("master_seed", None), ("fixed_m", 1)):
+            if name in d:
+                check_int(name, d[name], minimum, ConfigError)
+        if sweep.get("variable", "m") == "m":
+            for m in sweep.get("values", ()):
+                check_int("swept m", m, 1, ConfigError)
         return cls(
             graph=GraphSpec.from_dict(d["graph"]),
-            k=int(d["k"]),
+            k=d["k"],
             samplers=tuple(d.get("samplers", ("proposed-insert",))),
             basis=d.get("basis", "gft-normalized"),
             signal_model=d.get("signal_model", "bandlimited"),
             sweep_variable=sweep.get("variable", "m"),
             sweep_values=tuple(sweep.get("values", ())),
-            trials=int(d.get("trials", 1)),
-            master_seed=int(d.get("master_seed", 0)),
+            trials=d.get("trials", 1),
+            master_seed=d.get("master_seed", 0),
             sigma=float(d.get("sigma", 0.0)),
-            fixed_m=(int(d["fixed_m"]) if "fixed_m" in d else None),
+            fixed_m=d.get("fixed_m"),
             solver=solver,
         )
 
@@ -297,12 +306,12 @@ def run_unknown_support(config: ExperimentConfig) -> list[dict]:
     solves run through ``bp_l1_many``, in blocks of same-shape problems.
     """
     if config.sweep_variable != "m":
-        raise ValueError("blind recovery sweeps measurements only")
+        raise ConfigError("blind recovery sweeps measurements only")
     if config.sigma != 0.0:
-        raise ValueError("blind recovery runs are noiseless")
+        raise ConfigError("blind recovery runs are noiseless")
     bad = [t for t in config.samplers if t in SUPPORT_AWARE]
     if bad:
-        raise ValueError(f"samplers {bad} need the support and cannot run blind")
+        raise ConfigError(f"samplers {bad} need the support and cannot run blind")
 
     def score_cell(basis, trials, sigma):
         signals = []
@@ -326,7 +335,12 @@ def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int,
     each method's operator and records cond(Phi @ U restricted to the support).
     """
     _check_samplers(methods)
-    m_values = [int(m) for m in m_values]
+    check_int("k", k, 1, ConfigError)
+    check_int("trials", trials, 1, ConfigError)
+    check_int("master_seed", master_seed, None, ConfigError)
+    m_values = list(m_values)
+    for m in m_values:
+        check_int("m_values entry", m, 1, ConfigError)
     conds: dict = {(meth, m): [] for meth in methods for m in m_values}
     for t in range(trials):
         g = generate(graph_spec.kind, graph_spec.params,
@@ -349,8 +363,7 @@ def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int,
 
 def dominating_curve(graph_spec: GraphSpec, p_max: int) -> list[dict]:
     """Greedy dominating-set size of the p-hop expansion for p = 1..p_max."""
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
+    check_int("p_max", p_max, 1, ConfigError)
     graph = graph_spec.build()
     return [{"p": p, "dominating_size": int(hop_level(graph, p).dominating_set.size)}
             for p in range(1, p_max + 1)]
@@ -374,15 +387,15 @@ class WsnScenario:
     solver: SolverParams = field(default_factory=SolverParams)
 
     def __post_init__(self):
-        self.cluster_head_counts = tuple(int(v) for v in self.cluster_head_counts)
-        self.m_values = tuple(int(v) for v in self.m_values)
+        self.cluster_head_counts = tuple(self.cluster_head_counts)
+        self.m_values = tuple(self.m_values)
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials must be >= 1")
         if not 1 <= self.k <= self.n:
-            raise ValueError("need 1 <= k <= n")
+            raise ConfigError("need 1 <= k <= n")
         for nc in self.cluster_head_counts:
             if not 1 <= nc <= self.n:
-                raise ValueError("cluster head counts must lie in [1, n]")
+                raise ConfigError("cluster head counts must lie in [1, n]")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -393,6 +406,12 @@ class WsnScenario:
     @classmethod
     def from_dict(cls, d: dict) -> "WsnScenario":
         check_keys(d, [f.name for f in fields(cls)], "config")
+        for name, minimum in (("n", 1), ("k", 1), ("trials", 1), ("master_seed", None)):
+            if name in d:
+                check_int(name, d[name], minimum, ConfigError)
+        for name in ("cluster_head_counts", "m_values"):
+            for v in d.get(name, ()):
+                check_int(f"{name} entry", v, 1, ConfigError)
         d = dict(d)
         if "solver" in d:
             d["solver"] = _solver_from_dict(d["solver"])

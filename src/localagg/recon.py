@@ -161,6 +161,14 @@ BALANCE_MU = 10.0
 BALANCE_TAU = 2.0
 
 
+def check_int(name: str, value, minimum: int | None = None, error=ValueError) -> None:
+    """Raise ``error`` unless value is an integer (not a bool), >= minimum if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Operator-splitting settings for the equality-constrained l1 problem.
@@ -174,7 +182,6 @@ class SolverParams:
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
     max_iter: int = 50_000
-    track_objective: bool = False
 
     def __post_init__(self):
         for name in ("rho", "tol_abs", "tol_rel"):
@@ -182,9 +189,7 @@ class SolverParams:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value) or value <= 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_int("max_iter", self.max_iter, 1)
 
 
 def _bp_setup(op, basis: OrthoBasis, y):
@@ -199,15 +204,12 @@ def _bp_setup(op, basis: OrthoBasis, y):
 
 
 def _bp_result(basis: OrthoBasis, scale: float, x: np.ndarray, iterations: int,
-               converged: bool, r_norm: float, s_norm: float, rho: float,
-               trace: list | None) -> ReconResult:
+               converged: bool, r_norm: float, s_norm: float, rho: float) -> ReconResult:
     """The finished solve of the normalised problem, in the caller's units."""
     xhat = scale * x
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
              "primal_residual": scale * r_norm, "dual_residual": scale * s_norm,
              "objective": float(np.abs(xhat).sum()), "rho": rho}
-    if trace is not None:
-        stats["objective_trace"] = scale * np.asarray(trace)
     return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
@@ -225,7 +227,7 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     ``c * bp_l1(y)``: bit for bit when c is a power of two.  Every
     ``BALANCE_EVERY``-th iteration rebalances the penalty rho against the two
     residuals and rescales the scaled dual u to match.  The estimate, the
-    residuals, the objective and its trace are reported in the caller's units
+    residuals and the objective are reported in the caller's units
     (``dual_residual`` is rho times the last change of z); ``rho`` is the final
     penalty of the normalised problem.
 
@@ -254,11 +256,9 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     eps_abs = np.sqrt(n) * params.tol_abs
     rel_dual = tol_rel * rho
     max_iter = params.max_iter
-    track = params.track_objective
 
     z = np.zeros(n)
     u = np.zeros(n)
-    trace: list[float] = []
     converged = False
     iterations = 0
     r_norm = s_norm = float("nan")
@@ -270,8 +270,6 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
         z = w - minimum(maximum(w, -thresh), thresh)
         u = w - z
         iterations = it
-        if track:
-            trace.append(float(np.abs(x).sum()))
         r = x - z
         r_norm = math.sqrt(r.dot(r))
         eps_pri = eps_abs + tol_rel * math.sqrt(max(x.dot(x), z.dot(z)))
@@ -291,8 +289,7 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
                 u = u * BALANCE_TAU
             thresh = 1.0 / rho
             rel_dual = tol_rel * rho
-    return _bp_result(basis, scale, x, iterations, converged, r_norm, s_norm, rho,
-                      trace if track else None)
+    return _bp_result(basis, scale, x, iterations, converged, r_norm, s_norm, rho)
 
 
 # bytes of operator stacks (each problem's psi and its pseudoinverse, 16 m n)
@@ -324,7 +321,6 @@ def bp_l1_many(problems, basis: OrthoBasis,
         params = SolverParams()
     tol_rel = params.tol_rel
     max_iter = params.max_iter
-    track = params.track_objective
     pending = (_bp_setup(op, basis, y) for op, y in problems)
     first = next(pending, None)
     if first is None:
@@ -348,7 +344,6 @@ def bp_l1_many(problems, basis: OrthoBasis,
     rho = np.full(b, float(params.rho))
     its = np.zeros(b, dtype=np.int64)
     s_norm = np.full(b, np.nan)
-    traces = [[] for _ in range(b)]
     eps_abs = np.sqrt(n) * params.tol_abs
     while b:
         thresh = (1.0 / rho)[:, None]
@@ -359,9 +354,6 @@ def bp_l1_many(problems, basis: OrthoBasis,
         z = w - np.minimum(np.maximum(w, -thresh), thresh)
         u = w - z
         its += 1
-        if track:
-            for trace, value in zip(traces, np.abs(x).sum(axis=1).tolist()):
-                trace.append(value)
         r_norm = np.sqrt(_row_dots(x - z))
         eps_pri = eps_abs + tol_rel * np.sqrt(np.maximum(_row_dots(x), _row_dots(z)))
         primal_ok = r_norm <= eps_pri
@@ -387,8 +379,7 @@ def bp_l1_many(problems, basis: OrthoBasis,
         for row in np.flatnonzero(finished).tolist():
             results[slot[row]] = _bp_result(
                 basis, scales[row], x[row], int(its[row]), bool(converged[row]),
-                float(r_norm[row]), float(s_norm[row]), float(rho[row]),
-                traces[row] if track else None)
+                float(r_norm[row]), float(s_norm[row]), float(rho[row]))
             setup = next(pending, None)
             if setup is None:
                 continue
@@ -399,13 +390,11 @@ def bp_l1_many(problems, basis: OrthoBasis,
             rho[row] = params.rho
             its[row] = 0
             s_norm[row] = np.nan
-            traces[row] = []
             finished[row] = False
         if finished.any():
             keep = np.flatnonzero(~finished)
             psi, pinv, x_feas, z, u, rho, its, s_norm = (
                 a[keep] for a in (psi, pinv, x_feas, z, u, rho, its, s_norm))
-            scales, slot, traces = ([seq[i] for i in keep.tolist()]
-                                    for seq in (scales, slot, traces))
+            scales, slot = ([seq[i] for i in keep.tolist()] for seq in (scales, slot))
             b = keep.size
     return results

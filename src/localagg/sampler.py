@@ -10,14 +10,12 @@ budget while keeping the per-node aggregation counts balanced.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import (
     Graph,
-    bfs_distances,
     closed_in_neighborhood,
     hop_level,
     minimal_hop_level,
@@ -289,48 +287,6 @@ def measure(op: SamplingOperator, x: np.ndarray) -> np.ndarray:
     if x.shape != (op.n,):
         raise ValueError(f"signal must have shape ({op.n},), got {x.shape}")
     return op.phi @ x
-
-
-def transmission_bounds(plan: SamplingPlan) -> tuple[int, int]:
-    """Upper bounds on scalar transmissions for the two growth strategies.
-
-    Each aggregating node j collects from nodes up to p hops away on the
-    original graph; a node at hop distance i forwards through i transmissions.
-    The first bound sums over the dominating set (repetitions reuse routes),
-    the second over the distinct nodes of the sampling multiset.
-    """
-    src = plan.source_graph
-
-    def cost(nodes: np.ndarray) -> int:
-        nodes = np.unique(nodes)
-        if nodes.size == 0:
-            return 0
-        dist = bfs_distances(src, nodes)
-        total = 0
-        for hop in range(1, plan.p + 1):
-            total += hop * int((dist == hop).sum())
-        return total
-
-    return cost(plan.dominating_set), cost(plan.nodes)
-
-
-def theorem1_gmin_threshold(k: int, n: int, mu: float, delta: float,
-                            c: float = 1.0) -> float:
-    """Multiplicity level sufficient for a restricted isometry of order k.
-
-    Evaluates c * delta**-2 * mu**2 * k * max(log k, 1)**2 * log(n)**2 with
-    natural logarithms.  Diagnostic only; constants are generic.
-    """
-    if k < 1:
-        raise ValueError("sparsity k must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 < mu <= 1.0:
-        raise ValueError("mu must lie in (0, 1]")
-    if c <= 0.0:
-        raise ValueError("constant c must be positive")
-    logk = max(math.log(k), 1.0)
-    return c * delta ** -2 * mu ** 2 * k * logk ** 2 * math.log(n) ** 2
 
 
 # ---------------------------------------------------------------------------

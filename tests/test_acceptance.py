@@ -194,8 +194,12 @@ def test_07_low_coherence_graph_recovers_earlier():
 
 def test_08_edge_weights_leave_recovery_unchanged():
     master = 17
-    gw = la.generate("random-geometric", {"n": 100, "radius": 0.2}, seed=3)
+    gw = la.generate("random-geometric", {"n": 100, "radius": 0.2, "weighted": True}, seed=3)
     gb = la.Graph(gw.n, gw.edges, weights=None, positions=gw.positions)
+    basis_w, basis_b = la.gft_basis(gw), la.gft_basis(gb)
+    # with equal weights the two bases, and so the two curves, agree by construction
+    basis_gap = float(np.abs(basis_w.u - basis_b.u).max())
+    assert basis_gap > 0.1, f"weighted and binary bases differ by only {basis_gap}"
     ms = (20, 30, 40, 50, 60, 70)
     plans = {m: la.build_plan(gw, m, "insert-new",
                               seed=derive_seed(master, "plan", m)) for m in ms}
@@ -203,24 +207,30 @@ def test_08_edge_weights_leave_recovery_unchanged():
     def curve(basis):
         out = []
         for m in ms:
-            hits = 0
-            for t in range(200):
-                ts = derive_seed(master, m, t)
-                spec = la.SparseSignalSpec.draw(100, 10, "bandlimited",
-                                                derive_seed(ts, "signal"))
-                x = la.synthesize(basis, spec)
-                op = la.draw_operator(plans[m], seed=derive_seed(ts, "operator"))
-                hits += int(la.bp_l1(op, basis, op.phi @ x,
-                                     SWEEP_SOLVER).scored(x).perfect)
+            signals = []
+
+            def problems():
+                for t in range(200):
+                    ts = derive_seed(master, m, t)
+                    spec = la.SparseSignalSpec.draw(100, 10, "bandlimited",
+                                                    derive_seed(ts, "signal"))
+                    x = la.synthesize(basis, spec)
+                    signals.append(x)
+                    op = la.draw_operator(plans[m], seed=derive_seed(ts, "operator"))
+                    yield op, op.phi @ x
+
+            results = la.bp_l1_many(problems(), basis, SWEEP_SOLVER)
+            hits = sum(int(res.scored(x).perfect) for res, x in zip(results, signals))
             out.append(hits / 200)
         return out
 
-    weighted = curve(la.gft_basis(gw))
-    binary = curve(la.gft_basis(gb))
+    weighted = curve(basis_w)
+    binary = curve(basis_b)
     gap = max(abs(a - b) for a, b in zip(weighted, binary))
     ok = gap <= 0.1
     record(8, "exponential edge weights barely move the curve", ok,
-           f"max probability gap {gap:.3f} over m in {ms} (tolerance 0.1)")
+           f"max probability gap {gap:.3f} over m in {ms} (tolerance 0.1); "
+           f"bases differ by up to {basis_gap:.2f}")
     assert ok, f"binary vs weighted transform curves differ by {gap}"
 
 

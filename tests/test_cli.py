@@ -261,15 +261,48 @@ def test_experiment_rejects_unknown_config_keys(tmp_path, kind, payload, key):
     assert not out.exists()
 
 
+def _blind_payload(**changes):
+    return dict({"graph": _graph_payload(), "k": 3,
+                 "sweep": {"variable": "m", "values": [6]}}, **changes)
+
+
 @pytest.mark.parametrize("kind, payload, problem", [
     ("unknown-support", {"graph": _graph_payload(), "k": 3, "solver": {"rho": float("nan")},
                          "sweep": {"variable": "m", "values": [6]}},
      "solver rho must be a positive finite number, got nan"),
     ("wsn", {"n": 16, "k": 3, "solver": {"max_iter": 2.5}},
      "solver max_iter must be an integer >= 1, got 2.5"),
+    ("known-support", _blind_payload(k=0), "k must be an integer >= 1, got 0"),
+    ("known-support", _blind_payload(k=True), "k must be an integer >= 1, got True"),
+    ("unknown-support", _blind_payload(trials=0), "trials must be an integer >= 1, got 0"),
+    ("unknown-support", _blind_payload(trials=2.5), "trials must be an integer >= 1, got 2.5"),
+    ("known-support", _blind_payload(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+    ("known-support", _blind_payload(fixed_m=6.0, sweep={"variable": "sigma", "values": [0.1]}),
+     "fixed_m must be an integer >= 1, got 6.0"),
+    ("unknown-support", _blind_payload(sweep={"variable": "m", "values": [6.5]}),
+     "swept m must be an integer >= 1, got 6.5"),
+    ("unknown-support", _blind_payload(samplers=["nope"]), "unknown sampler tag 'nope'"),
+    ("unknown-support", _blind_payload(samplers=["weighted"]),
+     "samplers ['weighted'] need the support and cannot run blind"),
+    ("known-support", _blind_payload(graph=dict(_graph_payload(), seed=1.0)),
+     "graph seed must be an integer >= 0, got 1.0"),
+    ("wsn", {"n": 16, "k": 3, "trials": 0}, "trials must be an integer >= 1, got 0"),
+    ("wsn", {"n": 16, "k": 3, "m_values": [8, 9.5]},
+     "m_values entry must be an integer >= 1, got 9.5"),
+    ("wsn", {"n": 16, "k": 3, "cluster_head_counts": [2, 30]},
+     "cluster head counts must lie in [1, n]"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4], "trials": 2.5},
+     "trials must be an integer >= 1, got 2.5"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2.0, "m_values": [4]},
+     "k must be an integer >= 1, got 2.0"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4.5]},
+     "m_values entry must be an integer >= 1, got 4.5"),
+    ("dominating-curve", {"graph": _graph_payload(), "p_max": 2.5},
+     "p_max must be an integer >= 1, got 2.5"),
 ])
 def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem):
-    # Python's json reads and writes NaN, so a config file can carry one
+    # Python's json reads and writes NaN, so a config file can carry one; the
+    # config classes refuse counts that are not integers instead of truncating
     cfg = _write_config(tmp_path, payload)
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as info:

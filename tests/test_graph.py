@@ -122,17 +122,6 @@ def test_every_node_in_own_closed_neighborhood(seed):
         assert i in la.closed_in_neighborhood(g, i)
 
 
-def test_bfs_distances_path(path4):
-    d = la.bfs_distances(path4, [0])
-    assert d.tolist() == [[0, 1, 2, 3]]
-
-
-def test_bfs_distances_unreachable():
-    g = la.Graph(4, [[0, 1]])
-    d = la.bfs_distances(g, [0, 3])
-    assert d.tolist() == [[0, 1, -1, -1], [-1, -1, -1, 0]]
-
-
 def test_connected_components_labels():
     g = la.Graph(5, [[0, 1], [3, 4]])
     lab = la.connected_components(g)

@@ -8,6 +8,7 @@ import pytest
 
 import localagg as la
 from localagg.harness import (
+    ConfigError,
     ExperimentConfig,
     GraphSpec,
     WsnScenario,
@@ -96,6 +97,8 @@ def test_config_validation_errors():
         _small_config(sweep_variable="sigma", sweep_values=(0.1, 0.2))
     with pytest.raises(ValueError, match="sigma"):
         _small_config(sigma=-1.0)
+    with pytest.raises(ConfigError, match="graph seed must be an integer >= 0, got -1"):
+        GraphSpec.from_dict({"kind": "cycle", "params": {"n": 5}, "seed": -1})
 
 
 def test_config_dict_round_trip():
@@ -159,6 +162,10 @@ def test_wsn_scenario_round_trip_and_validation():
         WsnScenario(n=10, k=2, cluster_head_counts=(11,))
     with pytest.raises(ValueError):
         WsnScenario(trials=0)
+    # a config file's counts must be integers: int() would truncate them
+    for key, bad in [("n", 30.0), ("cluster_head_counts", [3, 4.5]), ("m_values", [10, False])]:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            WsnScenario.from_dict({key: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
-"""Sampling plans, operator draws, measurement, bounds, diagnostics."""
+"""Sampling plans, operator draws, measurement and plan files."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -297,66 +296,6 @@ def test_measure_rejects_bad_shape():
     op = la.draw_operator(la.build_plan(g, 4, "insert-new"), seed=1)
     with pytest.raises(ValueError):
         la.measure(op, np.zeros(8))
-
-
-# ---------------------------------------------------------------------------
-# transmission bounds
-
-def test_transmission_star_center():
-    g = la.Graph(6, [[0, j] for j in range(1, 6)])
-    plan = la.build_plan(g, 1)
-    assert la.transmission_bounds(plan) == (5, 5)
-
-
-def test_transmission_one_hop_sums_degrees():
-    g = la.Graph(4, [[0, 1], [1, 2], [2, 3]])
-    plan = la.build_plan(g, 2)
-    assert plan.p == 1 and plan.nodes.tolist() == [1, 3]
-    assert la.transmission_bounds(plan) == (3, 3)
-
-
-def test_transmission_two_hop_path6_hand_value():
-    g = la.Graph(6, np.column_stack([np.arange(5), np.arange(1, 6)]))
-    plan = la.build_plan(g, 2)
-    assert plan.p == 2 and plan.nodes.tolist() == [2, 5]
-    # node 2 collects 1+1 at hop one, 2+2 at hop two; node 5 collects 1 and 2
-    assert la.transmission_bounds(plan) == (9, 9)
-
-
-def test_transmission_repeats_counted_once():
-    g = la.generate("erdos-renyi", {"n": 20, "p_e": 0.3}, seed=6)
-    dom = la.greedy_dominating_set(g)
-    plan = la.build_plan(g, dom.size + 4, "repeat-dominating", seed=0)
-    rep_bound, multiset_bound = la.transmission_bounds(plan)
-    assert rep_bound == multiset_bound  # repeats add no new unique nodes
-
-
-# ---------------------------------------------------------------------------
-# multiplicity threshold diagnostic
-
-def test_threshold_delta_and_mu_scalings():
-    base = la.theorem1_gmin_threshold(10, 100, 0.8, 0.2)
-    assert np.isclose(la.theorem1_gmin_threshold(10, 100, 0.8, 0.1), 4 * base)
-    assert np.isclose(la.theorem1_gmin_threshold(10, 100, 0.4, 0.2), base / 4)
-
-
-def test_threshold_pinned_reference_value():
-    v = la.theorem1_gmin_threshold(10, 100, 1.0, 0.5, c=1.0)
-    assert np.isclose(v, 4497.619771823107, rtol=1e-12)
-    # k = 1 stays defined through the log floor
-    assert np.isclose(la.theorem1_gmin_threshold(1, 100, 1.0, 0.5),
-                      4.0 * math.log(100) ** 2)
-
-
-def test_threshold_domain_errors():
-    with pytest.raises(ValueError):
-        la.theorem1_gmin_threshold(0, 100, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        la.theorem1_gmin_threshold(5, 100, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        la.theorem1_gmin_threshold(5, 100, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        la.theorem1_gmin_threshold(5, 100, 1.0, 0.5, c=0.0)
 
 
 # ---------------------------------------------------------------------------
