@@ -7,7 +7,8 @@
 
 Each stem runs ``localagg experiment <kind> --config results/<stem>.config.json
 --out results/<stem>.csv``; options after the stems (--trials, --seed) pass
-through to every run.
+through to every run, and are refused unless stems are named, so that a
+reduced run never rewrites every committed table.
 """
 
 import itertools
@@ -39,6 +40,9 @@ if __name__ == "__main__":
     unknown = [s for s in stems if s not in KINDS]
     if unknown:
         sys.exit(f"unknown result stem(s) {', '.join(unknown)}; expected: {', '.join(KINDS)}")
+    if overrides and not stems:
+        sys.exit(f"{' '.join(overrides)} would rewrite every table under results/; "
+                 f"name the stems to run")
     for stem in stems or KINDS:
         main(["experiment", KINDS[stem], "--config", str(RESULTS / f"{stem}.config.json"),
               "--out", str(RESULTS / f"{stem}.csv")] + overrides)

@@ -21,7 +21,7 @@ def uniform_node_sampling(n: int, m: int, seed: int | None = None) -> SamplingOp
     sel = rng.choice(n, size=m, replace=False)
     phi = np.zeros((m, n))
     phi[np.arange(m), sel] = 1.0
-    return SamplingOperator(phi=phi, seed=seed, label="uniform")
+    return SamplingOperator(phi=phi)
 
 
 def weighted_node_sampling(basis: OrthoBasis, support, m: int,
@@ -41,7 +41,7 @@ def weighted_node_sampling(basis: OrthoBasis, support, m: int,
     sel = rng.choice(basis.n, size=m, replace=True, p=p)
     phi = np.zeros((m, basis.n))
     phi[np.arange(m), sel] = 1.0 / np.sqrt(m * p[sel])
-    return SamplingOperator(phi=phi, seed=seed, label="weighted")
+    return SamplingOperator(phi=phi)
 
 
 def minpinv_greedy(basis: OrthoBasis, support, m: int) -> SamplingOperator:
@@ -87,7 +87,7 @@ def minpinv_greedy(basis: OrthoBasis, support, m: int) -> SamplingOperator:
             gram_inv = np.linalg.inv(sub.T @ sub)
     phi = np.zeros((m, n))
     phi[np.arange(m), selected] = 1.0
-    return SamplingOperator(phi=phi, label="minpinv")
+    return SamplingOperator(phi=phi)
 
 
 def successive_aggregations(graph: Graph, node: int | None, m: int) -> SamplingOperator:
@@ -110,4 +110,4 @@ def successive_aggregations(graph: Graph, node: int | None, m: int) -> SamplingO
     for ell in range(m):
         out[ell] = row
         row = row @ a
-    return SamplingOperator(phi=out, label="successive")
+    return SamplingOperator(phi=out)

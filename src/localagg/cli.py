@@ -46,7 +46,7 @@ def _cmd_reconstruct(args):
         y = load_matrix_csv(args.measurements).ravel()
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    op = SamplingOperator(phi=phi, label="file")
+    op = SamplingOperator(phi=phi)
     if args.method == "ls":
         try:
             support = check_support([int(v) for v in args.support.split(",")], basis.n)
@@ -71,6 +71,10 @@ def _load_config(path) -> dict:
 
 
 def _apply_overrides(payload: dict, args) -> dict:
+    given = [f"--{name}" for name in ("seed", "trials") if getattr(args, name) is not None]
+    if given and args.what == "dominating-curve":
+        raise SystemExit(f"dominating-curve has no trials and no master seed; "
+                         f"drop {' and '.join(given)}")
     if args.seed is not None:
         payload["master_seed"] = args.seed
     if args.trials is not None:
@@ -100,7 +104,7 @@ def _run_kind(kind: str, payload: dict) -> tuple[list[dict], int, dict]:
         return harness.wsn_experiment(scenario), scenario.master_seed, scenario.to_dict()
     if kind == "condition-table":
         harness.check_keys(payload, ("graph", "k", "m_values", "trials", "master_seed",
-                                     "methods"), "config")
+                                     "methods"), "config", required=("graph", "k", "m_values"))
         spec = harness.GraphSpec.from_dict(payload["graph"])
         seed = payload.get("master_seed", 0)
         rows = harness.condition_table(spec, payload["k"], payload["m_values"],
@@ -109,7 +113,7 @@ def _run_kind(kind: str, payload: dict) -> tuple[list[dict], int, dict]:
                                            "methods", ("proposed-insert", "successive"))))
         return rows, seed, payload
     if kind == "dominating-curve":
-        harness.check_keys(payload, ("graph", "p_max"), "config")
+        harness.check_keys(payload, ("graph", "p_max"), "config", required=("graph",))
         spec = harness.GraphSpec.from_dict(payload["graph"])
         return harness.dominating_curve(spec, payload.get("p_max", 4)), spec.seed, payload
     raise SystemExit(f"unknown experiment {kind!r}")

@@ -8,7 +8,7 @@ per-node 2D positions in the unit square (geometric graphs, sensor layouts).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -114,8 +114,17 @@ class Graph:
         return a
 
     @cached_property
-    def _hop_cache(self) -> "_HopCache":
-        return _HopCache()
+    def dominating_set(self) -> np.ndarray:
+        """Read-only ``greedy_dominating_set`` of this graph."""
+        dom = greedy_dominating_set(self)
+        dom.setflags(write=False)
+        return dom
+
+    @cached_property
+    def _hop_levels(self) -> list:
+        # levels 2, 3, ... of the hop expansion, grown by p_hop_graph; they hold
+        # no reference to this graph, and a trailing None marks saturation
+        return []
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -179,62 +188,29 @@ def _next_hop_graph(graph: Graph, prev: Graph) -> Graph:
                  positions=graph.positions)
 
 
-@dataclass(frozen=True, eq=False)
-class HopLevel:
-    """Level p of a graph's hop expansion.
-
-    ``graph`` joins the pairs linked by a walk of length 1..p; level 1 is the
-    graph itself, higher levels have unit weights and keep the positions.
-    ``dominating_set`` is that graph's greedy dominating set (read-only).
-    """
-
-    p: int
-    graph: Graph
-    dominating_set: np.ndarray
-
-
-@dataclass
-class _HopCache:
-    levels: list = field(default_factory=list)
-    saturated: bool = False    # growing the last level adds no edge
-
-
-def hop_level(graph: Graph, p: int) -> HopLevel:
-    """Level p of the hop expansion, or the saturation level if that is lower.
-
-    Levels are computed once per graph, each grown from the one below, and
-    kept on the graph for its lifetime.  The expansion saturates at the
-    largest component diameter: once one more hop adds no edge, every higher
-    level equals the last one, and that level is returned for any larger p.
-    """
-    if p < 1:
-        raise ValueError("hop count p must be >= 1")
-    cache = graph._hop_cache
-    levels = cache.levels
-    while len(levels) < p and not cache.saturated:
-        hop = graph
-        if levels:
-            hop = _next_hop_graph(graph, levels[-1].graph)
-            if hop.num_edges == levels[-1].graph.num_edges:
-                cache.saturated = True
-                break
-        dom = greedy_dominating_set(hop)
-        dom.setflags(write=False)
-        levels.append(HopLevel(len(levels) + 1, hop, dom))
-    return levels[min(p, len(levels)) - 1]
-
-
 def p_hop_graph(graph: Graph, p: int) -> Graph:
     """Graph connecting nodes joined by a walk of length 1..p.
 
     ``p_hop_graph(g, 1)`` is ``g`` itself, with its weights; higher levels
-    have unit weights.
+    have unit weights and keep the positions.  Levels are computed once per
+    graph, each grown from the one below, and kept on the graph for its
+    lifetime.  The expansion saturates at the largest component diameter:
+    once one more hop adds no edge, that level is returned for any larger p.
     """
-    return hop_level(graph, p).graph
+    if p < 1:
+        raise ValueError("hop count p must be >= 1")
+    levels = graph._hop_levels
+    while len(levels) < p - 1 and (not levels or levels[-1] is not None):
+        prev = levels[-1] if levels else graph
+        hop = _next_hop_graph(graph, prev)
+        levels.append(hop if hop.num_edges > prev.num_edges else None)
+    reached = [graph, *levels[:p - 1]]
+    return reached[-1] if reached[-1] is not None else reached[-2]
 
 
-def minimal_hop_level(graph: Graph, m: int) -> HopLevel:
-    """Lowest hop level whose greedy dominating set has at most m nodes.
+def minimal_hop_level(graph: Graph, m: int) -> tuple[int, Graph]:
+    """Lowest hop count p, and its level graph, whose greedy dominating set has
+    at most m nodes.
 
     Saturation of the hop expansion bounds the search: past the largest
     component diameter nothing changes, so the budget is infeasible once
@@ -244,10 +220,10 @@ def minimal_hop_level(graph: Graph, m: int) -> HopLevel:
         raise ValueError("budget m must be >= 1")
     p = 1
     while True:
-        level = hop_level(graph, p)
+        level = p_hop_graph(graph, p)
         if level.dominating_set.size <= m:
-            return level
-        if hop_level(graph, p + 1) is level:
+            return p, level
+        if p_hop_graph(graph, p + 1) is level:
             raise HopPlanInfeasibleError(
                 f"dominating set has {level.dominating_set.size} nodes at saturation, "
                 f"budget is {m}")

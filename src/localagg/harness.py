@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -29,7 +29,7 @@ from .graph import (
     closed_in_neighborhood,
     generate,
     geometric_graph_from_positions,
-    hop_level,
+    p_hop_graph,
 )
 from .recon import (
     SIGNAL_MODELS,
@@ -74,12 +74,16 @@ class ConfigError(ValueError):
     """An experiment config holds a key that nothing reads or a value that no run takes."""
 
 
-def check_keys(d: dict, accepted, where: str) -> None:
-    """Refuse keys of ``d`` outside ``accepted``; a typo must not go unread."""
+def check_keys(d: dict, accepted, where: str, required=()) -> None:
+    """Refuse keys of ``d`` outside ``accepted``, so a typo does not go unread,
+    and refuse ``d`` if it lacks one of ``required``."""
     unknown = sorted(set(d) - set(accepted))
     if unknown:
         raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
                           f"accepted: {', '.join(sorted(accepted))}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ConfigError(f"missing {where} key(s) {', '.join(map(repr, missing))}")
 
 
 def _solver_from_dict(d: dict) -> SolverParams:
@@ -103,14 +107,17 @@ class GraphSpec:
     seed: int
 
     def build(self) -> Graph:
-        return generate(self.kind, self.params, self.seed)
+        try:
+            return generate(self.kind, self.params, self.seed)
+        except ValueError as exc:
+            raise ConfigError(f"graph: {exc}") from None
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
-        check_keys(d, ("kind", "params", "seed"), "graph")
+        check_keys(d, ("kind", "params", "seed"), "graph", required=("kind", "params", "seed"))
         check_int("graph seed", d["seed"], 0, ConfigError)
         return cls(kind=d["kind"], params=dict(d["params"]), seed=d["seed"])
 
@@ -177,7 +184,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         check_keys(d, ("graph", "k", "samplers", "basis", "signal_model", "sweep", "trials",
-                       "master_seed", "sigma", "fixed_m", "solver"), "config")
+                       "master_seed", "sigma", "fixed_m", "solver"), "config",
+                   required=("graph", "k"))
         solver = _solver_from_dict(d.get("solver", {}))
         sweep = d.get("sweep", {})
         check_keys(sweep, ("variable", "values"), "sweep")
@@ -241,6 +249,11 @@ class _OperatorFactory:
         raise ValueError(f"unknown sampler tag {tag!r}")
 
 
+def _check_k_fits(k: int, graph: Graph) -> None:
+    if k > graph.n:
+        raise ConfigError(f"k must be <= the graph's n = {graph.n}, got {k}")
+
+
 def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[dict]:
     """One row per sampler and sweep value, ``column`` = reduce(mean trial score).
 
@@ -250,6 +263,7 @@ def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[di
     through op, drawing it only when asked for.
     """
     graph = config.graph.build()
+    _check_k_fits(config.k, graph)
     basis = build_basis(graph, config.basis)
     factory = _OperatorFactory(graph, basis)
     rows = []
@@ -343,8 +357,8 @@ def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int,
         check_int("m_values entry", m, 1, ConfigError)
     conds: dict = {(meth, m): [] for meth in methods for m in m_values}
     for t in range(trials):
-        g = generate(graph_spec.kind, graph_spec.params,
-                     derive_seed(master_seed, "graph", t))
+        g = replace(graph_spec, seed=derive_seed(master_seed, "graph", t)).build()
+        _check_k_fits(k, g)
         basis = gft_basis(g, normalized=True)
         factory = _OperatorFactory(g, basis)
         rng = np.random.default_rng(derive_seed(master_seed, "support", t))
@@ -365,7 +379,7 @@ def dominating_curve(graph_spec: GraphSpec, p_max: int) -> list[dict]:
     """Greedy dominating-set size of the p-hop expansion for p = 1..p_max."""
     check_int("p_max", p_max, 1, ConfigError)
     graph = graph_spec.build()
-    return [{"p": p, "dominating_size": int(hop_level(graph, p).dominating_set.size)}
+    return [{"p": p, "dominating_size": int(p_hop_graph(graph, p).dominating_set.size)}
             for p in range(1, p_max + 1)]
 
 
@@ -425,7 +439,7 @@ def _spatial_dct_basis(positions: np.ndarray) -> OrthoBasis:
     base = dct_basis(n).u
     u = np.empty_like(base)
     u[order, :] = base
-    return OrthoBasis(u=u, ordering="natural", label="dct-spatial")
+    return OrthoBasis(u=u)
 
 
 def _forward_route_power(graph: Graph, plan) -> float:
@@ -515,7 +529,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
                     row += mc
                     # the head's own reading travels distance zero
                     p_intra += mc * float(dists2[c].sum())
-                op = SamplingOperator(phi=phi, label=method)
+                op = SamplingOperator(phi=phi)
                 res = bp_l1(op, basis, op.phi @ x, scenario.solver)
                 err = float(np.mean((res.x_star - x) ** 2))
                 agg.setdefault((method, m), []).append((p_intra, err))

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    Graph,
-    closed_in_neighborhood,
-    hop_level,
-    minimal_hop_level,
-)
+from .graph import Graph, closed_in_neighborhood, minimal_hop_level, p_hop_graph
 from .spectral import numerical_rank
 
 STRATEGIES = ("repeat-dominating", "insert-new")
@@ -36,7 +31,7 @@ class SamplingPlan:
     nodes[t] is the node whose closed neighborhood (on ``base_graph``) feeds
     measurement t.  ``multiplicities[j]`` counts how many measurements touch
     node j.  ``base_graph`` is the aggregation graph, the p-hop expansion of
-    ``source_graph`` (``source_graph`` itself at one hop).
+    the graph the plan was built for (that graph itself at one hop).
     """
 
     nodes: np.ndarray
@@ -44,12 +39,10 @@ class SamplingPlan:
     strategy: str          # "exact", "repeat-dominating" or "insert-new"
     multiplicities: np.ndarray
     base_graph: Graph
-    source_graph: Graph
-    dominating_set: np.ndarray
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("nodes", "multiplicities", "dominating_set"):
+        for name in ("nodes", "multiplicities"):
             arr = np.array(getattr(self, name), dtype=np.int64, copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -58,15 +51,17 @@ class SamplingPlan:
     def m(self) -> int:
         return int(self.nodes.size)
 
+    @property
+    def dominating_set(self) -> np.ndarray:
+        """The greedy dominating set of ``base_graph`` that seeded the plan."""
+        return self.base_graph.dominating_set
+
 
 @dataclass(frozen=True, eq=False)
 class SamplingOperator:
-    """A realized measurement matrix with its provenance."""
+    """A realized measurement matrix."""
 
     phi: np.ndarray
-    plan: SamplingPlan | None = None
-    seed: int | None = None
-    label: str = "aggregation"
 
     def __post_init__(self):
         phi = np.array(self.phi, dtype=np.float64, copy=True)
@@ -246,15 +241,14 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
     each insertion checked to keep a freshly drawn operator full row rank) or
     inserting nodes not yet sampled ("insert-new").  The returned strategy tag
     is "exact" when no growth was needed.  Hop levels come from the graph's
-    cache (see graph.hop_level), so plans on one graph share them.
+    cache (see graph.p_hop_graph), so plans on one graph share them.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     if m < 1:
         raise ValueError("measurement budget m must be >= 1")
-    level = minimal_hop_level(graph, m)
-    agg = level.graph
-    nodes = [int(v) for v in level.dominating_set]
+    p, agg = minimal_hop_level(graph, m)
+    nodes = [int(v) for v in agg.dominating_set]
     g = node_multiplicities(agg, nodes)
     tag = "exact"
     if len(nodes) < m:
@@ -263,9 +257,8 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
             _insert_new(agg, nodes, g, m)
         else:
             _repeat_dominating(agg, nodes, g, m, seed)
-    return SamplingPlan(nodes=np.asarray(nodes, dtype=np.int64), p=level.p, strategy=tag,
-                        multiplicities=g, base_graph=agg, source_graph=graph,
-                        dominating_set=level.dominating_set, seed=seed)
+    return SamplingPlan(nodes=np.asarray(nodes, dtype=np.int64), p=p, strategy=tag,
+                        multiplicities=g, base_graph=agg, seed=seed)
 
 
 def draw_operator(plan: SamplingPlan, seed: int | None = None) -> SamplingOperator:
@@ -278,7 +271,7 @@ def draw_operator(plan: SamplingPlan, seed: int | None = None) -> SamplingOperat
     """
     scale = np.sqrt(np.where(plan.multiplicities > 0, plan.multiplicities, 1))
     phi = _gaussian_rows(plan.base_graph, plan.nodes, np.random.default_rng(seed), scale)
-    return SamplingOperator(phi=phi, plan=plan, seed=seed)
+    return SamplingOperator(phi=phi)
 
 
 def measure(op: SamplingOperator, x: np.ndarray) -> np.ndarray:
@@ -307,8 +300,7 @@ def plan_from_json(graph: Graph, text: str) -> SamplingPlan:
     payload = json.loads(text)
     p = int(payload["p"])
     nodes = np.asarray(payload["nodes"], dtype=np.int64)
-    level = hop_level(graph, p)
+    agg = p_hop_graph(graph, p)
     return SamplingPlan(nodes=nodes, p=p, strategy=payload["strategy"],
-                        multiplicities=node_multiplicities(level.graph, nodes),
-                        base_graph=level.graph, source_graph=graph,
-                        dominating_set=level.dominating_set, seed=payload.get("seed"))
+                        multiplicities=node_multiplicities(agg, nodes),
+                        base_graph=agg, seed=payload.get("seed"))

@@ -20,8 +20,6 @@ class OrthoBasis:
     """Orthonormal columns of a transform; column k is the k-th atom."""
 
     u: np.ndarray
-    ordering: str          # "frequency-increasing" or "natural"
-    label: str
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
@@ -125,10 +123,7 @@ def gft_basis(graph: Graph, normalized: bool = True) -> OrthoBasis:
             if stop - start > 1:
                 u[:, start:stop] = _canonical_subspace_basis(u[:, start:stop])
             start = stop
-    u = _sign_fix(u)
-    label = "gft-normalized" if normalized else "gft-combinatorial"
-    return OrthoBasis(u=u, ordering="frequency-increasing", label=label,
-                      eigenvalues=evals)
+    return OrthoBasis(u=_sign_fix(u), eigenvalues=evals)
 
 
 def dct_basis(n: int) -> OrthoBasis:
@@ -139,7 +134,7 @@ def dct_basis(n: int) -> OrthoBasis:
     k = np.arange(n)[None, :]
     u = np.sqrt(2.0 / n) * np.cos(np.pi * (j + 0.5) * k / n)
     u[:, 0] = np.sqrt(1.0 / n)
-    return OrthoBasis(u=u, ordering="natural", label="dct")
+    return OrthoBasis(u=u)
 
 
 def build_basis(graph: Graph, tag: str) -> OrthoBasis:

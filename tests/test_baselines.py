@@ -12,7 +12,7 @@ def _hadamard_basis(n: int) -> OrthoBasis:
     h = np.array([[1.0]])
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
-    return OrthoBasis(u=h / np.sqrt(n), ordering="natural", label="hadamard")
+    return OrthoBasis(u=h / np.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_uniform_rejects_oversampling():
 # weighted
 
 def test_weighted_identity_basis_localizes_draws():
-    eye = OrthoBasis(u=np.eye(6), ordering="natural", label="identity")
+    eye = OrthoBasis(u=np.eye(6))
     op = la.weighted_node_sampling(eye, [3], 20, seed=1)
     assert set(np.flatnonzero(op.phi.sum(axis=0))) == {3}
 
@@ -86,7 +86,7 @@ def test_weighted_gram_isotropic_on_support():
 
 
 def test_weighted_rejects_zero_energy():
-    dead = OrthoBasis(u=np.zeros((4, 4)), ordering="natural", label="zero")
+    dead = OrthoBasis(u=np.zeros((4, 4)))
     with pytest.raises(ValueError):
         la.weighted_node_sampling(dead, [0], 3, seed=0)
 
@@ -95,7 +95,7 @@ def test_weighted_rejects_zero_energy():
 # pseudoinverse-greedy selection
 
 def test_minpinv_identity_basis_recovers_support():
-    eye = OrthoBasis(u=np.eye(7), ordering="natural", label="identity")
+    eye = OrthoBasis(u=np.eye(7))
     op = la.minpinv_greedy(eye, [1, 4, 6], 3)
     assert sorted(np.argmax(op.phi, axis=1).tolist()) == [1, 4, 6]
 
@@ -139,7 +139,7 @@ def test_minpinv_beats_random_selection_known_support():
 
 
 def test_minpinv_rejects_oversampling():
-    eye = OrthoBasis(u=np.eye(5), ordering="natural", label="identity")
+    eye = OrthoBasis(u=np.eye(5))
     with pytest.raises(ValueError):
         la.minpinv_greedy(eye, [0, 1], 6)
 

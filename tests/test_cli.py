@@ -219,6 +219,20 @@ def test_experiment_wsn(tmp_path):
     assert len(lines) == 2 + 2  # proposed and one cluster scheme
 
 
+@pytest.mark.parametrize("overrides, named", [
+    (["--trials", 2], "--trials"),
+    (["--seed", 3], "--seed"),
+    (["--seed", 3, "--trials", 2], "--seed and --trials"),
+])
+def test_experiment_dominating_curve_refuses_seed_and_trials(tmp_path, overrides, named):
+    cfg = _write_config(tmp_path, {"graph": _graph_payload(), "p_max": 3})
+    out = tmp_path / "curve.csv"
+    with pytest.raises(SystemExit) as info:
+        _run("experiment", "dominating-curve", "--config", cfg, "--out", out, *overrides)
+    assert str(info.value) == f"dominating-curve has no trials and no master seed; drop {named}"
+    assert not out.exists()
+
+
 def test_experiment_requires_output(tmp_path, capsys):
     payload = {"graph": _graph_payload(), "k": 3,
                "samplers": ["proposed-insert"],
@@ -299,6 +313,23 @@ def _blind_payload(**changes):
      "m_values entry must be an integer >= 1, got 4.5"),
     ("dominating-curve", {"graph": _graph_payload(), "p_max": 2.5},
      "p_max must be an integer >= 1, got 2.5"),
+    # required keys, graphs that the generator refuses, supports larger than the graph
+    ("known-support", {"graph": _graph_payload(), "sweep": {"variable": "m", "values": [6]}},
+     "missing config key(s) 'k'"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2}, "missing config key(s) 'm_values'"),
+    ("known-support", _blind_payload(graph={"kind": "erdos-renyi", "params": {"n": 18}}),
+     "missing graph key(s) 'seed'"),
+    ("known-support", _blind_payload(graph=dict(_graph_payload(), params={"n": 0, "p_e": 0.3})),
+     "graph: n must be >= 1"),
+    ("unknown-support", _blind_payload(graph=dict(_graph_payload(), kind="torus")),
+     f"graph: unknown graph kind 'torus', expected one of {la.graph.GENERATOR_KINDS}"),
+    ("condition-table", {"graph": dict(_graph_payload(), params={"n": 0, "p_e": 0.3}), "k": 2,
+                         "m_values": [4]}, "graph: n must be >= 1"),
+    ("dominating-curve", {"graph": dict(_graph_payload(), kind="torus")},
+     f"graph: unknown graph kind 'torus', expected one of {la.graph.GENERATOR_KINDS}"),
+    ("known-support", _blind_payload(k=20), "k must be <= the graph's n = 18, got 20"),
+    ("condition-table", {"graph": _graph_payload(), "k": 200, "m_values": [4]},
+     "k must be <= the graph's n = 18, got 200"),
 ])
 def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem):
     # Python's json reads and writes NaN, so a config file can carry one; the

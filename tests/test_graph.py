@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import localagg as la
-from localagg.graph import GraphFormatError, HopPlanInfeasibleError, hop_level
+from localagg.graph import GraphFormatError, HopPlanInfeasibleError
 
 from conftest import random_graph
 
@@ -285,51 +285,48 @@ def test_p_hop_monotone_and_lower_dominating_set_dominates_higher(seed):
 
 
 def test_hop_levels_are_cached_per_graph(path10):
-    level = hop_level(path10, 3)
-    assert level.p == 3
-    assert hop_level(path10, 3) is level
-    assert la.p_hop_graph(path10, 3) is level.graph
-    assert level.dominating_set.tolist() == la.greedy_dominating_set(level.graph).tolist()
+    level = la.p_hop_graph(path10, 3)
+    assert la.p_hop_graph(path10, 3) is level
+    assert level.dominating_set.tolist() == la.greedy_dominating_set(level).tolist()
     assert not level.dominating_set.flags.writeable
     # a fresh graph with the same edges builds its own, equal levels
     twin = la.Graph(10, path10.edges)
-    assert hop_level(twin, 3) is not level
-    assert hop_level(twin, 3).graph.edge_set() == level.graph.edge_set()
+    assert la.p_hop_graph(twin, 3) is not level
+    assert la.p_hop_graph(twin, 3).edge_set() == level.edge_set()
 
 
 def test_hop_levels_stop_at_saturation(path10):
     # the path's diameter is 9: level 9 joins every pair and one more hop adds none
-    top = hop_level(path10, 9)
-    assert top.graph.num_edges == 45
-    assert hop_level(path10, 10) is top
-    assert hop_level(path10, 40) is top
-    assert la.p_hop_graph(path10, 40) is top.graph
+    top = la.p_hop_graph(path10, 9)
+    assert top.num_edges == 45
+    assert la.p_hop_graph(path10, 10) is top
+    assert la.p_hop_graph(path10, 40) is top
     with pytest.raises(ValueError):
-        hop_level(path10, 0)
+        la.p_hop_graph(path10, 0)
 
 
 # ---------------------------------------------------------------------------
 # minimal hop levels
 
 def test_minimal_hop_trivial_budget(path4):
-    level = la.minimal_hop_level(path4, 4)
-    assert level.p == 1 and level.graph is path4
+    p, level = la.minimal_hop_level(path4, 4)
+    assert p == 1 and level is path4
     assert level.dominating_set.tolist() == la.greedy_dominating_set(path4).tolist()
 
 
 def test_minimal_hop_path6():
     p6 = la.Graph(6, np.column_stack([np.arange(5), np.arange(1, 6)]))
-    level = la.minimal_hop_level(p6, 2)
-    assert (level.p, level.dominating_set.tolist()) == (2, [2, 5])
+    p, level = la.minimal_hop_level(p6, 2)
+    assert (p, level.dominating_set.tolist()) == (2, [2, 5])
 
 
 def test_minimal_hop_path10_brute_force(path10):
-    level = la.minimal_hop_level(path10, 2)
+    p, level = la.minimal_hop_level(path10, 2)
     # smallest p whose greedy dominating set fits the budget, checked directly
     sizes = [la.greedy_dominating_set(la.p_hop_graph(path10, q)).size
-             for q in range(1, level.p + 1)]
+             for q in range(1, p + 1)]
     assert all(s > 2 for s in sizes[:-1]) and sizes[-1] <= 2
-    assert (level.p, level.dominating_set.tolist()) == (3, [3, 7])
+    assert (p, level.dominating_set.tolist()) == (3, [3, 7])
 
 
 def test_minimal_hop_infeasible_on_disconnected():

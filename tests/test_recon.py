@@ -340,7 +340,7 @@ def _blind_problem(name):
         y = la.measure(op, la.synthesize(basis, spec))
         params = SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=4000)
     elif name in ("repeated-rows", "inconsistent"):
-        op = SamplingOperator(phi=np.vstack([op.phi, op.phi[:4]]), label="repeated")
+        op = SamplingOperator(phi=np.vstack([op.phi, op.phi[:4]]))
         y = la.measure(op, x)
         if name == "inconsistent":
             y = y + 1e-3 * np.random.default_rng(12).standard_normal(op.m)
@@ -493,7 +493,7 @@ def _engine_block(name):
     for s in range(6):
         op = la.draw_operator(plan, seed=100 + s)
         if name == "repeated":
-            op = SamplingOperator(phi=np.vstack([op.phi, op.phi[:4]]), label="repeated")
+            op = SamplingOperator(phi=np.vstack([op.phi, op.phi[:4]]))
         spec = la.SparseSignalSpec.draw(30, 2 + s % 3, "random-support", seed=200 + s)
         y = la.measure(op, la.synthesize(basis, spec))
         if name == "repeated" and s % 2:

@@ -51,6 +51,22 @@ def test_runner_refuses_an_unknown_stem():
                                    "wsn_tradeoff")
 
 
+def test_runner_refuses_overrides_without_stems(tmp_path):
+    # a copy of the script and the configs: a run that got past the refusal
+    # would rewrite the tables next to the script, not the committed ones
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / RUNNER.name).write_text(RUNNER.read_text())
+    (tmp_path / "results").mkdir()
+    for config in RESULTS.glob("*.config.json"):
+        (tmp_path / "results" / config.name).write_text(config.read_text())
+    done = subprocess.run([sys.executable, str(tmp_path / "scripts" / RUNNER.name),
+                           "--trials", "2"], env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.strip() == ("--trials 2 would rewrite every table under results/; "
+                                   "name the stems to run")
+    assert not list((tmp_path / "results").glob("*.csv"))
+
+
 @pytest.mark.parametrize("kind, stem", [
     ("dominating-curve", "dominating_curve"),
     ("condition-table", "condition_table"),

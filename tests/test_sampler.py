@@ -1,6 +1,8 @@
 """Sampling plans, operator draws, measurement and plan files."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import localagg as la
 from localagg import PoolExhaustedError
-from localagg.graph import HopPlanInfeasibleError, hop_level
+from localagg.graph import HopPlanInfeasibleError
 from localagg.sampler import STRATEGIES
 
 from conftest import random_graph
@@ -52,6 +54,23 @@ def test_plan_exact_when_budget_matches_dominating_set():
     assert plan.base_graph is g
 
 
+def test_graph_is_freed_without_the_cycle_collector():
+    # plans, operators and the hop-level cache hold no reference cycle through
+    # their graph, so reference counting alone frees it
+    g = la.generate("random-geometric", {"n": 60, "radius": 0.2}, seed=3)
+    plans = [la.build_plan(g, m, s, seed=0) for m in (3, 40) for s in STRATEGIES]
+    assert {plan.p for plan in plans} != {1}
+    ops = [la.draw_operator(plan, seed=1) for plan in plans]
+    level = la.p_hop_graph(g, 3)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g, plans, ops, level
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_plan_insert_full_budget_covers_all_nodes():
     g = la.generate("erdos-renyi", {"n": 20, "p_e": 0.3}, seed=7)
     plan = la.build_plan(g, g.n, "insert-new")
@@ -65,7 +84,6 @@ def test_plan_hop_expansion_path10():
     assert (plan.p, plan.strategy) == (3, "exact")
     assert plan.nodes.tolist() == [3, 7]
     assert plan.base_graph.edge_set() == la.p_hop_graph(g, 3).edge_set()
-    assert plan.source_graph is g
 
 
 def _criterion_reference(agg: la.Graph, taken: list[int], g_mult: np.ndarray,
@@ -590,9 +608,7 @@ def test_clique_components_saturate_at_level_one(graph):
     # is built; plans and the infeasible-budget error are those of the legacy
     # builder, which grew a redundant level 2 with the same edges
     assert la.p_hop_graph(graph, 1) is graph
-    level = hop_level(graph, 1)
-    assert level.graph is graph
-    assert hop_level(graph, 2) is level and hop_level(graph, 5) is level
+    assert la.p_hop_graph(graph, 2) is graph and la.p_hop_graph(graph, 5) is graph
     for strategy in STRATEGIES:
         for m in range(1, graph.n + 3):
             new = _outcome(_plan_fields, graph, m, strategy, m)
