@@ -51,6 +51,8 @@ SAMPLER_TAGS = ("proposed-insert", "proposed-repeat", "uniform", "weighted",
 SUPPORT_AWARE = ("weighted", "minpinv")
 # plan-building strategy of each aggregation sampler
 STRATEGY = {"proposed-insert": "insert-new", "proposed-repeat": "repeat-dominating"}
+# these give at most n measurements: distinct nodes, or a plan of full row rank
+AT_MOST_N = ("proposed-insert", "proposed-repeat", "uniform", "minpinv")
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -111,6 +113,9 @@ class GraphSpec:
             return generate(self.kind, self.params, self.seed)
         except ValueError as exc:
             raise ConfigError(f"graph: {exc}") from None
+        except KeyError as exc:
+            # the builders index params by the names they need
+            raise ConfigError(f"graph: missing parameter {exc.args[0]!r}") from None
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
@@ -254,6 +259,13 @@ def _check_k_fits(k: int, graph: Graph) -> None:
         raise ConfigError(f"k must be <= the graph's n = {graph.n}, got {k}")
 
 
+def _check_m_fits(samplers, m: int, graph: Graph) -> None:
+    for tag in samplers:
+        if tag in AT_MOST_N and m > graph.n:
+            raise ConfigError(f"m must be <= the graph's n = {graph.n} for sampler {tag!r}, "
+                              f"got {m}")
+
+
 def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[dict]:
     """One row per sampler and sweep value, ``column`` = reduce(mean trial score).
 
@@ -264,6 +276,8 @@ def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[di
     """
     graph = config.graph.build()
     _check_k_fits(config.k, graph)
+    m_max = max(config.sweep_values) if config.sweep_variable == "m" else config.fixed_m
+    _check_m_fits(config.samplers, m_max, graph)
     basis = build_basis(graph, config.basis)
     factory = _OperatorFactory(graph, basis)
     rows = []
@@ -359,6 +373,7 @@ def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int,
     for t in range(trials):
         g = replace(graph_spec, seed=derive_seed(master_seed, "graph", t)).build()
         _check_k_fits(k, g)
+        _check_m_fits(methods, max(m_values, default=0), g)
         basis = gft_basis(g, normalized=True)
         factory = _OperatorFactory(g, basis)
         rng = np.random.default_rng(derive_seed(master_seed, "support", t))

@@ -8,6 +8,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .spectral import OrthoBasis, numerical_rank, pseudoinverse
 
@@ -160,6 +161,17 @@ BALANCE_EVERY = 10
 BALANCE_MU = 10.0
 BALANCE_TAU = 2.0
 
+# crossover (Megiddo 1991): at iteration CROSSOVER_START and every
+# CROSSOVER_EVERY iterations after it, a check tries to prove the vertex on the
+# m largest |x| optimal (see _crossover).  The proof needs the smallest LU pivot
+# above CROSSOVER_PIVOT times the largest, ||psi x - y|| <= CROSSOVER_FEAS ||y||
+# and ||psi^T nu||_inf <= 1 + CROSSOVER_DUAL
+CROSSOVER_START = 200
+CROSSOVER_EVERY = 25
+CROSSOVER_PIVOT = 1e-12
+CROSSOVER_FEAS = 1e-9
+CROSSOVER_DUAL = 1e-10
+
 
 def check_int(name: str, value, minimum: int | None = None, error=ValueError) -> None:
     """Raise ``error`` unless value is an integer (not a bool), >= minimum if given."""
@@ -193,23 +205,75 @@ class SolverParams:
 
 
 def _bp_setup(op, basis: OrthoBasis, y):
-    """(psi, pinv, x_feas, scale) of one l1 problem, x_feas divided by scale."""
+    """(psi, pinv, x_feas, y, scale) of one l1 problem, x_feas and y divided by scale."""
     y = np.asarray(y, dtype=np.float64)
     _check_problem(op, basis, y)
     psi = op.phi @ basis.u
     pinv = pseudoinverse(psi)
     x_feas = pinv @ y
     scale = math.sqrt(x_feas.dot(x_feas)) or 1.0
-    return psi, pinv, x_feas / scale, scale
+    return psi, pinv, x_feas / scale, y / scale, scale
+
+
+# the state of a solve before its first crossover check: no S seen or factored
+_FIRST_CHECK = (b"", frozenset())
+
+
+def _crossover(psi: np.ndarray, y: np.ndarray, x: np.ndarray, last):
+    """(check, vertex) of one crossover check at the iterate x.
+
+    Below the recovery transition the l1 optimum is a vertex: x_S = c with
+    psi_S c = y on m atoms S, zero elsewhere.  It is optimal when a dual nu
+    with psi_S^T nu = sign(c) has ||psi^T nu||_inf <= 1 (the KKT conditions of
+    basis pursuit).  S is the sorted indices of the m largest |x|, ties going
+    to the larger index.  An S equal to the previous check's is factored once
+    per solve, with LAPACK's getrf (``lu_factor`` without its singular-matrix
+    warning), and both systems are solved with that one LU.
+
+    ``last`` is the solve's previous check, ``_FIRST_CHECK`` before the first.
+    ``check`` is ``(bytes of S, frozenset of the bytes of every S factored)``,
+    or None when no later check of the solve can succeed: m > n, or a factored
+    psi_S was singular by its pivots, which marks a degenerate LP whose
+    optimum has fewer than m atoms.  ``vertex`` is ``(x_vertex,
+    ||psi x_vertex - y||)`` when the certificate holds to the ``CROSSOVER_*``
+    tolerances, else None.
+    """
+    m, n = psi.shape
+    if m > n:
+        return None, None
+    s = np.sort(np.argsort(np.abs(x), kind="stable")[n - m:])
+    key = s.tobytes()
+    previous, factored = last
+    if key != previous or key in factored:
+        return (key, factored), None
+    check = (key, factored | {key})
+    psi_s = psi[:, s]
+    lu, piv, info = dgetrf(psi_s)
+    pivots = np.abs(lu.diagonal())
+    if info != 0 or pivots.min() <= CROSSOVER_PIVOT * pivots.max():
+        return None, None
+    c = dgetrs(lu, piv, y)[0]
+    r = psi_s.dot(c) - y
+    r_norm = math.sqrt(r.dot(r))
+    if r_norm > CROSSOVER_FEAS * math.sqrt(y.dot(y)):
+        return check, None
+    nu = dgetrs(lu, piv, np.sign(c), trans=1)[0]
+    if not np.isfinite(nu).all() or np.abs(psi.T.dot(nu)).max() > 1.0 + CROSSOVER_DUAL:
+        return check, None
+    vertex = np.zeros(n)
+    vertex[s] = c
+    return check, (vertex, r_norm)
 
 
 def _bp_result(basis: OrthoBasis, scale: float, x: np.ndarray, iterations: int,
-               converged: bool, r_norm: float, s_norm: float, rho: float) -> ReconResult:
+               converged: bool, certified: bool, r_norm: float, s_norm: float,
+               rho: float) -> ReconResult:
     """The finished solve of the normalised problem, in the caller's units."""
     xhat = scale * x
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
-             "primal_residual": scale * r_norm, "dual_residual": scale * s_norm,
-             "objective": float(np.abs(xhat).sum()), "rho": rho}
+             "certified": certified, "primal_residual": scale * r_norm,
+             "dual_residual": scale * s_norm, "objective": float(np.abs(xhat).sum()),
+             "rho": rho}
     return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
@@ -231,6 +295,15 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     (``dual_residual`` is rho times the last change of z); ``rho`` is the final
     penalty of the normalised problem.
 
+    At iteration ``CROSSOVER_START`` and every ``CROSSOVER_EVERY`` iterations
+    after it, a crossover check runs (``_crossover``): once the m largest |x|
+    repeat from one check to the next, the LP vertex on them is factored (once
+    per solve), and if a dual certificate proves it optimal the solve stops
+    there.  A singular vertex ends the checks of the solve, which then runs
+    as before.  A certified solve reports ``certified`` and ``converged`` True, the
+    vertex as its estimate, the vertex's ``||psi x - y||`` as
+    ``primal_residual`` and the ADMM dual residual of that iteration.
+
     At small n an iteration costs numpy call overhead rather than arithmetic,
     so the loop body is written with as few calls as give the same float64
     values as the textbook form (``tests/test_recon.py`` pins it byte for
@@ -239,11 +312,11 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     ``np.linalg.norm``, with one square root for the larger of ``|x|`` and
     ``|z|``; the products go through the bound ``dot`` of each matrix; and the
     dual residual is only computed once the primal test passes, on a balancing
-    iteration or on the last one.
+    or crossover iteration or on the last one.
     """
     if params is None:
         params = SolverParams()
-    psi, pinv, x_feas, scale = _bp_setup(op, basis, y)
+    psi, pinv, x_feas, y, scale = _bp_setup(op, basis, y)
     n = psi.shape[1]
     psi_dot = psi.dot
     pinv_dot = pinv.dot
@@ -260,6 +333,8 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     z = np.zeros(n)
     u = np.zeros(n)
     converged = False
+    next_check = CROSSOVER_START
+    last_check, vertex = _FIRST_CHECK, None
     iterations = 0
     r_norm = s_norm = float("nan")
     for it in range(1, max_iter + 1):
@@ -275,7 +350,8 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
         eps_pri = eps_abs + tol_rel * math.sqrt(max(x.dot(x), z.dot(z)))
         primal_ok = r_norm <= eps_pri
         balance = it % BALANCE_EVERY == 0
-        if primal_ok or balance or it == max_iter:
+        crossover = it == next_check
+        if primal_ok or balance or crossover or it == max_iter:
             dz = z - z_prev
             s_norm = rho * math.sqrt(dz.dot(dz))
             if primal_ok and s_norm <= eps_abs + rel_dual * math.sqrt(u.dot(u)):
@@ -289,7 +365,16 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
                 u = u * BALANCE_TAU
             thresh = 1.0 / rho
             rel_dual = tol_rel * rho
-    return _bp_result(basis, scale, x, iterations, converged, r_norm, s_norm, rho)
+        if crossover:
+            last_check, vertex = _crossover(psi, y, x, last_check)
+            if vertex is not None:
+                x, r_norm = vertex
+                converged = True
+                break
+            if last_check is not None:
+                next_check += CROSSOVER_EVERY
+    return _bp_result(basis, scale, x, iterations, converged, vertex is not None,
+                      r_norm, s_norm, rho)
 
 
 # bytes of operator stacks (each problem's psi and its pseudoinverse, 16 m n)
@@ -311,11 +396,12 @@ def bp_l1_many(problems, basis: OrthoBasis,
     lockstep as the rows of (B, n) arrays: the projections are ``np.matmul``
     over (B, m, n) and (B, n, m) stacks and the norms batched dots, which give
     each row the bits of ``bp_l1``'s ``ndarray.dot`` calls, and every row keeps
-    its own penalty and iteration count.  A row that converges or reaches
-    ``max_iter`` is recorded, and the next problem takes its slot, so a
-    capped solve does not leave the block nearly empty; once the problems run
-    out, finished rows leave the block.  Problems are read one by one as slots
-    free up, so a generator of them holds at most one block of operators.
+    its own penalty, iteration count and crossover checks.  A row that
+    converges, is certified or reaches ``max_iter`` is recorded, and the next
+    problem takes its slot, so a capped solve does not leave the block nearly
+    empty; once the problems run out, finished rows leave the block.  Problems
+    are read one by one as slots free up, so a generator of them holds at most
+    one block of operators.
     """
     if params is None:
         params = SolverParams()
@@ -335,14 +421,16 @@ def bp_l1_many(problems, basis: OrthoBasis,
     pending = map(same_shape, pending)
     block = [first, *itertools.islice(pending, max(1, BLOCK_BYTES // (16 * m * n)) - 1)]
     results: list = [None] * len(block)
-    psi, pinv, x_feas = (np.stack([s[i] for s in block]) for i in range(3))
-    scales = [s[3] for s in block]
+    psi, pinv, x_feas, y = (np.stack([s[i] for s in block]) for i in range(4))
+    scales = [s[4] for s in block]
     slot = list(range(len(block)))       # row -> index of its problem
+    last_check = [_FIRST_CHECK] * len(block)     # row -> its previous crossover check
     b = len(block)
     z = np.zeros((b, n))
     u = np.zeros((b, n))
     rho = np.full(b, float(params.rho))
     its = np.zeros(b, dtype=np.int64)
+    next_check = np.full(b, CROSSOVER_START)
     s_norm = np.full(b, np.nan)
     eps_abs = np.sqrt(n) * params.tol_abs
     while b:
@@ -359,7 +447,8 @@ def bp_l1_many(problems, basis: OrthoBasis,
         primal_ok = r_norm <= eps_pri
         balance = its % BALANCE_EVERY == 0
         last = its == max_iter
-        check = primal_ok | balance | last
+        crossover = its == next_check
+        check = primal_ok | balance | last | crossover
         if not check.any():
             continue
         s_norm = np.where(check, rho * np.sqrt(_row_dots(z - z_prev)), s_norm)
@@ -373,28 +462,41 @@ def bp_l1_many(problems, basis: OrthoBasis,
         if down.any():
             rho[down] /= BALANCE_TAU
             u[down] *= BALANCE_TAU
+        vertices = {}
+        if crossover.any():
+            for row in np.flatnonzero(crossover & ~converged).tolist():
+                last_check[row], vertex = _crossover(psi[row], y[row], x[row], last_check[row])
+                if vertex is not None:
+                    vertices[row] = vertex
+                    converged[row] = True
+                elif last_check[row] is not None:
+                    next_check[row] += CROSSOVER_EVERY
         finished = converged | last
         if not finished.any():
             continue
         for row in np.flatnonzero(finished).tolist():
+            x_row, r_row = vertices.get(row, (x[row], float(r_norm[row])))
             results[slot[row]] = _bp_result(
-                basis, scales[row], x[row], int(its[row]), bool(converged[row]),
-                float(r_norm[row]), float(s_norm[row]), float(rho[row]))
+                basis, scales[row], x_row, int(its[row]), bool(converged[row]),
+                row in vertices, r_row, float(s_norm[row]), float(rho[row]))
             setup = next(pending, None)
             if setup is None:
                 continue
-            psi[row], pinv[row], x_feas[row], scales[row] = setup
+            psi[row], pinv[row], x_feas[row], y[row], scales[row] = setup
             slot[row] = len(results)
             results.append(None)
+            last_check[row] = _FIRST_CHECK
             z[row] = u[row] = 0.0
             rho[row] = params.rho
             its[row] = 0
+            next_check[row] = CROSSOVER_START
             s_norm[row] = np.nan
             finished[row] = False
         if finished.any():
             keep = np.flatnonzero(~finished)
-            psi, pinv, x_feas, z, u, rho, its, s_norm = (
-                a[keep] for a in (psi, pinv, x_feas, z, u, rho, its, s_norm))
-            scales, slot = ([seq[i] for i in keep.tolist()] for seq in (scales, slot))
+            psi, pinv, x_feas, y, z, u, rho, its, next_check, s_norm = (
+                a[keep] for a in (psi, pinv, x_feas, y, z, u, rho, its, next_check, s_norm))
+            scales, slot, last_check = ([seq[i] for i in keep.tolist()]
+                                        for seq in (scales, slot, last_check))
             b = keep.size
     return results

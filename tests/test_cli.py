@@ -67,7 +67,7 @@ def test_sample_plan_json_fields(tmp_path):
 
 
 @pytest.mark.parametrize("method", ["ls", "bp"])
-def test_reconstruct_round_trip(tmp_path, method):
+def test_reconstruct_round_trip(tmp_path, capsys, method):
     gpath = tmp_path / "graph.txt"
     _run("generate", "--kind", "erdos-renyi", "--params",
          '{"n": 16, "p_e": 0.4}', "--seed", 2, "--out", gpath)
@@ -91,6 +91,9 @@ def test_reconstruct_round_trip(tmp_path, method):
     assert _run(*argv) == 0
     x_star = load_matrix_csv(out).ravel()
     assert np.abs(x_star - x).max() <= 1e-6
+    printed = capsys.readouterr().out
+    if method == "bp":
+        assert "converged=True, certified=False, primal_residual=" in printed
 
 
 def test_reconstruct_ls_requires_support(tmp_path):
@@ -330,6 +333,17 @@ def _blind_payload(**changes):
     ("known-support", _blind_payload(k=20), "k must be <= the graph's n = 18, got 20"),
     ("condition-table", {"graph": _graph_payload(), "k": 200, "m_values": [4]},
      "k must be <= the graph's n = 18, got 200"),
+    # a generator parameter left out, and a budget that no node sampler can draw
+    ("known-support", _blind_payload(graph=dict(_graph_payload(), params={"n": 18})),
+     "graph: missing parameter 'p_e'"),
+    ("known-support", _blind_payload(samplers=["uniform"],
+                                     sweep={"variable": "m", "values": [6, 30]}),
+     "m must be <= the graph's n = 18 for sampler 'uniform', got 30"),
+    ("known-support", _blind_payload(samplers=["successive", "minpinv"], fixed_m=19,
+                                     sweep={"variable": "sigma", "values": [0.1]}),
+     "m must be <= the graph's n = 18 for sampler 'minpinv', got 19"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4, 30]},
+     "m must be <= the graph's n = 18 for sampler 'proposed-insert', got 30"),
 ])
 def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem):
     # Python's json reads and writes NaN, so a config file can carry one; the

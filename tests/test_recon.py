@@ -1,8 +1,13 @@
 """Sparse signal synthesis, error metric, least-squares and l1 recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf
+from scipy.optimize import linprog
 
 import localagg as la
 from localagg import recon
@@ -258,17 +263,46 @@ def _legacy_soft(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def _legacy_vertex(psi, y, support):
+    """Crossover on one support in textbook form: "singular", None (not
+    optimal) or (x, ||psi x - y||) when certified.
+
+    The vertex solves psi_S c = y, and it is optimal when some nu with
+    psi_S^T nu = sign(c) has ||psi^T nu||_inf <= 1 (the KKT conditions of
+    min ||x||_1 subject to psi x = y), checked to the crossover's tolerances.
+    """
+    m, n = psi.shape
+    psi_s = psi[:, support]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(psi_s)
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() <= recon.CROSSOVER_PIVOT * pivots.max():
+        return "singular"
+    c = lu_solve((lu, piv), y)
+    r_norm = float(np.linalg.norm(psi_s @ c - y))
+    if r_norm > recon.CROSSOVER_FEAS * np.linalg.norm(y):
+        return None
+    nu = lu_solve((lu, piv), np.sign(c), trans=1)
+    if not np.all(np.isfinite(nu)) or np.max(np.abs(psi.T @ nu)) > 1.0 + recon.CROSSOVER_DUAL:
+        return None
+    x = np.zeros(n)
+    x[support] = c
+    return x, r_norm
+
+
 def _legacy_bp_l1(op, basis, y, params):
     """The balanced l1 loop in textbook form: one numpy call per step."""
     y = np.asarray(y, dtype=np.float64)
     psi = op.phi @ basis.u
-    n = psi.shape[1]
+    m, n = psi.shape
     pinv = pseudoinverse(psi)
     x_feas = pinv @ y
     scale = float(np.linalg.norm(x_feas))
     if scale == 0.0:
         scale = 1.0
     x_feas = x_feas / scale
+    y = y / scale
 
     def project(v):
         return v - pinv @ (psi @ v) + x_feas
@@ -278,7 +312,9 @@ def _legacy_bp_l1(op, basis, y, params):
     u = np.zeros(n)
     x = x_feas.copy()
     sqrt_n = np.sqrt(n)
-    converged = False
+    converged = certified = False
+    previous, tried = None, []  # the last check's support, the supports tried
+    degenerate = False
     iterations = 0
     r_norm = s_norm = float("nan")
     for it in range(1, params.max_iter + 1):
@@ -303,10 +339,27 @@ def _legacy_bp_l1(op, basis, y, params):
             elif s_norm > 10.0 * r_norm:
                 rho = rho / 2.0
                 u = u * 2.0
+        # crossover: from iteration 200, every 25th; the vertex of a support is
+        # tried when two checks in a row find it, once per solve, and a
+        # singular one ends the checks
+        if it >= 200 and it % 25 == 0 and m <= n and not degenerate:
+            ranked = sorted(range(n), key=lambda j: (abs(x[j]), j))
+            support = sorted(ranked[n - m:])
+            repeated = support == previous
+            previous = support
+            if repeated and support not in tried:
+                tried.append(support)
+                vertex = _legacy_vertex(psi, y, support)
+                degenerate = vertex == "singular"
+                if vertex is not None and not degenerate:
+                    x, r_norm = vertex
+                    converged = certified = True
+                    break
     xhat = scale * x
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
-             "primal_residual": scale * r_norm, "dual_residual": scale * s_norm,
-             "objective": float(np.abs(xhat).sum()), "rho": rho}
+             "certified": certified, "primal_residual": scale * r_norm,
+             "dual_residual": scale * s_norm, "objective": float(np.abs(xhat).sum()),
+             "rho": rho}
     return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
@@ -347,12 +400,22 @@ def _blind_problem(name):
         params = SolverParams(max_iter=2000)
     elif name == "zero":
         y = np.zeros(op.m)
+    elif name.startswith("crossover"):
+        # certified at iteration 650, a balancing one, and at 225, which is not
+        seed = {"crossover": 12, "crossover-225": 16}[name]
+        _, basis, op, _, x = _setup(n=30, m=18, k=7, seed=seed)
+        y = la.measure(op, x)
+    elif name == "tall":
+        # more measurements than unknowns, inconsistent: no vertex of m atoms to try
+        op = SamplingOperator(phi=np.vstack([op.phi, op.phi]))
+        y = la.measure(op, x) + 1e-3 * np.random.default_rng(13).standard_normal(op.m)
+        params = SolverParams(max_iter=300)
     return op, basis, y, params
 
 
 _BLIND_CASES = ("default", "capped-3", "capped-50", "rho-0.5", "rho-1.3", "rho-2.0",
                 "rho-0.001", "rho-1000", "square", "community", "repeated-rows",
-                "inconsistent", "zero")
+                "inconsistent", "zero", "crossover", "tall", "crossover-225")
 
 
 @pytest.mark.parametrize("name", _BLIND_CASES)
@@ -384,12 +447,22 @@ def test_bp_byte_cases_cover_each_regime():
         assert not stats[name]["converged"] and stats[name]["iterations"] == cap
         assert np.isfinite(stats[name]["dual_residual"])
     assert stats["zero"]["converged"] and stats["zero"]["objective"] == 0.0
+    # the crossover certifies one solve past its first checks; the others end
+    # by the ADMM test, at the cap, or (tall) never try a vertex
+    assert [name for name in _BLIND_CASES if stats[name]["certified"]] == ["crossover",
+                                                                           "crossover-225"]
+    assert stats["crossover"]["converged"] and stats["crossover"]["iterations"] == 650
+    assert stats["crossover-225"]["iterations"] == 225
+    assert stats["crossover"]["primal_residual"] <= 1e-9
+    assert stats["tall"]["iterations"] == 300 and not stats["tall"]["converged"]
     for name, (op, basis, y, _) in problems.items():
         psi = op.phi @ basis.u
         rank = la.numerical_rank(psi)
         consistent = bool(np.linalg.norm(psi @ (pseudoinverse(psi) @ y) - y) <= 1e-9)
         if name == "square":
             assert op.m == op.n == rank
+        elif name == "tall":
+            assert op.m > op.n > rank and not consistent
         elif name in ("repeated-rows", "inconsistent"):
             assert op.m < op.n and rank < op.m
             assert consistent is (name == "repeated-rows")
@@ -494,22 +567,27 @@ def _engine_block(name):
         op = la.draw_operator(plan, seed=100 + s)
         if name == "repeated":
             op = SamplingOperator(phi=np.vstack([op.phi, op.phi[:4]]))
-        spec = la.SparseSignalSpec.draw(30, 2 + s % 3, "random-support", seed=200 + s)
+        k = 7 if name == "crossover" else 2 + s % 3
+        spec = la.SparseSignalSpec.draw(30, k, "random-support", seed=200 + s)
         y = la.measure(op, la.synthesize(basis, spec))
         if name == "repeated" and s % 2:
             y = y + 1e-3 * rng.standard_normal(op.m)     # inconsistent
         problems.append((op, (1e-3 if s == 4 else 1.0) * y))
     problems.insert(2, (problems[0][0], np.zeros(problems[0][0].m)))
+    if name == "crossover":
+        problems.append(problems[5])    # its row must not inherit the tried supports
     params = {"default": SolverParams(),
               "capped-3": SolverParams(rho=1, max_iter=3),   # an int rho is reported as a float
               "capped-50": SolverParams(max_iter=50),
               "rho-0.001": SolverParams(rho=0.001, tol_abs=1e-7, tol_rel=1e-7),
               "rho-1000": SolverParams(rho=1000.0, tol_abs=1e-7, tol_rel=1e-7),
-              "repeated": SolverParams(max_iter=2000)}[name]
+              "repeated": SolverParams(max_iter=2000),
+              "crossover": SolverParams()}[name]
     return problems, basis, params
 
 
-_ENGINE_BLOCKS = ("default", "capped-3", "capped-50", "rho-0.001", "rho-1000", "repeated")
+_ENGINE_BLOCKS = ("default", "capped-3", "capped-50", "rho-0.001", "rho-1000", "repeated",
+                  "crossover")
 # block budgets: one problem per block, two (slots refilled), all seven at once
 _ENGINE_BUDGETS = {"B1": 1, "B2": 2 * 16 * 22 * 30, "all": 1 << 22}
 
@@ -532,6 +610,9 @@ def test_engine_matches_bp_l1_byte_for_byte(monkeypatch, name, budget):
     assert len(many) == len(problems)
     for res, (op, y) in zip(many, problems):
         _assert_same_result(res, la.bp_l1(op, basis, y, params))
+    certified = {res.solver_stats["iterations"] for res in many if res.solver_stats["certified"]}
+    # rows of the crossover block are certified at two different iterations
+    assert len(certified) == (2 if name == "crossover" else 0)
 
 
 def test_engine_blocks_cover_each_regime():
@@ -570,3 +651,128 @@ def test_engine_edge_cases():
     op, y = problems[0]
     with pytest.raises(ValueError, match="finite"):
         la.bp_l1_many([(op, np.full(op.m, np.nan))], basis, params)
+
+
+# ---------------------------------------------------------------------------
+# the crossover certificate
+
+@given(st.integers(min_value=8, max_value=14), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=50, deadline=None)
+def test_certified_solves_are_lp_optimal(k, seed):
+    # near and above the recovery transition most solves end at a vertex of 18
+    # atoms; the exact LP (HiGHS, min 1'(p + q) s.t. psi (p - q) = y, p, q >= 0)
+    # must reach the same objective, and the vertex's own dual certificate
+    # must satisfy the KKT bound
+    g = la.generate("erdos-renyi", {"n": 30, "p_e": 0.3}, seed=11)
+    basis = la.gft_basis(g)
+    op = la.draw_operator(la.build_plan(g, 18, "insert-new"), seed=seed)
+    spec = la.SparseSignalSpec.draw(30, k, "random-support", seed=seed + 1)
+    y = la.measure(op, la.synthesize(basis, spec))
+    res = la.bp_l1(op, basis, y)
+    assume(res.solver_stats["certified"])
+    psi = op.phi @ basis.u
+    m, n = psi.shape
+    xhat = res.xhat_star
+    lp = linprog(np.ones(2 * n), A_eq=np.hstack([psi, -psi]), b_eq=y, bounds=(0, None),
+                 method="highs")
+    assert lp.status == 0
+    assert res.solver_stats["objective"] == pytest.approx(lp.fun, rel=1e-9)
+    assert res.solver_stats["converged"] and res.solver_stats["iterations"] >= 225
+    assert np.linalg.norm(psi @ xhat - y) <= 1e-9 * np.linalg.norm(y)
+    support = np.flatnonzero(xhat)
+    assert support.size == m
+    nu = np.linalg.solve(psi[:, support].T, np.sign(xhat[support]))
+    assert np.abs(psi.T @ nu).max() <= 1.0 + recon.CROSSOVER_DUAL
+
+
+@pytest.mark.parametrize("psi, y, certified", [
+    # pivots 1 and 1e-6 give a vertex; 1 and 1e-14 count as singular
+    ([[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0]], [0.3, 0.7e-6], True),
+    ([[1.0, 0.0, 0.0], [0.0, 1e-14, 0.0]], [0.3, 0.7e-14], False),
+    # unit pivots, but c is 1e8 times larger than y and misses it by 1e-8 relative
+    ([[1.0, 1e6, 0.0], [0.0, 1.0, 0.0]], [0.3, 0.7], True),
+    ([[1.0, 1e8, 0.0], [0.0, 1.0, 0.0]], [0.3, 0.7], False),
+])
+def test_crossover_needs_regular_pivots_and_an_exact_vertex(psi, y, certified):
+    psi, y = np.array(psi), np.array(y)
+    x = np.array([5.0, 4.0, 0.0])              # S = {0, 1} at two checks in a row
+    first, _ = recon._crossover(psi, y, x, recon._FIRST_CHECK)
+    _, vertex = recon._crossover(psi, y, x, first)
+    assert (vertex is not None) is certified
+
+
+def test_crossover_factors_each_support_once(monkeypatch):
+    # the checks of this solve find supports A B B B B C D D: B is factored
+    # once though four checks in a row find it, and D is certified
+    factored = []
+
+    def recording_getrf(a):
+        factored.append(a.tobytes())
+        return dgetrf(a)
+
+    monkeypatch.setattr(recon, "dgetrf", recording_getrf)
+    g = la.generate("erdos-renyi", {"n": 30, "p_e": 0.3}, seed=11)
+    basis = la.gft_basis(g)
+    op = la.draw_operator(la.build_plan(g, 18, "insert-new"), seed=70)
+    spec = la.SparseSignalSpec.draw(30, 6, "random-support", seed=71)
+    stats = la.bp_l1(op, basis, la.measure(op, la.synthesize(basis, spec))).solver_stats
+    assert stats["certified"] and stats["iterations"] == 375
+    assert len(factored) == len(set(factored)) == 2
+
+
+def _cluster_operator(n, m, members, rows, seed):
+    """m Gaussian rows, ``rows`` of them on the nodes ``members`` and the rest on
+    the other nodes, as the sensor-field clusters draw them."""
+    rng = np.random.default_rng(seed)
+    rest = np.setdiff1d(np.arange(n), members)
+    phi = np.zeros((m, n))
+    phi[np.ix_(np.arange(rows), members)] = rng.standard_normal((rows, members.size))
+    phi[np.ix_(np.arange(rows, m), rest)] = rng.standard_normal((m - rows, rest.size))
+    return SamplingOperator(phi=phi)
+
+
+def test_singular_vertex_never_certifies_or_warns(monkeypatch):
+    # a uniform operator on the community graph leaves the vertex near
+    # singular (cond about 1e17), and a cluster with more rows (8) than members
+    # (5) makes every psi_S singular; neither is certified, and neither warns
+    singular = []
+
+    def recording_getrf(a):
+        lu, piv, info = dgetrf(a)
+        pivots = np.abs(np.diag(lu))
+        singular.append(info > 0 or pivots.min() <= recon.CROSSOVER_PIVOT * pivots.max())
+        return lu, piv, info
+
+    monkeypatch.setattr(recon, "dgetrf", recording_getrf)
+    community = la.generate("community", {"n": 100, "n_communities": 5, "p_intra": 0.1,
+                                          "p_inter": 0.001}, seed=7)
+    field = la.generate("random-geometric", {"n": 60, "radius": 0.3}, seed=3)
+    cases = [(la.uniform_node_sampling(100, 50, seed=10), la.gft_basis(community), 10, 510,
+              SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=4000)),
+             (_cluster_operator(60, 30, np.arange(5), 8, seed=8), la.gft_basis(field), 8, 908,
+              SolverParams(max_iter=3000))]
+    for op, basis, k, signal_seed, params in cases:
+        spec = la.SparseSignalSpec.draw(basis.n, k, "random-support", seed=signal_seed)
+        y = la.measure(op, la.synthesize(basis, spec))
+        singular.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = la.bp_l1(op, basis, y, params)
+            # the first support factored is singular, and it ends the checks
+            assert singular == [True]
+            many = la.bp_l1_many([(op, y)], basis, params)[0]
+        assert not res.solver_stats["certified"]
+        assert res.solver_stats["iterations"] > recon.CROSSOVER_START + recon.CROSSOVER_EVERY
+        _assert_same_result(many, res)
+    # an exactly singular psi_S (a zero column) stops at getrf's info, where
+    # lu_factor would warn
+    psi = np.hstack([np.eye(3), np.zeros((3, 1))])
+    x = np.array([1.0, 0.0, 2.0, 3.0])         # S = {0, 2, 3} at two checks in a row
+    singular.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, _ = recon._crossover(psi, np.ones(3), x, recon._FIRST_CHECK)
+        check, vertex = recon._crossover(psi, np.ones(3), x, first)
+        with pytest.raises(LinAlgWarning):
+            lu_factor(psi[:, [0, 2, 3]])
+    assert check is None and vertex is None and singular == [True]
