@@ -8,12 +8,21 @@ per-node 2D positions in the unit square (geometric graphs, sensor layouts).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+
+
+def check_int(name: str, value, minimum: int | None = None, error=ValueError) -> None:
+    """Raise ``error`` unless value is an integer (not a bool), >= minimum if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 
 class GraphFormatError(ValueError):
@@ -248,15 +257,28 @@ def _erdos_renyi(params, rng):
 
 def geometric_graph_from_positions(positions: np.ndarray, radius: float,
                                    weighted: bool = False) -> Graph:
-    """Connect points closer than ``radius``; optional weights exp(-distance)."""
+    """Connect points closer than ``radius``; optional weights exp(-distance).
+
+    Only pairs within ``radius`` of each other in x are measured: the nodes are
+    sorted by x and each is paired with the window that follows it.  The window
+    bound carries a relative margin of 1e-9, so that no rounding in the bound
+    or in a distance can drop a pair that an all-pairs scan would keep.
+    Distances, edges and weights are those of such a scan, bit for bit.
+    """
     pos = np.asarray(positions, dtype=np.float64)
     n = pos.shape[0]
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    iu, ju = np.triu_indices(n, k=1)
-    mask = dist[iu, ju] < radius
-    e = np.column_stack([iu[mask], ju[mask]])
-    w = np.exp(-dist[iu[mask], ju[mask]]) if weighted else None
+    order = np.argsort(pos[:, 0], kind="stable")
+    xs = pos[order, 0]
+    stop = np.searchsorted(xs, xs + radius * (1.0 + 1e-9), side="right")
+    counts = np.maximum(stop - np.arange(1, n + 1), 0)   # empty when radius <= 0
+    # sorted node a is paired with the counts[a] nodes that follow it
+    a = np.repeat(np.arange(n), counts)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[a], order[b]
+    dist = np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=1))
+    mask = dist < radius
+    e = np.column_stack([i[mask], j[mask]])
+    w = np.exp(-dist[mask]) if weighted else None
     return Graph(n, e, weights=w, positions=pos)
 
 
@@ -365,6 +387,12 @@ def generate(kind: str, params: dict, seed: int) -> Graph:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown parameters for {kind}: {sorted(unknown)}")
+    # a count such as "n": 40.7 is refused, not truncated
+    for key in ("n", "n_communities", "rows", "cols", "ring_degree"):
+        if key in params:
+            check_int(key, params[key])
+    if "weighted" in params and not isinstance(params["weighted"], (bool, np.bool_)):
+        raise ValueError(f"weighted must be true or false, got {params['weighted']!r}")
     for key in ("p_e", "p_intra", "p_inter", "rewire_prob"):
         if key in params and not 0.0 < float(params[key]) <= 1.0:
             raise ValueError(f"{key} must lie in (0, 1]")

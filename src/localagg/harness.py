@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
@@ -26,6 +28,7 @@ from .baselines import (
 )
 from .graph import (
     Graph,
+    check_int,
     closed_in_neighborhood,
     generate,
     geometric_graph_from_positions,
@@ -37,7 +40,6 @@ from .recon import (
     SparseSignalSpec,
     bp_l1,
     bp_l1_many,
-    check_int,
     ls_known_support,
     synthesize,
     to_db,
@@ -94,6 +96,14 @@ def _solver_from_dict(d: dict) -> SolverParams:
         return SolverParams(**d)
     except ValueError as exc:
         raise ConfigError(f"solver {exc}") from None
+
+
+def _check_sigma(name: str, value) -> None:
+    # score_cell adds noise only when sigma > 0, so a NaN or negative level
+    # would run noiseless under its own label
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _check_samplers(tags) -> None:
@@ -155,6 +165,11 @@ class ExperimentConfig:
             raise ConfigError("sweep_variable must be 'm' or 'sigma'")
         if not self.sweep_values:
             raise ConfigError("sweep_values must be nonempty")
+        _check_sigma("sigma", self.sigma)
+        self.sigma = float(self.sigma)
+        if self.sweep_variable == "sigma":
+            for value in self.sweep_values:
+                _check_sigma("swept sigma", value)
         if list(self.sweep_values) != sorted(set(self.sweep_values)):
             raise ConfigError("sweep values must be strictly increasing")
         _check_samplers(self.samplers)
@@ -165,8 +180,6 @@ class ExperimentConfig:
                               f"expected one of {SIGNAL_MODELS}")
         if self.sweep_variable == "sigma" and self.fixed_m is None:
             raise ConfigError("sweeping sigma requires fixed_m")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
 
     def to_dict(self) -> dict:
         d = {
@@ -211,7 +224,7 @@ class ExperimentConfig:
             sweep_values=tuple(sweep.get("values", ())),
             trials=d.get("trials", 1),
             master_seed=d.get("master_seed", 0),
-            sigma=float(d.get("sigma", 0.0)),
+            sigma=d.get("sigma", 0.0),
             fixed_m=d.get("fixed_m"),
             solver=solver,
         )

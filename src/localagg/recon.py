@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
+from .graph import check_int
 from .spectral import OrthoBasis, numerical_rank, pseudoinverse
 
 SIGNAL_MODELS = ("bandlimited", "random-support")
@@ -171,14 +172,6 @@ CROSSOVER_EVERY = 25
 CROSSOVER_PIVOT = 1e-12
 CROSSOVER_FEAS = 1e-9
 CROSSOVER_DUAL = 1e-10
-
-
-def check_int(name: str, value, minimum: int | None = None, error=ValueError) -> None:
-    """Raise ``error`` unless value is an integer (not a bool), >= minimum if given."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .graph import Graph, closed_in_neighborhood
 
@@ -50,28 +51,31 @@ def laplacian(graph: Graph, normalized: bool = False) -> np.ndarray:
     is exactly symmetric.
     """
     n = graph.n
-    w = np.zeros((n, n))
+    lap = np.zeros((n, n))
     i, j = graph.edges[:, 0], graph.edges[:, 1]
-    w[i, j] = graph.weights
-    w[j, i] = graph.weights
-    d = w.sum(axis=1)
-    lap = np.diag(d) - w
+    lap[i, j] = graph.weights
+    lap[j, i] = graph.weights
+    d = lap.sum(axis=1)
+    # 0 - w keeps the zeros +0.0, as D - W does
+    np.subtract(0.0, lap, out=lap)
+    lap[np.diag_indices(n)] = d
     if normalized:
         dinv = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-        lap = dinv[:, None] * lap * dinv[None, :]
-    return (lap + lap.T) / 2.0
-
-
-def _sign_fix(u: np.ndarray) -> np.ndarray:
-    """Make the first significant entry of every column positive."""
-    out = u.copy()
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        big = np.abs(col) > 1e-8 * max(np.abs(col).max(), 1e-300)
-        idx = int(np.argmax(big))
-        if col[idx] < 0:
-            out[:, c] = -col
+        lap *= dinv[:, None]
+        lap *= dinv[None, :]
+    out = lap + lap.T
+    out /= 2.0
     return out
+
+
+def _sign_fix(u: np.ndarray) -> None:
+    """Make the first significant entry of every column positive, in place."""
+    if u.size == 0:
+        return
+    big = 1e-8 * np.maximum(np.maximum(u.max(axis=0, initial=0.0),
+                                       -u.min(axis=0, initial=0.0)), 1e-300)
+    first = np.argmax((u > big) | (u < -big), axis=0)
+    np.negative(u, out=u, where=u[first, np.arange(u.shape[1])] < 0)
 
 
 def _canonical_subspace_basis(v: np.ndarray) -> np.ndarray:
@@ -79,11 +83,14 @@ def _canonical_subspace_basis(v: np.ndarray) -> np.ndarray:
 
     Projects canonical unit vectors onto the subspace in index order and runs
     modified Gram-Schmidt with reorthogonalization, so any eigensolver output
-    spanning the same subspace yields the same result.
+    spanning the same subspace yields the same result.  Row i projects to a
+    vector of norm ||v[i]||, and the Gram-Schmidt steps only shrink it, so rows
+    of norm at most half the pick threshold are skipped.
     """
+    v = np.ascontiguousarray(v)
     n, c = v.shape
     picked: list[np.ndarray] = []
-    for i in range(n):
+    for i in np.flatnonzero(np.linalg.norm(v, axis=1) > 0.5e-6):
         cand = v @ v[i, :]
         for q in picked:
             cand = cand - (q @ cand) * q
@@ -113,17 +120,24 @@ def gft_basis(graph: Graph, normalized: bool = True) -> OrthoBasis:
     so the basis is reproducible across backends.
     """
     lap = laplacian(graph, normalized=normalized)
-    evals, evecs = np.linalg.eigh(lap)
+    # numpy's eigh runs this LAPACK routine too; here it works in place on the
+    # (exactly symmetric) Laplacian, whose transpose is Fortran-ordered
+    evals, evecs, info = dsyevd(lap.T, compute_v=1, lower=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvalues did not converge (dsyevd info {info})")
+    # C order: the BLAS kernels downstream, and so the result bits, follow the layout
+    u = np.ascontiguousarray(evecs)
+    del lap, evecs  # the Fortran-ordered vectors sit in the Laplacian's buffer
     scale = max(1.0, float(np.abs(evals).max())) if evals.size else 1.0
     tol = 1e-9 * scale
     start = 0
-    u = evecs.copy()
     for stop in range(1, len(evals) + 1):
         if stop == len(evals) or evals[stop] - evals[stop - 1] > tol:
             if stop - start > 1:
                 u[:, start:stop] = _canonical_subspace_basis(u[:, start:stop])
             start = stop
-    return OrthoBasis(u=_sign_fix(u), eigenvalues=evals)
+    _sign_fix(u)
+    return OrthoBasis(u=u, eigenvalues=evals)
 
 
 def dct_basis(n: int) -> OrthoBasis:

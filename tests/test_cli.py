@@ -356,6 +356,36 @@ def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, payload, problem", [
+    # a NaN or negative noise level would run noiseless under its own label
+    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma",
+                                                       "values": [-0.01, 0.02]}),
+     "swept sigma must be a finite number >= 0, got -0.01"),
+    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma",
+                                                       "values": [0.01, float("nan")]}),
+     "swept sigma must be a finite number >= 0, got nan"),
+    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma",
+                                                       "values": [0.01, float("inf")]}),
+     "swept sigma must be a finite number >= 0, got inf"),
+    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": [True]}),
+     "swept sigma must be a finite number >= 0, got True"),
+    ("known-support", _blind_payload(sigma=-0.1), "sigma must be a finite number >= 0, got -0.1"),
+    ("known-support", _blind_payload(sigma=float("nan")),
+     "sigma must be a finite number >= 0, got nan"),
+    ("known-support", _blind_payload(sigma="0.1"), "sigma must be a finite number >= 0, got '0.1'"),
+    # a graph count such as "n": 40.7 is refused, not truncated to another graph
+    ("known-support", _blind_payload(graph=dict(_graph_payload(), params={"n": 40.7, "p_e": 0.3})),
+     "graph: n must be an integer, got 40.7"),
+    ("unknown-support", _blind_payload(graph=dict(_graph_payload(), params={"n": True, "p_e": 0.3})),
+     "graph: n must be an integer, got True"),
+    ("dominating-curve", {"graph": {"kind": "random-geometric", "seed": 1,
+                                    "params": {"n": 30, "radius": 0.3, "weighted": 1}}},
+     "graph: weighted must be true or false, got 1"),
+])
+def test_experiment_refuses_bad_noise_levels_and_graph_counts(tmp_path, kind, payload, problem):
+    test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem)
+
+
 @pytest.mark.parametrize("target, text, line, problem", [
     ("operator", "1,0,0\n# comment\n0,1\n", 3, "expected 3 entries"),
     ("operator", "1,0,0\n0,x1,0\n", 2, "'x1' is not a number"),

@@ -380,6 +380,79 @@ def test_geometric_weights_match_distances():
     assert np.allclose(g.weights, np.exp(-d), atol=1e-12)
 
 
+# equivalence with the all-pairs geometric builder
+#
+# _legacy_geometric is the builder as it was before the x-window: it measures
+# every pair through an n x n x 2 difference tensor.  The windowed builder
+# must give the same edges and weights, bit for bit.
+
+def _legacy_geometric(positions, radius, weighted=False):
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.shape[0]
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    iu, ju = np.triu_indices(n, k=1)
+    mask = dist[iu, ju] < radius
+    e = np.column_stack([iu[mask], ju[mask]])
+    w = np.exp(-dist[iu[mask], ju[mask]]) if weighted else None
+    return la.Graph(n, e, weights=w, positions=pos)
+
+
+def _assert_same_geometric(pos, radius, weighted):
+    new = la.geometric_graph_from_positions(pos, radius, weighted)
+    old = _legacy_geometric(pos, radius, weighted)
+    assert new.edges.tobytes() == old.edges.tobytes()
+    assert new.weights.tobytes() == old.weights.tobytes()
+    assert new.positions.tobytes() == old.positions.tobytes()
+    return old
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_geometric_builder_matches_all_pairs_on_random_sets(weighted):
+    rng = np.random.default_rng(2018)
+    edges = 0
+    for n in range(1, 301):
+        pos = rng.random((n, 2))
+        if n % 3 == 0:
+            pos[rng.integers(n, size=n // 3)] = pos[0]   # coincident points
+        radius = float(rng.uniform(0.01, 0.5))
+        edges += _assert_same_geometric(pos, radius, weighted).num_edges
+    assert edges > 0
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("spacing", [0.1, 0.125, 1 / 7, 0.05, 0.3])
+def test_geometric_builder_matches_all_pairs_on_tied_lattices(spacing, weighted):
+    # neighbors sit exactly one radius apart, so the computed distance of a
+    # lattice pair can land on, just below or just above the radius
+    ticks = np.arange(0.0, 1.0 + 1e-12, spacing)
+    ticks = ticks[ticks <= 1.0]
+    x, y = np.meshgrid(ticks, ticks)
+    pos = np.column_stack([x.ravel(), y.ravel()])
+    rng = np.random.default_rng(7)
+    for order in (np.arange(pos.shape[0]), rng.permutation(pos.shape[0])):
+        p = pos[order]
+        _assert_same_geometric(p, spacing, weighted)
+        d = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2))
+        assert np.any(np.abs(d - spacing) <= 1e-15)
+
+
+def test_geometric_builder_keeps_pairs_whose_distance_rounds_below_the_x_gap():
+    # two points one radius apart in x: their distance is the x-gap itself,
+    # and the window's margin must still hold them as a candidate pair
+    for radius in (0.1, 0.3, 1 / 3, 0.7):
+        for x0 in np.linspace(0.0, 1.0 - radius, 23):
+            pos = np.array([[x0, 0.5], [x0 + radius, 0.5], [x0 + radius * (1 - 1e-16), 0.25]])
+            _assert_same_geometric(pos, radius, True)
+
+
+def test_geometric_builder_nonpositive_radius_gives_no_edges():
+    # a sensor-field config may carry any radius; the window is then empty
+    pos = np.random.default_rng(3).random((20, 2))
+    for radius in (0.0, -0.1):
+        assert _assert_same_geometric(pos, radius, False).num_edges == 0
+
+
 def test_grid2d_edge_count():
     g = la.generate("grid2d", {"rows": 4, "cols": 7}, seed=0)
     assert g.n == 28
@@ -422,6 +495,34 @@ def test_generate_rejects_unknown_kind_and_params():
         la.generate("erdos-renyi", {"n": 8, "p_e": 1.5}, seed=0)
     with pytest.raises(ValueError):
         la.generate("random-geometric", {"n": 8, "radius": 2.0}, seed=0)
+
+
+@pytest.mark.parametrize("kind, params, problem", [
+    ("complete", {"n": 40.7}, "n must be an integer, got 40.7"),
+    ("cycle", {"n": True}, "n must be an integer, got True"),
+    ("erdos-renyi", {"n": 12.0, "p_e": 0.5}, "n must be an integer, got 12.0"),
+    ("community", {"n": 30, "n_communities": 3.5, "p_intra": 0.5, "p_inter": 0.1},
+     "n_communities must be an integer, got 3.5"),
+    ("grid2d", {"rows": 4, "cols": 7.2}, "cols must be an integer, got 7.2"),
+    ("grid2d", {"rows": False, "cols": 7}, "rows must be an integer, got False"),
+    ("small-world", {"n": 30, "ring_degree": 4.0, "rewire_prob": 0.3},
+     "ring_degree must be an integer, got 4.0"),
+    ("random-geometric", {"n": 30, "radius": 0.3, "weighted": 1},
+     "weighted must be true or false, got 1"),
+    ("random-geometric", {"n": 30, "radius": 0.3, "weighted": "false"},
+     "weighted must be true or false, got 'false'"),
+])
+def test_generate_refuses_counts_that_are_not_integers(kind, params, problem):
+    with pytest.raises(ValueError) as info:
+        la.generate(kind, params, seed=0)
+    assert str(info.value) == problem
+
+
+def test_generate_takes_numpy_integer_counts():
+    a = la.generate("grid2d", {"rows": np.int64(3), "cols": 4}, seed=0)
+    b = la.generate("random-geometric", {"n": 30, "radius": 0.3, "weighted": np.bool_(True)},
+                    seed=2)
+    assert a.n == 12 and b.n == 30 and np.all(b.weights < 1.0)
 
 
 # ---------------------------------------------------------------------------

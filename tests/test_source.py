@@ -2,7 +2,10 @@
 is reached through its public API only."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +86,14 @@ def test_scan_flags_private_numpy():
         "'numpy._core.umath' (line 7)", "from numpy import (line 4)",
         "from numpy.core import (line 3)", "import numpy._core.umath (line 2)",
         "np._core (line 5)", "np.core (line 6)"]
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial adds about 5.7 MB of resident memory to every process
+    # that imports localagg; the geometric builder does without it
+    code = "import sys, localagg; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 import localagg as la
+from localagg import spectral
 from localagg.spectral import BASIS_TAGS, CoherenceReport, build_basis
 
 from conftest import random_graph
@@ -102,6 +103,159 @@ def test_gft_degenerate_cluster_basis_is_orthonormal():
     g = la.generate("complete", {"n": 9}, seed=0)
     b = la.gft_basis(g, normalized=False)
     assert np.abs(b.u.T @ b.u - np.eye(9)).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the eigh-based basis
+#
+# The _legacy_* functions are the Laplacian and GFT basis as they were before
+# the in-place set-up: D - W from two dense arrays, numpy's eigh, the cluster
+# loop over every row of a strided column slice and a per-column sign fix on
+# copies.  The lean set-up must give the same bytes.
+
+def _legacy_laplacian(graph, normalized=False):
+    n = graph.n
+    w = np.zeros((n, n))
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    w[i, j] = graph.weights
+    w[j, i] = graph.weights
+    d = w.sum(axis=1)
+    lap = np.diag(d) - w
+    if normalized:
+        dinv = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+        lap = dinv[:, None] * lap * dinv[None, :]
+    return (lap + lap.T) / 2.0
+
+
+def _legacy_sign_fix(u):
+    out = u.copy()
+    for c in range(out.shape[1]):
+        col = out[:, c]
+        big = np.abs(col) > 1e-8 * max(np.abs(col).max(), 1e-300)
+        idx = int(np.argmax(big))
+        if col[idx] < 0:
+            out[:, c] = -col
+    return out
+
+
+def _legacy_canonical_subspace_basis(v):
+    n, c = v.shape
+    picked = []
+    for i in range(n):
+        cand = v @ v[i, :]
+        for q in picked:
+            cand = cand - (q @ cand) * q
+        for q in picked:
+            cand = cand - (q @ cand) * q
+        norm = np.linalg.norm(cand)
+        if norm > 1e-6:
+            picked.append(cand / norm)
+            if len(picked) == c:
+                break
+    if len(picked) < c:
+        q = np.column_stack(picked) if picked else np.zeros((n, 0))
+        resid = v - q @ (q.T @ v)
+        uu, ss, _ = np.linalg.svd(resid, full_matrices=False)
+        for t in range(c - len(picked)):
+            picked.append(uu[:, t])
+    return np.column_stack(picked)
+
+
+def _legacy_gft_basis(graph, normalized=True):
+    lap = _legacy_laplacian(graph, normalized=normalized)
+    evals, evecs = np.linalg.eigh(lap)
+    scale = max(1.0, float(np.abs(evals).max())) if evals.size else 1.0
+    tol = 1e-9 * scale
+    start = 0
+    u = evecs.copy()
+    for stop in range(1, len(evals) + 1):
+        if stop == len(evals) or evals[stop] - evals[stop - 1] > tol:
+            if stop - start > 1:
+                u[:, start:stop] = _legacy_canonical_subspace_basis(u[:, start:stop])
+            start = stop
+    return _legacy_sign_fix(u), evals
+
+
+def _repeated_clusters(evals):
+    tol = 1e-9 * max(1.0, float(np.abs(evals).max()))
+    return int(np.count_nonzero(np.diff(evals) <= tol))
+
+
+PIN_GRAPHS = [
+    ("complete", {"n": 12}, 0),
+    ("cycle", {"n": 16}, 0),
+    ("grid2d", {"rows": 5, "cols": 6}, 0),
+    ("community", {"n": 60, "n_communities": 4, "p_intra": 0.3, "p_inter": 0.01}, 3),
+    ("erdos-renyi", {"n": 50, "p_e": 0.1}, 2),
+    # sparse enough for isolated nodes and small components: repeated eigenvalues
+    ("random-geometric", {"n": 150, "radius": 0.07}, 4),
+    ("random-geometric", {"n": 120, "radius": 0.08, "weighted": True}, 5),
+]
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("kind, params, seed", PIN_GRAPHS)
+def test_laplacian_and_gft_match_legacy_bytes(kind, params, seed, normalized):
+    g = la.generate(kind, params, seed)
+    lap = la.laplacian(g, normalized=normalized)
+    assert lap.tobytes() == _legacy_laplacian(g, normalized).tobytes()
+    b = la.gft_basis(g, normalized=normalized)
+    u, evals = _legacy_gft_basis(g, normalized)
+    assert b.eigenvalues.tobytes() == evals.tobytes()
+    assert b.u.flags.c_contiguous
+    assert b.u.tobytes() == u.tobytes()
+    if kind in ("complete", "cycle", "random-geometric"):
+        assert _repeated_clusters(evals) > 0
+
+
+def test_laplacian_keeps_zero_signs_of_legacy():
+    # an isolated node zeroes its normalized row through a 0 scale factor
+    g = la.Graph(4, [[0, 1], [1, 2]], weights=[0.5, 2.0])
+    for normalized in (True, False):
+        lap = la.laplacian(g, normalized=normalized)
+        old = _legacy_laplacian(g, normalized)
+        assert lap.tobytes() == old.tobytes()
+        assert np.array_equal(np.signbit(lap), np.signbit(old))
+
+
+def test_sign_fix_matches_legacy_on_edge_columns():
+    # a zero column, an entry exactly at the 1e-8 threshold ahead of the first
+    # significant one, a column whose largest magnitude is negative, and ties
+    u = np.array([[0.0, -1e-8, 5e-9, -0.5, 0.0],
+                  [0.0, 0.5, -1.0, 0.5, -2e-8],
+                  [0.0, 1.0, 0.25, -0.5, 2.0],
+                  [0.0, -0.5, -0.25, 0.5, -1.0]])
+    u = np.hstack([u, np.random.default_rng(1).standard_normal((4, 3))])
+    fixed = u.copy()
+    spectral._sign_fix(fixed)
+    assert fixed.tobytes() == _legacy_sign_fix(u).tobytes()
+
+
+def test_gft_of_empty_graph_is_empty():
+    b = la.gft_basis(la.Graph(0, np.zeros((0, 2))))
+    assert b.u.shape == (0, 0) and b.eigenvalues.shape == (0,)
+
+
+def test_cluster_row_skip_keeps_the_picks():
+    # rows of norm <= 0.5e-6 are skipped; those above are visited, and the
+    # 1.1e-6 row is the first one to pass the 1e-6 pick threshold
+    n, c = 10, 3
+    rng = np.random.default_rng(11)
+    small = rng.standard_normal((4, c))
+    small *= (np.array([0.4e-6, 0.6e-6, 0.9e-6, 1.1e-6]) / np.linalg.norm(small, axis=1))[:, None]
+    gram = np.eye(c) - small.T @ small
+    evals, evecs = np.linalg.eigh(gram)
+    w, _ = np.linalg.qr(rng.standard_normal((n - 4, c)))
+    v = np.vstack([small, w @ (evecs * np.sqrt(evals)) @ evecs.T])
+    assert np.abs(v.T @ v - np.eye(c)).max() <= 1e-14
+    wide = np.zeros((n, c + 5))
+    wide[:, 2:2 + c] = v
+    for cluster in (v, wide[:, 2:2 + c]):
+        new = spectral._canonical_subspace_basis(cluster)
+        old = _legacy_canonical_subspace_basis(cluster)
+        assert new.tobytes() == old.tobytes()
+        first = v @ v[3]
+        assert np.allclose(new[:, 0], first / np.linalg.norm(first), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
