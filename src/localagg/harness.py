@@ -98,12 +98,12 @@ def _solver_from_dict(d: dict) -> SolverParams:
         raise ConfigError(f"solver {exc}") from None
 
 
-def _check_sigma(name: str, value) -> None:
-    # score_cell adds noise only when sigma > 0, so a NaN or negative level
-    # would run noiseless under its own label
+def _check_real(name: str, value, positive: bool = False) -> None:
+    """Refuse a value that is not a finite number >= 0 (> 0 when ``positive``)."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0):
-        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        raise ConfigError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                          f"got {value!r}")
 
 
 def _check_samplers(tags) -> None:
@@ -165,11 +165,13 @@ class ExperimentConfig:
             raise ConfigError("sweep_variable must be 'm' or 'sigma'")
         if not self.sweep_values:
             raise ConfigError("sweep_values must be nonempty")
-        _check_sigma("sigma", self.sigma)
+        # score_cell adds noise only when sigma > 0, so a NaN or negative level
+        # would run noiseless under its own label
+        _check_real("sigma", self.sigma)
         self.sigma = float(self.sigma)
         if self.sweep_variable == "sigma":
             for value in self.sweep_values:
-                _check_sigma("swept sigma", value)
+                _check_real("swept sigma", value)
         if list(self.sweep_values) != sorted(set(self.sweep_values)):
             raise ConfigError("sweep values must be strictly increasing")
         _check_samplers(self.samplers)
@@ -454,6 +456,11 @@ class WsnScenario:
         for name in ("cluster_head_counts", "m_values"):
             for v in d.get(name, ()):
                 check_int(f"{name} entry", v, 1, ConfigError)
+        # a radius <= 0 leaves the fields edgeless and a NaN one pairs every
+        # node; a NaN distance factor writes NaN powers
+        for name in ("radius", "bs_distance_factor"):
+            if name in d:
+                _check_real(name, d[name], positive=True)
         d = dict(d)
         if "solver" in d:
             d["solver"] = _solver_from_dict(d["solver"])

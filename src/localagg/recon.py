@@ -163,15 +163,21 @@ BALANCE_MU = 10.0
 BALANCE_TAU = 2.0
 
 # crossover (Megiddo 1991): at iteration CROSSOVER_START and every
-# CROSSOVER_EVERY iterations after it, a check tries to prove the vertex on the
-# m largest |x| optimal (see _crossover).  The proof needs the smallest LU pivot
-# above CROSSOVER_PIVOT times the largest, ||psi x - y|| <= CROSSOVER_FEAS ||y||
-# and ||psi^T nu||_inf <= 1 + CROSSOVER_DUAL
-CROSSOVER_START = 200
-CROSSOVER_EVERY = 25
+# CROSSOVER_EVERY iterations after it, a bounded primal simplex runs from the
+# ADMM iterate (see _simplex_finish).  It makes at most CROSSOVER_BUDGET pivots
+# per row of psi and refactors its basis every CROSSOVER_REFACTOR pivots.  A
+# basis is regular when its smallest LU pivot exceeds CROSSOVER_PIVOT times the
+# largest, and its vertex x is returned when ||psi x - y|| <= CROSSOVER_FEAS
+# ||y||, ||psi^T nu||_inf <= 1 + CROSSOVER_DUAL and ||x||_1 - y^T nu <=
+# CROSSOVER_GAP ||x||_1
+CROSSOVER_START = 300
+CROSSOVER_EVERY = 300
+CROSSOVER_BUDGET = 2.0
+CROSSOVER_REFACTOR = 50
 CROSSOVER_PIVOT = 1e-12
 CROSSOVER_FEAS = 1e-9
 CROSSOVER_DUAL = 1e-10
+CROSSOVER_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -208,65 +214,175 @@ def _bp_setup(op, basis: OrthoBasis, y):
     return psi, pinv, x_feas / scale, y / scale, scale
 
 
-# the state of a solve before its first crossover check: no S seen or factored
-_FIRST_CHECK = (b"", frozenset())
-
-
-def _crossover(psi: np.ndarray, y: np.ndarray, x: np.ndarray, last):
-    """(check, vertex) of one crossover check at the iterate x.
-
-    Below the recovery transition the l1 optimum is a vertex: x_S = c with
-    psi_S c = y on m atoms S, zero elsewhere.  It is optimal when a dual nu
-    with psi_S^T nu = sign(c) has ||psi^T nu||_inf <= 1 (the KKT conditions of
-    basis pursuit).  S is the sorted indices of the m largest |x|, ties going
-    to the larger index.  An S equal to the previous check's is factored once
-    per solve, with LAPACK's getrf (``lu_factor`` without its singular-matrix
-    warning), and both systems are solved with that one LU.
-
-    ``last`` is the solve's previous check, ``_FIRST_CHECK`` before the first.
-    ``check`` is ``(bytes of S, frozenset of the bytes of every S factored)``,
-    or None when no later check of the solve can succeed: m > n, or a factored
-    psi_S was singular by its pivots, which marks a degenerate LP whose
-    optimum has fewer than m atoms.  ``vertex`` is ``(x_vertex,
-    ||psi x_vertex - y||)`` when the certificate holds to the ``CROSSOVER_*``
-    tolerances, else None.
-    """
-    m, n = psi.shape
-    if m > n:
-        return None, None
-    s = np.sort(np.argsort(np.abs(x), kind="stable")[n - m:])
-    key = s.tobytes()
-    previous, factored = last
-    if key != previous or key in factored:
-        return (key, factored), None
-    check = (key, factored | {key})
-    psi_s = psi[:, s]
+def _factor(psi_s: np.ndarray):
+    """LAPACK's LU of psi_s (``lu_factor`` without its singular-matrix warning),
+    or None when psi_s is singular by its pivots."""
     lu, piv, info = dgetrf(psi_s)
     pivots = np.abs(lu.diagonal())
     if info != 0 or pivots.min() <= CROSSOVER_PIVOT * pivots.max():
-        return None, None
-    c = dgetrs(lu, piv, y)[0]
-    r = psi_s.dot(c) - y
+        return None
+    return lu, piv
+
+
+def _independent_columns(psi: np.ndarray, order: np.ndarray):
+    """Sorted indices of the first m columns of psi, taken in ``order``, that
+    are linearly independent, or None if fewer exist.
+
+    A column is kept when its part orthogonal to the kept ones (classical
+    Gram-Schmidt, repeated when it cancels by more than half) exceeds 1e-6
+    times the largest column norm of psi.
+    """
+    m = psi.shape[0]
+    q = np.empty((m, m))      # rows: orthonormal basis of the kept columns
+    sizes = np.linalg.norm(psi, axis=0)
+    floor = 1e-6 * sizes.max()
+    chosen = []
+    for j in order.tolist():
+        col = psi[:, j]
+        r = len(chosen)
+        p = col - q[:r].dot(col).dot(q[:r])
+        norm = math.sqrt(p.dot(p))
+        if norm < 0.5 * sizes[j]:
+            p -= q[:r].dot(p).dot(q[:r])
+            norm = math.sqrt(p.dot(p))
+        if norm > floor:
+            q[r] = p / norm
+            chosen.append(j)
+            if r + 1 == m:
+                return np.sort(np.array(chosen))
+    return None
+
+
+def _simplex_finish(psi: np.ndarray, y: np.ndarray, x: np.ndarray):
+    """(vertex, pivots) of one crossover attempt from the iterate x.
+
+    Basis pursuit is the LP min ||x||_1 s.t. psi x = y.  A basis is a set S of
+    m atoms with signs sigma; its vertex is x_S = c with psi_S c = y, zero
+    elsewhere, and its dual nu solves psi_S^T nu = sigma.  With sigma =
+    sign(c) every regular basis is primal feasible, so no phase 1 is needed.
+    The vertex is optimal when ||psi^T nu||_inf <= 1 (the KKT conditions).
+
+    The start is S = the sorted indices of the m largest |x|, ties going to
+    the larger index; when psi_S is singular, S is instead the first m
+    independent columns in that order of |x|.  Each pivot prices g = psi^T nu,
+    enters the nonbasic atom with the largest |g| > 1 (with sign sign(g)) and
+    removes, by the ratio test, a basic atom whose |c| shrinks to zero first,
+    taking among near ties the largest pivot element.  psi_S^-1 is kept by
+    rank-1 updates and refactored every ``CROSSOVER_REFACTOR`` pivots.  Once
+    no |g| exceeds 1 + ``CROSSOVER_DUAL``, psi_S is factored afresh and
+    ``_certify`` solves c and nu again (a zero basic keeps the simplex's sign).
+
+    ``vertex`` is ``(x_vertex, ||psi x_vertex - y||)`` when that vertex passes
+    the certificate, else None: m > n, no regular start, a singular basis, an
+    unbounded ratio test, a spent budget of ``CROSSOVER_BUDGET * m`` pivots or
+    a failed certificate.  ``pivots`` is the number made.  x is not modified.
+    """
+    m, n = psi.shape
+    if m > n:
+        return None, 0
+    ranked = np.argsort(np.abs(x), kind="stable")
+    s = np.sort(ranked[n - m:])
+    lu = _factor(psi[:, s])
+    if lu is None:
+        s = _independent_columns(psi, ranked[::-1])
+        lu = None if s is None else _factor(psi[:, s])
+        if lu is None:
+            return None, 0
+    c = dgetrs(*lu, y)[0]
+    sigma = np.where(c < 0.0, -1.0, 1.0)
+    nu = dgetrs(*lu, sigma, trans=1)[0]
+    # psi_S^-1 is the inverse of the last factored basis minus the rank-1
+    # terms outer(ut[i], vt[i]), i < k, of the k pivots made since
+    ut = np.empty((CROSSOVER_REFACTOR, m))
+    vt = np.empty((CROSSOVER_REFACTOR, m))
+    k = pivots = 0
+    budget = int(CROSSOVER_BUDGET * m)
+    while True:
+        g = psi.T.dot(nu)
+        g[s] = 0.0
+        j = int(np.argmax(np.abs(g)))
+        if abs(g[j]) <= 1.0 + CROSSOVER_DUAL:
+            break
+        if pivots == budget:
+            return None, pivots
+        sign = 1.0 if g[j] > 0.0 else -1.0
+        col = psi[:, j]
+        w = dgetrs(*lu, col)[0] - vt[:k].dot(col).dot(ut[:k])
+        alpha = sign * sigma * w
+        cand = np.flatnonzero(alpha > 1e-9 * np.abs(alpha).max())
+        if cand.size == 0:
+            return None, pivots
+        # Harris's two-pass ratio test: the largest pivot among near ties
+        beta = np.maximum(sigma[cand] * c[cand], 0.0)
+        bound = ((beta + 1e-12) / alpha[cand]).min()
+        near = cand[beta / alpha[cand] <= bound]
+        out = int(near[np.argmax(alpha[near])])
+        e_out = np.zeros(m)
+        e_out[out] = 1.0
+        row = (dgetrs(*lu, e_out, trans=1)[0] - ut[:k, out].dot(vt[:k])) / w[out]
+        # the new inverse is the old one minus outer(w - e_out, row), and row
+        # is its row ``out``
+        step = c[out] / w[out]
+        w[out] -= 1.0
+        c -= step * w
+        nu += (sign - g[j]) * row
+        ut[k] = w
+        vt[k] = row
+        k += 1
+        s[out] = j
+        sigma[out] = sign
+        pivots += 1
+        if k == CROSSOVER_REFACTOR:
+            lu = _factor(psi[:, s])
+            if lu is None:
+                return None, pivots
+            c = dgetrs(*lu, y)[0]
+            nu = dgetrs(*lu, sigma, trans=1)[0]
+            k = 0
+    if k:
+        lu = _factor(psi[:, s])
+        if lu is None:
+            return None, pivots
+    certified = _certify(psi, y, s, sigma, lu)
+    if certified is None:
+        return None, pivots
+    vertex = 0.0 * x     # zeros signed like x: bp_l1(-y) is -bp_l1(y) bit for bit
+    vertex[s] = certified[0]
+    return (vertex, certified[1]), pivots
+
+
+def _certify(psi: np.ndarray, y: np.ndarray, s: np.ndarray, sigma: np.ndarray, lu):
+    """(c, ||psi_S c - y||) when the basis S with signs sigma, factored as
+    ``lu``, passes the KKT certificate, else None.
+
+    c solves psi_S c = y and nu solves psi_S^T nu = sigma.  The vertex (c on
+    S) must meet y to ``CROSSOVER_FEAS``, nu / (1 + ``CROSSOVER_DUAL``) must
+    be dual feasible, and the duality gap ||c||_1 - y^T nu must be at most
+    ``CROSSOVER_GAP`` ||c||_1; then no feasible point has a smaller l1 norm
+    by more than those tolerances allow.
+    """
+    c = dgetrs(*lu, y)[0]
+    r = psi[:, s].dot(c) - y
     r_norm = math.sqrt(r.dot(r))
     if r_norm > CROSSOVER_FEAS * math.sqrt(y.dot(y)):
-        return check, None
-    nu = dgetrs(lu, piv, np.sign(c), trans=1)[0]
-    if not np.isfinite(nu).all() or np.abs(psi.T.dot(nu)).max() > 1.0 + CROSSOVER_DUAL:
-        return check, None
-    vertex = np.zeros(n)
-    vertex[s] = c
-    return check, (vertex, r_norm)
+        return None
+    nu = dgetrs(*lu, sigma, trans=1)[0]
+    l1 = np.abs(c).sum()
+    if (not np.isfinite(nu).all() or np.abs(psi.T.dot(nu)).max() > 1.0 + CROSSOVER_DUAL
+            or l1 - y.dot(nu) > CROSSOVER_GAP * l1):
+        return None
+    return c, r_norm
 
 
 def _bp_result(basis: OrthoBasis, scale: float, x: np.ndarray, iterations: int,
-               converged: bool, certified: bool, r_norm: float, s_norm: float,
-               rho: float) -> ReconResult:
+               converged: bool, certified: bool, pivots: int, r_norm: float,
+               s_norm: float, rho: float) -> ReconResult:
     """The finished solve of the normalised problem, in the caller's units."""
     xhat = scale * x
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
              "certified": certified, "primal_residual": scale * r_norm,
              "dual_residual": scale * s_norm, "objective": float(np.abs(xhat).sum()),
-             "rho": rho}
+             "rho": rho, "pivots": pivots}
     return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
@@ -289,13 +405,14 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     penalty of the normalised problem.
 
     At iteration ``CROSSOVER_START`` and every ``CROSSOVER_EVERY`` iterations
-    after it, a crossover check runs (``_crossover``): once the m largest |x|
-    repeat from one check to the next, the LP vertex on them is factored (once
-    per solve), and if a dual certificate proves it optimal the solve stops
-    there.  A singular vertex ends the checks of the solve, which then runs
-    as before.  A certified solve reports ``certified`` and ``converged`` True, the
-    vertex as its estimate, the vertex's ``||psi x - y||`` as
-    ``primal_residual`` and the ADMM dual residual of that iteration.
+    after it, a crossover runs (``_simplex_finish``): a few primal simplex
+    pivots from the basis of the m largest |x|, and if a KKT certificate proves
+    the vertex they reach optimal, the solve stops there.  An attempt that
+    fails leaves the iterates as they were.  A certified solve reports
+    ``certified`` and ``converged`` True, the vertex as its estimate, the
+    vertex's ``||psi x - y||`` as ``primal_residual`` and the ADMM dual
+    residual of that iteration.  ``pivots`` counts the simplex pivots of all
+    the solve's attempts (0 when none ran).
 
     At small n an iteration costs numpy call overhead rather than arithmetic,
     so the loop body is written with as few calls as give the same float64
@@ -327,8 +444,8 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     u = np.zeros(n)
     converged = False
     next_check = CROSSOVER_START
-    last_check, vertex = _FIRST_CHECK, None
-    iterations = 0
+    vertex = None
+    pivots = iterations = 0
     r_norm = s_norm = float("nan")
     for it in range(1, max_iter + 1):
         v = z - u
@@ -359,15 +476,15 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
             thresh = 1.0 / rho
             rel_dual = tol_rel * rho
         if crossover:
-            last_check, vertex = _crossover(psi, y, x, last_check)
+            vertex, spent = _simplex_finish(psi, y, x)
+            pivots += spent
             if vertex is not None:
                 x, r_norm = vertex
                 converged = True
                 break
-            if last_check is not None:
-                next_check += CROSSOVER_EVERY
+            next_check += CROSSOVER_EVERY
     return _bp_result(basis, scale, x, iterations, converged, vertex is not None,
-                      r_norm, s_norm, rho)
+                      pivots, r_norm, s_norm, rho)
 
 
 # bytes of operator stacks (each problem's psi and its pseudoinverse, 16 m n)
@@ -389,7 +506,7 @@ def bp_l1_many(problems, basis: OrthoBasis,
     lockstep as the rows of (B, n) arrays: the projections are ``np.matmul``
     over (B, m, n) and (B, n, m) stacks and the norms batched dots, which give
     each row the bits of ``bp_l1``'s ``ndarray.dot`` calls, and every row keeps
-    its own penalty, iteration count and crossover checks.  A row that
+    its own penalty, iteration count, crossover attempts and pivots.  A row that
     converges, is certified or reaches ``max_iter`` is recorded, and the next
     problem takes its slot, so a capped solve does not leave the block nearly
     empty; once the problems run out, finished rows leave the block.  Problems
@@ -417,12 +534,12 @@ def bp_l1_many(problems, basis: OrthoBasis,
     psi, pinv, x_feas, y = (np.stack([s[i] for s in block]) for i in range(4))
     scales = [s[4] for s in block]
     slot = list(range(len(block)))       # row -> index of its problem
-    last_check = [_FIRST_CHECK] * len(block)     # row -> its previous crossover check
     b = len(block)
     z = np.zeros((b, n))
     u = np.zeros((b, n))
     rho = np.full(b, float(params.rho))
     its = np.zeros(b, dtype=np.int64)
+    pivots = np.zeros(b, dtype=np.int64)
     next_check = np.full(b, CROSSOVER_START)
     s_norm = np.full(b, np.nan)
     eps_abs = np.sqrt(n) * params.tol_abs
@@ -458,11 +575,12 @@ def bp_l1_many(problems, basis: OrthoBasis,
         vertices = {}
         if crossover.any():
             for row in np.flatnonzero(crossover & ~converged).tolist():
-                last_check[row], vertex = _crossover(psi[row], y[row], x[row], last_check[row])
+                vertex, spent = _simplex_finish(psi[row], y[row], x[row])
+                pivots[row] += spent
                 if vertex is not None:
                     vertices[row] = vertex
                     converged[row] = True
-                elif last_check[row] is not None:
+                else:
                     next_check[row] += CROSSOVER_EVERY
         finished = converged | last
         if not finished.any():
@@ -471,25 +589,25 @@ def bp_l1_many(problems, basis: OrthoBasis,
             x_row, r_row = vertices.get(row, (x[row], float(r_norm[row])))
             results[slot[row]] = _bp_result(
                 basis, scales[row], x_row, int(its[row]), bool(converged[row]),
-                row in vertices, r_row, float(s_norm[row]), float(rho[row]))
+                row in vertices, int(pivots[row]), r_row, float(s_norm[row]),
+                float(rho[row]))
             setup = next(pending, None)
             if setup is None:
                 continue
             psi[row], pinv[row], x_feas[row], y[row], scales[row] = setup
             slot[row] = len(results)
             results.append(None)
-            last_check[row] = _FIRST_CHECK
             z[row] = u[row] = 0.0
             rho[row] = params.rho
-            its[row] = 0
+            its[row] = pivots[row] = 0
             next_check[row] = CROSSOVER_START
             s_norm[row] = np.nan
             finished[row] = False
         if finished.any():
             keep = np.flatnonzero(~finished)
-            psi, pinv, x_feas, y, z, u, rho, its, next_check, s_norm = (
-                a[keep] for a in (psi, pinv, x_feas, y, z, u, rho, its, next_check, s_norm))
-            scales, slot, last_check = ([seq[i] for i in keep.tolist()]
-                                        for seq in (scales, slot, last_check))
+            psi, pinv, x_feas, y, z, u, rho, its, pivots, next_check, s_norm = (
+                a[keep] for a in (psi, pinv, x_feas, y, z, u, rho, its, pivots, next_check,
+                                  s_norm))
+            scales, slot = ([seq[i] for i in keep.tolist()] for seq in (scales, slot))
             b = keep.size
     return results

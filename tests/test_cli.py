@@ -94,6 +94,7 @@ def test_reconstruct_round_trip(tmp_path, capsys, method):
     printed = capsys.readouterr().out
     if method == "bp":
         assert "converged=True, certified=False, primal_residual=" in printed
+        assert printed.rstrip().endswith(", pivots=0)")
 
 
 def test_reconstruct_ls_requires_support(tmp_path):
@@ -381,6 +382,19 @@ def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem
     ("dominating-curve", {"graph": {"kind": "random-geometric", "seed": 1,
                                     "params": {"n": 30, "radius": 0.3, "weighted": 1}}},
      "graph: weighted must be true or false, got 1"),
+    # a radius <= 0 builds edgeless fields (a HopPlanInfeasibleError traceback
+    # before), and a NaN distance factor wrote NaN powers
+    ("wsn", {"n": 16, "k": 3, "radius": -0.1}, "radius must be a finite number > 0, got -0.1"),
+    ("wsn", {"n": 16, "k": 3, "radius": 0}, "radius must be a finite number > 0, got 0"),
+    ("wsn", {"n": 16, "k": 3, "radius": float("nan")},
+     "radius must be a finite number > 0, got nan"),
+    ("wsn", {"n": 16, "k": 3, "radius": "0.2"}, "radius must be a finite number > 0, got '0.2'"),
+    ("wsn", {"n": 16, "k": 3, "bs_distance_factor": float("nan")},
+     "bs_distance_factor must be a finite number > 0, got nan"),
+    ("wsn", {"n": 16, "k": 3, "bs_distance_factor": float("inf")},
+     "bs_distance_factor must be a finite number > 0, got inf"),
+    ("wsn", {"n": 16, "k": 3, "bs_distance_factor": -5.0},
+     "bs_distance_factor must be a finite number > 0, got -5.0"),
 ])
 def test_experiment_refuses_bad_noise_levels_and_graph_counts(tmp_path, kind, payload, problem):
     test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem)

@@ -4,9 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgetrf
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.optimize import linprog
 
 import localagg as la
@@ -263,39 +262,11 @@ def _legacy_soft(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def _legacy_vertex(psi, y, support):
-    """Crossover on one support in textbook form: "singular", None (not
-    optimal) or (x, ||psi x - y||) when certified.
-
-    The vertex solves psi_S c = y, and it is optimal when some nu with
-    psi_S^T nu = sign(c) has ||psi^T nu||_inf <= 1 (the KKT conditions of
-    min ||x||_1 subject to psi x = y), checked to the crossover's tolerances.
-    """
-    m, n = psi.shape
-    psi_s = psi[:, support]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(psi_s)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= recon.CROSSOVER_PIVOT * pivots.max():
-        return "singular"
-    c = lu_solve((lu, piv), y)
-    r_norm = float(np.linalg.norm(psi_s @ c - y))
-    if r_norm > recon.CROSSOVER_FEAS * np.linalg.norm(y):
-        return None
-    nu = lu_solve((lu, piv), np.sign(c), trans=1)
-    if not np.all(np.isfinite(nu)) or np.max(np.abs(psi.T @ nu)) > 1.0 + recon.CROSSOVER_DUAL:
-        return None
-    x = np.zeros(n)
-    x[support] = c
-    return x, r_norm
-
-
 def _legacy_bp_l1(op, basis, y, params):
     """The balanced l1 loop in textbook form: one numpy call per step."""
     y = np.asarray(y, dtype=np.float64)
     psi = op.phi @ basis.u
-    m, n = psi.shape
+    n = psi.shape[1]
     pinv = pseudoinverse(psi)
     x_feas = pinv @ y
     scale = float(np.linalg.norm(x_feas))
@@ -313,9 +284,7 @@ def _legacy_bp_l1(op, basis, y, params):
     x = x_feas.copy()
     sqrt_n = np.sqrt(n)
     converged = certified = False
-    previous, tried = None, []  # the last check's support, the supports tried
-    degenerate = False
-    iterations = 0
+    iterations = pivots = 0
     r_norm = s_norm = float("nan")
     for it in range(1, params.max_iter + 1):
         x = project(z - u)
@@ -339,27 +308,21 @@ def _legacy_bp_l1(op, basis, y, params):
             elif s_norm > 10.0 * r_norm:
                 rho = rho / 2.0
                 u = u * 2.0
-        # crossover: from iteration 200, every 25th; the vertex of a support is
-        # tried when two checks in a row find it, once per solve, and a
-        # singular one ends the checks
-        if it >= 200 and it % 25 == 0 and m <= n and not degenerate:
-            ranked = sorted(range(n), key=lambda j: (abs(x[j]), j))
-            support = sorted(ranked[n - m:])
-            repeated = support == previous
-            previous = support
-            if repeated and support not in tried:
-                tried.append(support)
-                vertex = _legacy_vertex(psi, y, support)
-                degenerate = vertex == "singular"
-                if vertex is not None and not degenerate:
-                    x, r_norm = vertex
-                    converged = certified = True
-                    break
+        # crossover: a simplex finish at CROSSOVER_START and every
+        # CROSSOVER_EVERY iterations after it (tested on its own below)
+        since = it - recon.CROSSOVER_START
+        if since >= 0 and since % recon.CROSSOVER_EVERY == 0:
+            vertex, spent = recon._simplex_finish(psi, y, x)
+            pivots += spent
+            if vertex is not None:
+                x, r_norm = vertex
+                converged = certified = True
+                break
     xhat = scale * x
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
              "certified": certified, "primal_residual": scale * r_norm,
              "dual_residual": scale * s_norm, "objective": float(np.abs(xhat).sum()),
-             "rho": rho}
+             "rho": rho, "pivots": pivots}
     return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
@@ -401,8 +364,8 @@ def _blind_problem(name):
     elif name == "zero":
         y = np.zeros(op.m)
     elif name.startswith("crossover"):
-        # certified at iteration 650, a balancing one, and at 225, which is not
-        seed = {"crossover": 12, "crossover-225": 16}[name]
+        # certified at the first finish, after pivots and at the top-m vertex
+        seed = {"crossover": 12, "crossover-vertex": 16}[name]
         _, basis, op, _, x = _setup(n=30, m=18, k=7, seed=seed)
         y = la.measure(op, x)
     elif name == "tall":
@@ -415,7 +378,7 @@ def _blind_problem(name):
 
 _BLIND_CASES = ("default", "capped-3", "capped-50", "rho-0.5", "rho-1.3", "rho-2.0",
                 "rho-0.001", "rho-1000", "square", "community", "repeated-rows",
-                "inconsistent", "zero", "crossover", "tall", "crossover-225")
+                "inconsistent", "zero", "crossover", "tall", "crossover-vertex")
 
 
 @pytest.mark.parametrize("name", _BLIND_CASES)
@@ -447,13 +410,18 @@ def test_bp_byte_cases_cover_each_regime():
         assert not stats[name]["converged"] and stats[name]["iterations"] == cap
         assert np.isfinite(stats[name]["dual_residual"])
     assert stats["zero"]["converged"] and stats["zero"]["objective"] == 0.0
-    # the crossover certifies one solve past its first checks; the others end
-    # by the ADMM test, at the cap, or (tall) never try a vertex
+    # the crossover certifies two solves at the first finish, one after simplex
+    # pivots and one at the top-m vertex; the others end by the ADMM test, at
+    # the cap, or (tall) never try a vertex
     assert [name for name in _BLIND_CASES if stats[name]["certified"]] == ["crossover",
-                                                                           "crossover-225"]
-    assert stats["crossover"]["converged"] and stats["crossover"]["iterations"] == 650
-    assert stats["crossover-225"]["iterations"] == 225
-    assert stats["crossover"]["primal_residual"] <= 1e-9
+                                                                           "crossover-vertex"]
+    assert stats["crossover"]["converged"] and stats["crossover"]["pivots"] > 0
+    assert stats["crossover-vertex"]["pivots"] == 0
+    for name in ("crossover", "crossover-vertex"):
+        assert stats[name]["iterations"] == recon.CROSSOVER_START
+        assert stats[name]["primal_residual"] <= 1e-9
+    assert all(stats[name]["pivots"] == 0 for name in _BLIND_CASES
+               if not stats[name]["certified"])
     assert stats["tall"]["iterations"] == 300 and not stats["tall"]["converged"]
     for name, (op, basis, y, _) in problems.items():
         psi = op.phi @ basis.u
@@ -481,6 +449,7 @@ def _scaled_pair(c, seed=11):
 
 @given(st.integers(min_value=-40, max_value=40), st.sampled_from((1.0, -1.0)),
        st.integers(min_value=0, max_value=1000))
+@example(0, -1.0, 919)     # certified: the vertex's zeros must carry the sign too
 @settings(max_examples=20)
 def test_bp_power_of_two_scaling_is_exact(k, sign, seed):
     c = sign * 2.0 ** k
@@ -558,6 +527,18 @@ def test_soft_threshold_forms_agree_bit_for_bit(values, t):
 
 def _engine_block(name):
     """(problems, basis, params) of one named block of same-shape problems."""
+    if name == "degenerate":
+        # criterion 6's setting under uniform sampling: the m largest |x| give
+        # a singular psi_S, and the finish completes that basis and pivots
+        g = la.generate("community", {"n": 100, "n_communities": 5, "p_intra": 0.1,
+                                      "p_inter": 0.001}, seed=7)
+        basis = la.gft_basis(g)
+        problems = []
+        for s in (10, 11, 18, 39):
+            op = la.uniform_node_sampling(100, 50, seed=s)
+            spec = la.SparseSignalSpec.draw(100, 10, "random-support", seed=500 + s)
+            problems.append((op, la.measure(op, la.synthesize(basis, spec))))
+        return problems, basis, SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=4000)
     g = la.generate("erdos-renyi", {"n": 30, "p_e": 0.3}, seed=11)
     basis = la.gft_basis(g)
     plan = la.build_plan(g, 18, "insert-new")
@@ -575,7 +556,7 @@ def _engine_block(name):
         problems.append((op, (1e-3 if s == 4 else 1.0) * y))
     problems.insert(2, (problems[0][0], np.zeros(problems[0][0].m)))
     if name == "crossover":
-        problems.append(problems[5])    # its row must not inherit the tried supports
+        problems.append(problems[5])    # a repeated problem gets the same pivots
     params = {"default": SolverParams(),
               "capped-3": SolverParams(rho=1, max_iter=3),   # an int rho is reported as a float
               "capped-50": SolverParams(max_iter=50),
@@ -587,7 +568,7 @@ def _engine_block(name):
 
 
 _ENGINE_BLOCKS = ("default", "capped-3", "capped-50", "rho-0.001", "rho-1000", "repeated",
-                  "crossover")
+                  "crossover", "degenerate")
 # block budgets: one problem per block, two (slots refilled), all seven at once
 _ENGINE_BUDGETS = {"B1": 1, "B2": 2 * 16 * 22 * 30, "all": 1 << 22}
 
@@ -610,9 +591,10 @@ def test_engine_matches_bp_l1_byte_for_byte(monkeypatch, name, budget):
     assert len(many) == len(problems)
     for res, (op, y) in zip(many, problems):
         _assert_same_result(res, la.bp_l1(op, basis, y, params))
-    certified = {res.solver_stats["iterations"] for res in many if res.solver_stats["certified"]}
-    # rows of the crossover block are certified at two different iterations
-    assert len(certified) == (2 if name == "crossover" else 0)
+    certified = [res.solver_stats["pivots"] for res in many if res.solver_stats["certified"]]
+    # rows of the crossover block are certified with and without pivots, and
+    # degenerate rows only after pivots
+    assert sorted(certified) == {"crossover": [0, 0, 2], "degenerate": [20, 20, 28]}.get(name, [])
 
 
 def test_engine_blocks_cover_each_regime():
@@ -635,6 +617,8 @@ def test_engine_blocks_cover_each_regime():
     # repeated rows: consistent rows converge, inconsistent ones run to the cap
     repeated = stats["repeated"]
     assert [s["converged"] for s in repeated] == [True, False, True, True, False, True, False]
+    assert all(s["converged"] for s in stats["degenerate"])
+    assert [s["certified"] for s in stats["degenerate"]] == [True, False, True, True]
     # block sizes of the budgets: 1, 2 (fewer than the problems), all of them
     for budget, size in (("B1", 1), ("B2", 2), ("all", 7)):
         for name in ("default", "repeated"):
@@ -661,8 +645,9 @@ def test_engine_edge_cases():
 def test_certified_solves_are_lp_optimal(k, seed):
     # near and above the recovery transition most solves end at a vertex of 18
     # atoms; the exact LP (HiGHS, min 1'(p + q) s.t. psi (p - q) = y, p, q >= 0)
-    # must reach the same objective, and the vertex's own dual certificate
-    # must satisfy the KKT bound
+    # must reach the same objective, and a vertex with no zero basic atom
+    # (whose sign only the simplex knows) must pass the KKT bound with the dual
+    # of its signs
     g = la.generate("erdos-renyi", {"n": 30, "p_e": 0.3}, seed=11)
     basis = la.gft_basis(g)
     op = la.draw_operator(la.build_plan(g, 18, "insert-new"), seed=seed)
@@ -677,12 +662,14 @@ def test_certified_solves_are_lp_optimal(k, seed):
                  method="highs")
     assert lp.status == 0
     assert res.solver_stats["objective"] == pytest.approx(lp.fun, rel=1e-9)
-    assert res.solver_stats["converged"] and res.solver_stats["iterations"] >= 225
+    assert res.solver_stats["converged"]
+    assert res.solver_stats["iterations"] >= recon.CROSSOVER_START
     assert np.linalg.norm(psi @ xhat - y) <= 1e-9 * np.linalg.norm(y)
     support = np.flatnonzero(xhat)
-    assert support.size == m
-    nu = np.linalg.solve(psi[:, support].T, np.sign(xhat[support]))
-    assert np.abs(psi.T @ nu).max() <= 1.0 + recon.CROSSOVER_DUAL
+    assert support.size <= m
+    if support.size == m and np.abs(xhat[support]).min() > 1e-9 * np.abs(xhat).max():
+        nu = np.linalg.solve(psi[:, support].T, np.sign(xhat[support]))
+        assert np.abs(psi.T @ nu).max() <= 1.0 + recon.CROSSOVER_DUAL
 
 
 @pytest.mark.parametrize("psi, y, certified", [
@@ -695,29 +682,131 @@ def test_certified_solves_are_lp_optimal(k, seed):
 ])
 def test_crossover_needs_regular_pivots_and_an_exact_vertex(psi, y, certified):
     psi, y = np.array(psi), np.array(y)
-    x = np.array([5.0, 4.0, 0.0])              # S = {0, 1} at two checks in a row
-    first, _ = recon._crossover(psi, y, x, recon._FIRST_CHECK)
-    _, vertex = recon._crossover(psi, y, x, first)
-    assert (vertex is not None) is certified
+    x = np.array([5.0, 4.0, 0.0])              # S = {0, 1}, already optimal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vertex, pivots = recon._simplex_finish(psi, y, x)
+    assert (vertex is not None) is certified and pivots == 0
 
 
-def test_crossover_factors_each_support_once(monkeypatch):
-    # the checks of this solve find supports A B B B B C D D: B is factored
-    # once though four checks in a row find it, and D is certified
-    factored = []
+@pytest.mark.parametrize("third, y, sigma, certified", [
+    # signs of c: nu = (1, -1) bounds every |psi^T nu| by 1, and the gap is 0
+    (0.5, [1.0, -1.0], [1.0, -1.0], True),
+    # a wrong sign on a nonzero c: nu = (1, 1) is dual feasible, but the gap
+    # ||c||_1 - y^T nu is 2, so the vertex is not proved optimal
+    (0.5, [1.0, -1.0], [1.0, 1.0], False),
+    # signs of c and a zero gap, but the third atom prices at 1.6 > 1
+    (0.8, [1.0, 1.0], [1.0, 1.0], False),
+])
+def test_certificate_needs_feasibility_dual_bound_and_gap(third, y, sigma, certified):
+    psi = np.array([[1.0, 0.0, third], [0.0, 1.0, third]])
+    s = np.array([0, 1])
+    result = recon._certify(psi, np.array(y), s, np.array(sigma), recon._factor(psi[:, s]))
+    assert (result is not None) is certified
+    if certified:
+        assert result[0].tolist() == y and result[1] == 0.0
 
-    def recording_getrf(a):
-        factored.append(a.tobytes())
-        return dgetrf(a)
 
-    monkeypatch.setattr(recon, "dgetrf", recording_getrf)
-    g = la.generate("erdos-renyi", {"n": 30, "p_e": 0.3}, seed=11)
-    basis = la.gft_basis(g)
-    op = la.draw_operator(la.build_plan(g, 18, "insert-new"), seed=70)
-    spec = la.SparseSignalSpec.draw(30, 6, "random-support", seed=71)
-    stats = la.bp_l1(op, basis, la.measure(op, la.synthesize(basis, spec))).solver_stats
-    assert stats["certified"] and stats["iterations"] == 375
-    assert len(factored) == len(set(factored)) == 2
+def _lp_objective(psi, y):
+    """The exact l1 optimum (HiGHS, min 1'(p + q) s.t. psi (p - q) = y, p, q >= 0)."""
+    n = psi.shape[1]
+    lp = linprog(np.ones(2 * n), A_eq=np.hstack([psi, -psi]), b_eq=y, bounds=(0, None),
+                 method="highs")
+    assert lp.status == 0
+    return lp.fun, lp.x[:n] - lp.x[n:]
+
+
+def _finish(psi, y, x):
+    """_simplex_finish, checked to leave x alone and to warn about nothing."""
+    before = x.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vertex, pivots = recon._simplex_finish(psi, y, x)
+    assert _same_bytes(x, before)
+    return vertex, pivots
+
+
+def test_simplex_finish_certifies_a_regular_top_m_basis_without_pivots():
+    # the exact LP optimum of a Gaussian problem has m atoms; from it, and from
+    # any iterate whose m largest |x| are those atoms, the finish pivots nowhere
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((10, 30))
+    y = psi @ rng.standard_normal(30)
+    fun, optimum = _lp_objective(psi, y)
+    assert np.count_nonzero(np.abs(optimum) > 1e-9) == 10
+    top = np.abs(optimum).max()
+    for x in (optimum, optimum + 1e-3 * top * rng.standard_normal(30)):
+        vertex, pivots = _finish(psi, y, x)
+        assert vertex is not None and pivots == 0
+        assert np.abs(vertex[0] - optimum).max() <= 1e-9 * top
+        assert np.abs(vertex[0]).sum() == pytest.approx(fun, rel=1e-9)
+        assert vertex[1] == pytest.approx(np.linalg.norm(psi @ vertex[0] - y), abs=1e-14)
+
+
+def _degenerate_problem(kind):
+    """(psi, y, x) of a primal-degenerate LP and an iterate near its optimum."""
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal((20, 50))
+    x_true = np.zeros(50)
+    if kind == "sparse":
+        # k = 3 << m = 20: a basis of m atoms holds 17 zeros
+        x_true[[4, 17, 31]] = [1.0, -0.7, 0.4]
+    else:
+        # collinear columns, all of them among the m largest |x|: psi_S is singular
+        psi[:, 1] = psi[:, 0]
+        psi[:, 3] = -2.0 * psi[:, 2]
+        x_true[[0, 1, 2, 3, 10]] = [0.5, 0.5, 0.3, -0.3, 0.2]
+    x = x_true + 1e-4 * rng.standard_normal(50)
+    return psi, psi @ x_true, x
+
+
+@pytest.mark.parametrize("kind", ["sparse", "collinear"])
+def test_simplex_finish_certifies_degenerate_problems(kind):
+    psi, y, x = _degenerate_problem(kind)
+    m, n = psi.shape
+    top = np.sort(np.argsort(np.abs(x), kind="stable")[n - m:])
+    assert (np.linalg.matrix_rank(psi[:, top]) < m) == (kind == "collinear")
+    vertex, pivots = _finish(psi, y, x)
+    assert vertex is not None and pivots > 0
+    fun, _ = _lp_objective(psi, y)
+    assert np.abs(vertex[0]).sum() == pytest.approx(fun, rel=1e-9)
+    assert np.count_nonzero(vertex[0]) <= m
+    assert vertex[1] <= recon.CROSSOVER_FEAS * np.linalg.norm(y)
+
+
+def test_spent_budget_returns_none_and_leaves_the_iterates(monkeypatch):
+    # this solve needs 11 pivots at its first finish; with a budget of one it
+    # runs out, and the ADMM iterates after it are those of a solve whose
+    # finishes return at once: same bytes, only the pivot count differs
+    _, basis, op, _, x = _setup(n=30, m=18, k=7, seed=10)
+    y = la.measure(op, x)
+    params = SolverParams(max_iter=2 * recon.CROSSOVER_START - 1)
+    real, budget = recon._simplex_finish, recon.CROSSOVER_BUDGET
+    monkeypatch.setattr(recon, "CROSSOVER_BUDGET", 1.5 / op.m)
+    attempts = []
+
+    def recording(psi, y, x):
+        vertex, pivots = real(psi, y, x)
+        attempts.append((vertex, pivots))
+        return vertex, pivots
+
+    monkeypatch.setattr(recon, "_simplex_finish", recording)
+    spent = la.bp_l1(op, basis, y, params)
+    spent_many = la.bp_l1_many([(op, y)], basis, params)[0]
+    assert attempts == [(None, 1), (None, 1)]
+    monkeypatch.setattr(recon, "_simplex_finish", lambda psi, y, x: (None, 0))
+    idle = la.bp_l1(op, basis, y, params)
+    assert idle.solver_stats.pop("pivots") == 0
+    for res in (spent, spent_many):
+        assert res.solver_stats.pop("pivots") == 1
+        assert not res.solver_stats["certified"]
+        assert repr(res.solver_stats) == repr(idle.solver_stats)
+        assert _same_bytes(res.x_star, idle.x_star)
+    # with its full budget the same finish certifies at once
+    monkeypatch.setattr(recon, "CROSSOVER_BUDGET", budget)
+    monkeypatch.setattr(recon, "_simplex_finish", real)
+    certified = la.bp_l1(op, basis, y, params).solver_stats
+    assert certified["certified"] and certified["pivots"] == 11
 
 
 def _cluster_operator(n, m, members, rows, seed):
@@ -731,48 +820,46 @@ def _cluster_operator(n, m, members, rows, seed):
     return SamplingOperator(phi=phi)
 
 
-def test_singular_vertex_never_certifies_or_warns(monkeypatch):
-    # a uniform operator on the community graph leaves the vertex near
-    # singular (cond about 1e17), and a cluster with more rows (8) than members
-    # (5) makes every psi_S singular; neither is certified, and neither warns
-    singular = []
+def test_singular_basis_is_completed_without_warnings(monkeypatch):
+    # a uniform operator on the community graph leaves psi_S of the m largest
+    # |x| singular: the finish completes it with independent columns and
+    # certifies; a cluster with more rows (8) than members (5) leaves psi
+    # rank deficient, so no basis is regular and no finish certifies
+    completed = []
+    real = recon._independent_columns
 
-    def recording_getrf(a):
-        lu, piv, info = dgetrf(a)
-        pivots = np.abs(np.diag(lu))
-        singular.append(info > 0 or pivots.min() <= recon.CROSSOVER_PIVOT * pivots.max())
-        return lu, piv, info
+    def recording(psi, order):
+        s = real(psi, order)
+        completed.append(s is not None)
+        return s
 
-    monkeypatch.setattr(recon, "dgetrf", recording_getrf)
+    monkeypatch.setattr(recon, "_independent_columns", recording)
     community = la.generate("community", {"n": 100, "n_communities": 5, "p_intra": 0.1,
                                           "p_inter": 0.001}, seed=7)
     field = la.generate("random-geometric", {"n": 60, "radius": 0.3}, seed=3)
     cases = [(la.uniform_node_sampling(100, 50, seed=10), la.gft_basis(community), 10, 510,
-              SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=4000)),
-             (_cluster_operator(60, 30, np.arange(5), 8, seed=8), la.gft_basis(field), 8, 908,
-              SolverParams(max_iter=3000))]
-    for op, basis, k, signal_seed, params in cases:
+              SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=4000), True),
+             (_cluster_operator(60, 30, np.arange(5), 8, seed=8), la.gft_basis(field), 8, 906,
+              SolverParams(max_iter=1000), False)]
+    for op, basis, k, signal_seed, params, certified in cases:
         spec = la.SparseSignalSpec.draw(basis.n, k, "random-support", seed=signal_seed)
         y = la.measure(op, la.synthesize(basis, spec))
-        singular.clear()
+        completed.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = la.bp_l1(op, basis, y, params)
-            # the first support factored is singular, and it ends the checks
-            assert singular == [True]
             many = la.bp_l1_many([(op, y)], basis, params)[0]
-        assert not res.solver_stats["certified"]
-        assert res.solver_stats["iterations"] > recon.CROSSOVER_START + recon.CROSSOVER_EVERY
+        assert res.solver_stats["certified"] is certified
+        checks = range(recon.CROSSOVER_START, params.max_iter + 1, recon.CROSSOVER_EVERY)
+        attempts = 1 if certified else len(checks)
+        assert attempts >= 1 and completed == 2 * attempts * [certified]
         _assert_same_result(many, res)
-    # an exactly singular psi_S (a zero column) stops at getrf's info, where
-    # lu_factor would warn
-    psi = np.hstack([np.eye(3), np.zeros((3, 1))])
-    x = np.array([1.0, 0.0, 2.0, 3.0])         # S = {0, 2, 3} at two checks in a row
-    singular.clear()
+    # an exactly singular psi_S (a zero column) and no column to complete it
+    # with: getrf's info refuses it where lu_factor would warn
+    psi = np.hstack([np.eye(3)[:, :2], np.zeros((3, 2))])
+    x = np.array([1.0, 2.0, 3.0, 0.0])
+    assert _finish(psi, np.array([1.0, 1.0, 0.0]), x) == (None, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        first, _ = recon._crossover(psi, np.ones(3), x, recon._FIRST_CHECK)
-        check, vertex = recon._crossover(psi, np.ones(3), x, first)
         with pytest.raises(LinAlgWarning):
-            lu_factor(psi[:, [0, 2, 3]])
-    assert check is None and vertex is None and singular == [True]
+            lu_factor(psi[:, [0, 1, 2]])

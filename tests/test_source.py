@@ -1,5 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it, and numpy
-is reached through its public API only."""
+"""Source hygiene: every name a library module imports is used in it, numpy is
+reached through its public API only, and no heavy scipy module is loaded."""
 
 import ast
 import os
@@ -97,3 +97,35 @@ def test_import_leaves_scipy_spatial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _optimize_imports(source: str) -> list[str]:
+    """Imports of scipy.optimize or any of its submodules, at any depth."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
+               for name in names):
+            hits.append(f"line {node.lineno}")
+    return hits
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_scipy_optimize(path):
+    # importing scipy.optimize raised perfbench peak_rss_mb by 16.7 MB on
+    # blind-community (69.1 -> 85.9 MB, +24 %); the exact LP (linprog/HiGHS)
+    # stays a test-only oracle and recon finishes l1 solves with its own simplex
+    assert _optimize_imports(path.read_text()) == []
+
+
+def test_scan_flags_scipy_optimize():
+    source = ("import scipy.optimize\nfrom scipy import optimize\n"
+              "from scipy.optimize import linprog\n"
+              "def f():\n    import scipy.optimize._linprog as lp\n"
+              "from scipy import linalg\nimport scipy.optimizer_ish\n")
+    assert _optimize_imports(source) == ["line 1", "line 2", "line 3", "line 5"]
