@@ -5,25 +5,42 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import harness
 from .graph import generate, load_edge_list, save_edge_list
 from .recon import bp_l1, check_support, ls_known_support
-from .sampler import SamplingOperator, build_plan, draw_operator, plan_to_json
+from .sampler import (PoolExhaustedError, SamplingOperator, build_plan, draw_operator,
+                      plan_to_json)
 from .spectral import BASIS_TAGS, build_basis, load_matrix_csv, save_matrix_csv
 
 
 def _cmd_generate(args):
-    params = json.loads(args.params)
-    graph = generate(args.kind, params, args.seed)
+    try:
+        params = json.loads(args.params)
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"--params {args.params}: {exc}") from None
+    if not isinstance(params, dict):
+        raise SystemExit(f"--params must be a JSON object, got {args.params}")
+    try:
+        graph = generate(args.kind, params, args.seed)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     positions_out = args.positions_out if graph.positions is not None else None
     save_edge_list(graph, args.out, positions_path=positions_out)
     print(f"wrote {graph.n} nodes, {graph.num_edges} edges to {args.out}")
 
 
 def _cmd_sample(args):
-    graph = load_edge_list(args.graph, positions_path=args.positions)
-    plan = build_plan(graph, args.m, args.strategy, seed=args.seed)
+    try:
+        # the loader's message starts with the file name and line
+        graph = load_edge_list(args.graph, positions_path=args.positions)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    try:
+        plan = build_plan(graph, args.m, args.strategy, seed=args.seed)
+    except (ValueError, PoolExhaustedError) as exc:
+        raise SystemExit(f"--m {args.m}: {exc}") from None
     with open(args.plan_out, "w") as fh:
         fh.write(plan_to_json(plan) + "\n")
     print(f"plan: m={plan.m} p={plan.p} strategy={plan.strategy} "
@@ -62,70 +79,26 @@ def _cmd_reconstruct(args):
     print(f"wrote reconstruction to {args.out} ({stats})")
 
 
-def _load_config(path) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if "output" in payload:
-        raise SystemExit("config key 'output' is not read: pass the CSV path with --out")
-    return payload
-
-
-def _apply_overrides(payload: dict, args) -> dict:
-    given = [f"--{name}" for name in ("seed", "trials") if getattr(args, name) is not None]
-    if given and args.what == "dominating-curve":
-        raise SystemExit(f"dominating-curve has no trials and no master seed; "
-                         f"drop {' and '.join(given)}")
-    if args.seed is not None:
-        payload["master_seed"] = args.seed
-    if args.trials is not None:
-        payload["trials"] = args.trials
-    return payload
-
-
-_FIELDS = {
-    "known-support": ["sampler", "sweep_variable", "sweep_value", "mean_mse_db", "trials"],
-    "unknown-support": ["sampler", "sweep_variable", "sweep_value", "recovery_prob", "trials"],
-    "condition-table": ["method", "m", "median_cond", "trials"],
-    "dominating-curve": ["p", "dominating_size"],
-    "wsn": ["method", "m", "mean_power", "mean_power_intra", "mean_power_bs",
-            "mean_mse_db", "trials", "head_redraws"],
-}
-
-
-def _run_kind(kind: str, payload: dict) -> tuple[list[dict], int, dict]:
-    """Rows, master seed and hashed config payload of one experiment kind."""
-    if kind in ("known-support", "unknown-support"):
-        config = harness.ExperimentConfig.from_dict(payload)
-        run = (harness.run_known_support if kind == "known-support"
-               else harness.run_unknown_support)
-        return run(config), config.master_seed, config.to_dict()
-    if kind == "wsn":
-        scenario = harness.WsnScenario.from_dict(payload)
-        return harness.wsn_experiment(scenario), scenario.master_seed, scenario.to_dict()
-    if kind == "condition-table":
-        harness.check_keys(payload, ("graph", "k", "m_values", "trials", "master_seed",
-                                     "methods"), "config", required=("graph", "k", "m_values"))
-        spec = harness.GraphSpec.from_dict(payload["graph"])
-        seed = payload.get("master_seed", 0)
-        rows = harness.condition_table(spec, payload["k"], payload["m_values"],
-                                       payload.get("trials", 10), seed,
-                                       methods=tuple(payload.get(
-                                           "methods", ("proposed-insert", "successive"))))
-        return rows, seed, payload
-    if kind == "dominating-curve":
-        harness.check_keys(payload, ("graph", "p_max"), "config", required=("graph",))
-        spec = harness.GraphSpec.from_dict(payload["graph"])
-        return harness.dominating_curve(spec, payload.get("p_max", 4)), spec.seed, payload
-    raise SystemExit(f"unknown experiment {kind!r}")
-
-
 def _cmd_experiment(args):
-    payload = _apply_overrides(_load_config(args.config), args)
+    config_class, run, columns = harness.EXPERIMENTS[args.what]
+    given = {"--seed": ("master_seed", args.seed), "--trials": ("trials", args.trials)}
+    overrides = {key: value for key, value in given.values() if value is not None}
+    if not overrides.keys() <= {f.name for f in fields(config_class)}:
+        named = " and ".join(opt for opt, (_, value) in given.items() if value is not None)
+        raise SystemExit(f"{args.what} has no trials and no master seed; drop {named}")
+    with open(args.config) as fh:
+        payload = json.load(fh)
+    if isinstance(payload, dict):  # from_dict refuses any other JSON value
+        if "output" in payload:
+            raise SystemExit("config key 'output' is not read: pass the CSV path with --out")
+        payload.update(overrides)
     try:
-        rows, seed, meta_payload = _run_kind(args.what, payload)
+        config = config_class.from_dict(payload)
+        rows = run(config)
     except harness.ConfigError as exc:
         raise SystemExit(f"{args.config}: {exc}") from None
-    harness.write_csv(args.out, rows, _FIELDS[args.what], harness.result_meta(meta_payload, seed))
+    harness.write_csv(args.out, rows, columns,
+                      harness.result_meta(config.to_dict(), config.master_seed))
     print(f"wrote {len(rows)} rows to {args.out}")
 
 
@@ -165,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_reconstruct)
 
     e = sub.add_parser("experiment", help="run a seeded experiment from a JSON config")
-    e.add_argument("what", choices=tuple(_FIELDS))
+    e.add_argument("what", choices=tuple(harness.EXPERIMENTS))
     e.add_argument("--config", required=True)
     e.add_argument("--seed", type=int, default=None, help="override master seed")
     e.add_argument("--trials", type=int, default=None, help="override trial count")

@@ -387,12 +387,19 @@ def generate(kind: str, params: dict, seed: int) -> Graph:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown parameters for {kind}: {sorted(unknown)}")
+    missing = sorted(allowed - set(params) - {"weighted"})  # the one optional parameter
+    if missing:
+        raise ValueError(f"missing parameter {', '.join(map(repr, missing))}")
     # a count such as "n": 40.7 is refused, not truncated
     for key in ("n", "n_communities", "rows", "cols", "ring_degree"):
         if key in params:
             check_int(key, params[key])
     if "weighted" in params and not isinstance(params["weighted"], (bool, np.bool_)):
         raise ValueError(f"weighted must be true or false, got {params['weighted']!r}")
+    for key in ("p_e", "p_intra", "p_inter", "rewire_prob", "radius"):
+        if key in params and (isinstance(params[key], bool)
+                              or not isinstance(params[key], numbers.Real)):
+            raise ValueError(f"{key} must be a real number, got {params[key]!r}")
     for key in ("p_e", "p_intra", "p_inter", "rewire_prob"):
         if key in params and not 0.0 < float(params[key]) <= 1.0:
             raise ValueError(f"{key} must lie in (0, 1]")

@@ -14,7 +14,8 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import MISSING, dataclass, field, fields, asdict, replace
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -78,24 +79,50 @@ class ConfigError(ValueError):
     """An experiment config holds a key that nothing reads or a value that no run takes."""
 
 
-def check_keys(d: dict, accepted, where: str, required=()) -> None:
-    """Refuse keys of ``d`` outside ``accepted``, so a typo does not go unread,
-    and refuse ``d`` if it lacks one of ``required``."""
-    unknown = sorted(set(d) - set(accepted))
+def _typed(label: str, value, json_type: type):
+    """``value`` if it is a JSON list (``json_type`` list) or object (dict)."""
+    if not isinstance(value, json_type):
+        raise ConfigError(f"{label} must be {'a list' if json_type is list else 'an object'}, "
+                          f"got {value!r}")
+    return value
+
+
+def _read(d, where: str, types: dict, required=(), checks: dict | None = None) -> dict:
+    """The values of the JSON object ``d``, read by ``types`` (key -> field
+    annotation) and checked by ``checks`` (key -> check); an unknown key, so a
+    typo, and a missing required one are refused."""
+    unknown = sorted(set(_typed(where, d, dict)) - set(types))
     if unknown:
         raise ConfigError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-                          f"accepted: {', '.join(sorted(accepted))}")
+                          f"accepted: {', '.join(sorted(types))}")
     missing = [key for key in required if key not in d]
     if missing:
         raise ConfigError(f"missing {where} key(s) {', '.join(map(repr, missing))}")
+    values = {}
+    for key, value in d.items():
+        reader = _READERS.get(types[key])
+        label = key if where == "config" else f"{where} {key}"  # e.g. "graph seed"
+        values[key] = value if reader is None else reader(label, value)
+        if checks and key in checks:
+            checks[key](label, values[key])
+    return values
 
 
-def _solver_from_dict(d: dict) -> SolverParams:
-    check_keys(d, [f.name for f in fields(SolverParams)], "solver")
+def _solver_from_dict(d) -> SolverParams:
+    values = _read(d, "solver", *_schema(SolverParams))
     try:
-        return SolverParams(**d)
+        return SolverParams(**values)
     except ValueError as exc:
         raise ConfigError(f"solver {exc}") from None
+
+
+# how _read reads a value, by the annotation of its field
+_READERS = {
+    "tuple": lambda label, value: tuple(_typed(label, value, list)),
+    "dict": lambda label, value: dict(_typed(label, value, dict)),
+    "GraphSpec": lambda label, value: GraphSpec.from_dict(value),
+    "SolverParams": lambda label, value: _solver_from_dict(value),
+}
 
 
 def _check_real(name: str, value, positive: bool = False) -> None:
@@ -106,39 +133,70 @@ def _check_real(name: str, value, positive: bool = False) -> None:
                           f"got {value!r}")
 
 
-def _check_samplers(tags) -> None:
+def _check_samplers(_label, tags) -> None:
     for tag in tags:
         if tag not in SAMPLER_TAGS:
             raise ConfigError(f"unknown sampler tag {tag!r}")
 
 
+# the value checks of the config tables, each called as check(label, value)
+_count = partial(check_int, minimum=1, error=ConfigError)
+_seed = partial(check_int, error=ConfigError)
+_positive = partial(_check_real, positive=True)
+
+
+def _counts(label: str, values) -> None:
+    for value in values:
+        _count(f"{label} entry", value)
+
+
+def _schema(cls) -> tuple[dict, list]:
+    """The annotation of each field of a dataclass by name, and the fields without a default."""
+    return ({f.name: f.type for f in fields(cls)},
+            [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING])
+
+
+class _Config:
+    """A config that one JSON object spells out: its keys are the dataclass
+    fields, and those without a default are required.  ``CHECKS`` maps a field
+    to the check of its value, which ``from_dict`` runs as it reads the value."""
+
+    WHERE = "config"
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**_read(d, cls.WHERE, *_schema(cls), cls.CHECKS))
+
+    def check(self):
+        """Run ``CHECKS`` on a config built in code; return the config."""
+        for name, rule in self.CHECKS.items():
+            rule(name, getattr(self, name))
+        return self
+
+    def to_dict(self) -> dict:
+        """The JSON object of the config; a field left as None is left out."""
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items() if value is not None}
+
+
 @dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(_Config):
     kind: str
     params: dict
     seed: int
+
+    WHERE = "graph"
+    CHECKS = {"seed": partial(check_int, minimum=0, error=ConfigError)}
 
     def build(self) -> Graph:
         try:
             return generate(self.kind, self.params, self.seed)
         except ValueError as exc:
             raise ConfigError(f"graph: {exc}") from None
-        except KeyError as exc:
-            # the builders index params by the names they need
-            raise ConfigError(f"graph: missing parameter {exc.args[0]!r}") from None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GraphSpec":
-        check_keys(d, ("kind", "params", "seed"), "graph", required=("kind", "params", "seed"))
-        check_int("graph seed", d["seed"], 0, ConfigError)
-        return cls(kind=d["kind"], params=dict(d["params"]), seed=d["seed"])
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Config):
     """Knobs for the known- and unknown-support sweeps."""
 
     graph: GraphSpec
@@ -154,27 +212,28 @@ class ExperimentConfig:
     fixed_m: int | None = None
     solver: SolverParams = field(default_factory=SolverParams)
 
+    # a count such as "trials": 2.5 is refused, not truncated; score_cell adds
+    # noise only when sigma > 0, so a NaN or negative level would run
+    # noiseless under its own label
+    CHECKS = {"k": _count, "trials": _count, "master_seed": _seed, "sigma": _check_real,
+              "samplers": _check_samplers}
+
     def __post_init__(self):
         self.samplers = tuple(self.samplers)
         self.sweep_values = tuple(self.sweep_values)
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        self.check()
+        self.sigma = float(self.sigma)
+        if self.fixed_m is not None:
+            _count("fixed_m", self.fixed_m)
         if self.sweep_variable not in ("m", "sigma"):
             raise ConfigError("sweep_variable must be 'm' or 'sigma'")
         if not self.sweep_values:
             raise ConfigError("sweep_values must be nonempty")
-        # score_cell adds noise only when sigma > 0, so a NaN or negative level
-        # would run noiseless under its own label
-        _check_real("sigma", self.sigma)
-        self.sigma = float(self.sigma)
-        if self.sweep_variable == "sigma":
-            for value in self.sweep_values:
-                _check_real("swept sigma", value)
+        swept = _count if self.sweep_variable == "m" else _check_real
+        for value in self.sweep_values:
+            swept(f"swept {self.sweep_variable}", value)
         if list(self.sweep_values) != sorted(set(self.sweep_values)):
             raise ConfigError("sweep values must be strictly increasing")
-        _check_samplers(self.samplers)
         if self.basis not in BASIS_TAGS:
             raise ConfigError(f"unknown basis {self.basis!r}, expected one of {BASIS_TAGS}")
         if self.signal_model not in SIGNAL_MODELS:
@@ -183,53 +242,49 @@ class ExperimentConfig:
         if self.sweep_variable == "sigma" and self.fixed_m is None:
             raise ConfigError("sweeping sigma requires fixed_m")
 
+    # the file nests the sweep as {"sweep": {"variable": ..., "values": [...]}}
     def to_dict(self) -> dict:
-        d = {
-            "graph": self.graph.to_dict(),
-            "k": self.k,
-            "samplers": list(self.samplers),
-            "basis": self.basis,
-            "signal_model": self.signal_model,
-            "sweep": {"variable": self.sweep_variable,
-                      "values": list(self.sweep_values)},
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "sigma": self.sigma,
-            "solver": asdict(self.solver),
-        }
-        if self.fixed_m is not None:
-            d["fixed_m"] = self.fixed_m
+        d = super().to_dict()
+        d["sweep"] = {"variable": d.pop("sweep_variable"), "values": d.pop("sweep_values")}
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        check_keys(d, ("graph", "k", "samplers", "basis", "signal_model", "sweep", "trials",
-                       "master_seed", "sigma", "fixed_m", "solver"), "config",
-                   required=("graph", "k"))
-        solver = _solver_from_dict(d.get("solver", {}))
-        sweep = d.get("sweep", {})
-        check_keys(sweep, ("variable", "values"), "sweep")
-        # a count such as "trials": 2.5 is refused, not truncated
-        for name, minimum in (("k", 1), ("trials", 1), ("master_seed", None), ("fixed_m", 1)):
-            if name in d:
-                check_int(name, d[name], minimum, ConfigError)
-        if sweep.get("variable", "m") == "m":
-            for m in sweep.get("values", ()):
-                check_int("swept m", m, 1, ConfigError)
-        return cls(
-            graph=GraphSpec.from_dict(d["graph"]),
-            k=d["k"],
-            samplers=tuple(d.get("samplers", ("proposed-insert",))),
-            basis=d.get("basis", "gft-normalized"),
-            signal_model=d.get("signal_model", "bandlimited"),
-            sweep_variable=sweep.get("variable", "m"),
-            sweep_values=tuple(sweep.get("values", ())),
-            trials=d.get("trials", 1),
-            master_seed=d.get("master_seed", 0),
-            sigma=d.get("sigma", 0.0),
-            fixed_m=d.get("fixed_m"),
-            solver=solver,
-        )
+        types, required = _schema(cls)
+        sweep_types = {key: types.pop(f"sweep_{key}") for key in ("variable", "values")}
+        values = _read(d, cls.WHERE, dict(types, sweep="dict"), required)
+        sweep = _read(values.pop("sweep", {}), "sweep", sweep_types)
+        return cls(**values, **{f"sweep_{key}": value for key, value in sweep.items()})
+
+
+@dataclass
+class ConditionTableConfig(_Config):
+    """Knobs for the conditioning table."""
+
+    graph: GraphSpec
+    k: int
+    m_values: tuple
+    trials: int = 10
+    master_seed: int = 0
+    methods: tuple = ("proposed-insert", "successive")
+
+    CHECKS = {"methods": _check_samplers, "k": _count, "trials": _count, "master_seed": _seed,
+              "m_values": _counts}
+
+
+@dataclass
+class DominatingCurveConfig(_Config):
+    """Knobs for the dominating-set curve."""
+
+    graph: GraphSpec
+    p_max: int = 4
+
+    CHECKS = {"p_max": _count}
+
+    @property
+    def master_seed(self) -> int:
+        """The seed a result table names: the curve's only randomness is its graph's."""
+        return self.graph.seed
 
 
 class _OperatorFactory:
@@ -269,12 +324,9 @@ class _OperatorFactory:
         raise ValueError(f"unknown sampler tag {tag!r}")
 
 
-def _check_k_fits(k: int, graph: Graph) -> None:
+def _check_fits(graph: Graph, k: int, samplers, m: int) -> None:
     if k > graph.n:
         raise ConfigError(f"k must be <= the graph's n = {graph.n}, got {k}")
-
-
-def _check_m_fits(samplers, m: int, graph: Graph) -> None:
     for tag in samplers:
         if tag in AT_MOST_N and m > graph.n:
             raise ConfigError(f"m must be <= the graph's n = {graph.n} for sampler {tag!r}, "
@@ -290,9 +342,8 @@ def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[di
     through op, drawing it only when asked for.
     """
     graph = config.graph.build()
-    _check_k_fits(config.k, graph)
     m_max = max(config.sweep_values) if config.sweep_variable == "m" else config.fixed_m
-    _check_m_fits(config.samplers, m_max, graph)
+    _check_fits(graph, config.k, config.samplers, m_max)
     basis = build_basis(graph, config.basis)
     factory = _OperatorFactory(graph, basis)
     rows = []
@@ -370,54 +421,55 @@ def run_unknown_support(config: ExperimentConfig) -> list[dict]:
     return _sweep(config, "recovery_prob", float, score_cell)
 
 
-def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int,
-                    master_seed: int, methods=("proposed-insert", "successive")) -> list[dict]:
+def run_condition_table(config: ConditionTableConfig) -> list[dict]:
     """Median conditioning of the support-restricted system per method and m.
 
     Each trial regenerates the graph, draws a random size-k support, realizes
     each method's operator and records cond(Phi @ U restricted to the support).
     """
-    _check_samplers(methods)
-    check_int("k", k, 1, ConfigError)
-    check_int("trials", trials, 1, ConfigError)
-    check_int("master_seed", master_seed, None, ConfigError)
-    m_values = list(m_values)
-    for m in m_values:
-        check_int("m_values entry", m, 1, ConfigError)
+    ms, methods, m_values = config.master_seed, config.methods, config.m_values
     conds: dict = {(meth, m): [] for meth in methods for m in m_values}
-    for t in range(trials):
-        g = replace(graph_spec, seed=derive_seed(master_seed, "graph", t)).build()
-        _check_k_fits(k, g)
-        _check_m_fits(methods, max(m_values, default=0), g)
+    for t in range(config.trials):
+        g = replace(config.graph, seed=derive_seed(ms, "graph", t)).build()
+        _check_fits(g, config.k, methods, max(m_values, default=0))
         basis = gft_basis(g, normalized=True)
         factory = _OperatorFactory(g, basis)
-        rng = np.random.default_rng(derive_seed(master_seed, "support", t))
-        support = np.sort(rng.choice(g.n, size=k, replace=False))
+        rng = np.random.default_rng(derive_seed(ms, "support", t))
+        support = np.sort(rng.choice(g.n, size=config.k, replace=False))
         u_s = basis.u[:, support]
         for meth in methods:
             for m in m_values:
                 draw = "unif" if meth == "uniform" else "draw"
-                op = factory.operator(meth, m, support, derive_seed(master_seed, draw, t, m),
-                                      derive_seed(master_seed, "plan", t, m))
+                op = factory.operator(meth, m, support, derive_seed(ms, draw, t, m),
+                                      derive_seed(ms, "plan", t, m))
                 conds[(meth, m)].append(condition_number(op.phi @ u_s))
     return [{"method": meth, "m": m, "median_cond": float(np.median(conds[(meth, m)])),
-             "trials": trials}
+             "trials": config.trials}
             for meth in methods for m in m_values]
 
 
-def dominating_curve(graph_spec: GraphSpec, p_max: int) -> list[dict]:
+def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int, master_seed: int,
+                    methods=ConditionTableConfig.methods) -> list[dict]:
+    return run_condition_table(ConditionTableConfig(graph_spec, k, m_values, trials,
+                                                    master_seed, methods).check())
+
+
+def run_dominating_curve(config: DominatingCurveConfig) -> list[dict]:
     """Greedy dominating-set size of the p-hop expansion for p = 1..p_max."""
-    check_int("p_max", p_max, 1, ConfigError)
-    graph = graph_spec.build()
+    graph = config.graph.build()
     return [{"p": p, "dominating_size": int(p_hop_graph(graph, p).dominating_set.size)}
-            for p in range(1, p_max + 1)]
+            for p in range(1, config.p_max + 1)]
+
+
+def dominating_curve(graph_spec: GraphSpec, p_max: int) -> list[dict]:
+    return run_dominating_curve(DominatingCurveConfig(graph_spec, p_max).check())
 
 
 # ---------------------------------------------------------------------------
 # sensor-network tradeoff
 
 @dataclass
-class WsnScenario:
+class WsnScenario(_Config):
     """Random sensor field reporting compressed samples to a far base station."""
 
     n: int = 250
@@ -430,7 +482,15 @@ class WsnScenario:
     master_seed: int = 0
     solver: SolverParams = field(default_factory=SolverParams)
 
+    # a radius <= 0 leaves the fields edgeless and a NaN one pairs every node;
+    # a NaN distance factor writes NaN powers
+    CHECKS = {"n": _count, "k": _count, "trials": _count, "master_seed": _seed,
+              "cluster_head_counts": _counts, "m_values": _counts,
+              "radius": _positive, "bs_distance_factor": _positive}
+
     def __post_init__(self):
+        # no check() here: the wsn-field benchmark builds 256 scenarios in its
+        # timed set-up, which checks there made 1.8x slower
         self.cluster_head_counts = tuple(self.cluster_head_counts)
         self.m_values = tuple(self.m_values)
         if self.trials < 1:
@@ -440,31 +500,6 @@ class WsnScenario:
         for nc in self.cluster_head_counts:
             if not 1 <= nc <= self.n:
                 raise ConfigError("cluster head counts must lie in [1, n]")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["cluster_head_counts"] = list(self.cluster_head_counts)
-        d["m_values"] = list(self.m_values)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WsnScenario":
-        check_keys(d, [f.name for f in fields(cls)], "config")
-        for name, minimum in (("n", 1), ("k", 1), ("trials", 1), ("master_seed", None)):
-            if name in d:
-                check_int(name, d[name], minimum, ConfigError)
-        for name in ("cluster_head_counts", "m_values"):
-            for v in d.get(name, ()):
-                check_int(f"{name} entry", v, 1, ConfigError)
-        # a radius <= 0 leaves the fields edgeless and a NaN one pairs every
-        # node; a NaN distance factor writes NaN powers
-        for name in ("radius", "bs_distance_factor"):
-            if name in d:
-                _check_real(name, d[name], positive=True)
-        d = dict(d)
-        if "solver" in d:
-            d["solver"] = _solver_from_dict(d["solver"])
-        return cls(**d)
 
 
 def _spatial_dct_basis(positions: np.ndarray) -> OrthoBasis:
@@ -597,6 +632,20 @@ def _draw_clusters(scenario: WsnScenario, pos: np.ndarray, trial: int, nc: int):
         if all(ms.size > 0 for ms in members):
             return heads, members, attempt + 1
     raise RuntimeError("could not draw a clustering without empty clusters")
+
+
+EXPERIMENTS = {  # experiment kind -> (config class, run, CSV columns)
+    "known-support": (ExperimentConfig, run_known_support,
+                      ["sampler", "sweep_variable", "sweep_value", "mean_mse_db", "trials"]),
+    "unknown-support": (ExperimentConfig, run_unknown_support,
+                        ["sampler", "sweep_variable", "sweep_value", "recovery_prob", "trials"]),
+    "condition-table": (ConditionTableConfig, run_condition_table,
+                        ["method", "m", "median_cond", "trials"]),
+    "dominating-curve": (DominatingCurveConfig, run_dominating_curve, ["p", "dominating_size"]),
+    "wsn": (WsnScenario, wsn_experiment,
+            ["method", "m", "mean_power", "mean_power_intra", "mean_power_bs", "mean_mse_db",
+             "trials", "head_redraws"]),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,18 @@ def test_experiment_dominating_curve_refuses_seed_and_trials(tmp_path, overrides
     assert not out.exists()
 
 
+def test_experiment_hash_reads_omitted_defaults_as_spelled_out(tmp_path):
+    # the header hashes the config as read, so leaving out a default is the same config
+    short = {"graph": _graph_payload(), "k": 2, "m_values": [4]}
+    spelled = dict(short, trials=10, master_seed=0, methods=["proposed-insert", "successive"])
+    for name, payload in (("short", short), ("spelled", spelled)):
+        (tmp_path / name).mkdir()
+        _run("experiment", "condition-table", "--config", _write_config(tmp_path / name, payload),
+             "--out", tmp_path / name / "cond.csv")
+    assert (tmp_path / "short" / "cond.csv").read_bytes() == \
+        (tmp_path / "spelled" / "cond.csv").read_bytes()
+
+
 def test_experiment_requires_output(tmp_path, capsys):
     payload = {"graph": _graph_payload(), "k": 3,
                "samplers": ["proposed-insert"],
@@ -345,6 +357,25 @@ def _blind_payload(**changes):
      "m must be <= the graph's n = 18 for sampler 'minpinv', got 19"),
     ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4, 30]},
      "m must be <= the graph's n = 18 for sampler 'proposed-insert', got 30"),
+    # a key that holds a list or an object refuses any other JSON type
+    ("wsn", {"n": 16, "k": 3, "m_values": 8}, "m_values must be a list, got 8"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": 8},
+     "m_values must be a list, got 8"),
+    ("unknown-support", _blind_payload(sweep={"values": 6}), "sweep values must be a list, got 6"),
+    ("unknown-support", _blind_payload(solver=5), "solver must be an object, got 5"),
+    ("wsn", {"n": 16, "k": 3, "solver": 5}, "solver must be an object, got 5"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4],
+                         "methods": "uniform"}, "methods must be a list, got 'uniform'"),
+    ("known-support", _blind_payload(graph="er"), "graph must be an object, got 'er'"),
+    ("dominating-curve", [1, 2], "config must be an object, got [1, 2]"),
+    ("known-support", _blind_payload(samplers="uniform"),
+     "samplers must be a list, got 'uniform'"),
+    ("known-support", _blind_payload(sweep=[6]), "sweep must be an object, got [6]"),
+    ("dominating-curve", {"graph": dict(_graph_payload(), params=[1])},
+     "graph params must be an object, got [1]"),
+    ("known-support",
+     _blind_payload(graph=dict(_graph_payload(), params={"n": 18, "p_e": "0.3"})),
+     "graph: p_e must be a real number, got '0.3'"),
 ])
 def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem):
     # Python's json reads and writes NaN, so a config file can carry one; the
@@ -471,3 +502,33 @@ def test_reconstruct_names_files_that_do_not_fit_the_graph(tmp_path):
         _run(*argv)
     assert str(info.value) == (f"{tmp_path / 'phi.csv'}, {tmp_path / 'y.csv'}: "
                                "operator has 4 columns but the basis has 3 nodes")
+
+
+def _sample_inputs(tmp_path):
+    _run("generate", "--kind", "cycle", "--params", '{"n": 6}', "--out", tmp_path / "c6.txt")
+    (tmp_path / "loop.txt").write_text("3\n0 1\n1 1\n")
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["generate", "--kind", "cycle", "--params", "notjson"],
+     "--params notjson: Expecting value: line 1 column 1 (char 0)"),
+    (["generate", "--kind", "cycle", "--params", "[6]"],
+     "--params must be a JSON object, got [6]"),
+    (["generate", "--kind", "torus", "--params", '{"n": 6}'],
+     f"unknown graph kind 'torus', expected one of {la.graph.GENERATOR_KINDS}"),
+    (["generate", "--kind", "cycle", "--params", '{"n": 2}'], "cycle needs at least 3 nodes"),
+    (["generate", "--kind", "erdos-renyi", "--params", '{"n": 6, "p_e": null}'],
+     "p_e must be a real number, got None"),
+    (["sample", "--graph", "c6.txt", "--m", "0"], "--m 0: measurement budget m must be >= 1"),
+    (["sample", "--graph", "c6.txt", "--m", "7"], "--m 7: cannot insert new nodes past m = n = 6"),
+    (["sample", "--graph", "loop.txt", "--m", "2"], "{tmp}/loop.txt:3: self-loop 1"),
+])
+def test_generate_and_sample_refuse_bad_input_in_one_line(tmp_path, monkeypatch, argv, problem):
+    _sample_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    out = ["--out", "g.txt"] if argv[0] == "generate" else ["--plan-out", "plan.json"]
+    with pytest.raises(SystemExit) as info:
+        _run(*argv, *out)
+    assert str(info.value) == problem.format(tmp=tmp_path)
+    assert not (tmp_path / "g.txt").exists() and not (tmp_path / "plan.json").exists()

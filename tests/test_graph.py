@@ -511,6 +511,17 @@ def test_generate_rejects_unknown_kind_and_params():
      "weighted must be true or false, got 1"),
     ("random-geometric", {"n": 30, "radius": 0.3, "weighted": "false"},
      "weighted must be true or false, got 'false'"),
+    # probabilities and radii that are not real numbers, and a parameter left out
+    ("erdos-renyi", {"n": 12, "p_e": "0.3"}, "p_e must be a real number, got '0.3'"),
+    ("erdos-renyi", {"n": 12, "p_e": None}, "p_e must be a real number, got None"),
+    ("community", {"n": 30, "n_communities": 3, "p_intra": [0.5], "p_inter": 0.1},
+     "p_intra must be a real number, got [0.5]"),
+    ("community", {"n": 30, "n_communities": 3, "p_intra": 0.5, "p_inter": True},
+     "p_inter must be a real number, got True"),
+    ("small-world", {"n": 30, "ring_degree": 4, "rewire_prob": None},
+     "rewire_prob must be a real number, got None"),
+    ("random-geometric", {"n": 30, "radius": "0.2"}, "radius must be a real number, got '0.2'"),
+    ("erdos-renyi", {"n": 12}, "missing parameter 'p_e'"),
 ])
 def test_generate_refuses_counts_that_are_not_integers(kind, params, problem):
     with pytest.raises(ValueError) as info:

@@ -137,18 +137,14 @@ def test_wsn_scenario_rejects_unknown_keys():
     ("dominating-curve", "dominating_curve"),
 ])
 def test_committed_configs_load_with_their_hashes(kind, stem):
-    # every committed config passes the unknown-key checks, and the hash its
-    # table was written with is the hash of what the parser reads back
+    # every committed config passes the checks of its kind's config class, and
+    # the hash and seed its table was written with are those of what it reads
     results = pathlib.Path(__file__).resolve().parent.parent / "results"
-    payload = json.loads((results / f"{stem}.config.json").read_text())
-    if kind in ("known-support", "unknown-support"):
-        payload = ExperimentConfig.from_dict(payload).to_dict()
-    elif kind == "wsn":
-        payload = WsnScenario.from_dict(payload).to_dict()
-    else:
-        GraphSpec.from_dict(payload["graph"])
+    config_class = harness.EXPERIMENTS[kind][0]
+    config = config_class.from_dict(json.loads((results / f"{stem}.config.json").read_text()))
     header = (results / f"{stem}.csv").read_text().splitlines()[0]
-    assert header.startswith(f"# config-hash={config_hash(payload)}, ")
+    assert header.startswith(f"# config-hash={config_hash(config.to_dict())}, "
+                             f"seed={config.master_seed}, ")
 
 
 def test_wsn_scenario_round_trip_and_validation():

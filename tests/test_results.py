@@ -14,7 +14,8 @@ import sys
 
 import pytest
 
-from localagg.cli import _FIELDS, main
+from localagg.cli import main
+from localagg.harness import EXPERIMENTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -39,7 +40,7 @@ def test_runner_covers_every_committed_config():
                  and getattr(node.targets[0], "id", None) == "KINDS")
     stems = {p.name.removesuffix(".config.json") for p in RESULTS.glob("*.config.json")}
     assert set(kinds) == stems
-    assert set(kinds.values()) <= set(_FIELDS)
+    assert set(kinds.values()) <= set(EXPERIMENTS)
 
 
 def test_runner_refuses_an_unknown_stem():

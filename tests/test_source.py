@@ -129,3 +129,12 @@ def test_scan_flags_scipy_optimize():
               "def f():\n    import scipy.optimize._linprog as lp\n"
               "from scipy import linalg\nimport scipy.optimizer_ish\n")
     assert _optimize_imports(source) == ["line 1", "line 2", "line 3", "line 5"]
+
+
+def test_cli_names_no_experiment_kind():
+    # the experiment kinds live in harness.EXPERIMENTS; the command line reads
+    # them from there, so adding a kind does not touch it
+    from localagg.harness import EXPERIMENTS
+    strings = [node.value for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [s for s in strings if any(kind in s for kind in EXPERIMENTS)] == []
