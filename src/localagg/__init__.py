@@ -44,14 +44,11 @@ from .sampler import (
     draw_operator,
     measure,
     node_multiplicities,
-    plan_from_json,
     plan_to_json,
 )
 from .baselines import (
-    minpinv_greedy,
     successive_aggregations,
     uniform_node_sampling,
-    weighted_node_sampling,
 )
 from .recon import (
     ReconResult,

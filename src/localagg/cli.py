@@ -35,6 +35,8 @@ def _cmd_sample(args):
     try:
         # the loader's message starts with the file name and line
         graph = load_edge_list(args.graph, positions_path=args.positions)
+    except OSError as exc:
+        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     try:
@@ -61,6 +63,8 @@ def _cmd_reconstruct(args):
         basis = build_basis(load_edge_list(args.graph), args.basis)
         phi = load_matrix_csv(args.operator)
         y = load_matrix_csv(args.measurements).ravel()
+    except OSError as exc:
+        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     op = SamplingOperator(phi=phi)
@@ -86,8 +90,13 @@ def _cmd_experiment(args):
     if not overrides.keys() <= {f.name for f in fields(config_class)}:
         named = " and ".join(opt for opt, (_, value) in given.items() if value is not None)
         raise SystemExit(f"{args.what} has no trials and no master seed; drop {named}")
-    with open(args.config) as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise SystemExit(f"{args.config}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise SystemExit(f"{args.config}: {exc}") from None
     if isinstance(payload, dict):  # from_dict refuses any other JSON value
         if "output" in payload:
             raise SystemExit("config key 'output' is not read: pass the CSV path with --out")

@@ -21,12 +21,7 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from . import __version__
-from .baselines import (
-    minpinv_greedy,
-    successive_aggregations,
-    uniform_node_sampling,
-    weighted_node_sampling,
-)
+from .baselines import successive_aggregations, uniform_node_sampling
 from .graph import (
     Graph,
     check_int,
@@ -48,14 +43,11 @@ from .recon import (
 from .sampler import SamplingOperator, build_plan, draw_operator
 from .spectral import BASIS_TAGS, OrthoBasis, build_basis, condition_number, dct_basis, gft_basis
 
-SAMPLER_TAGS = ("proposed-insert", "proposed-repeat", "uniform", "weighted",
-                "minpinv", "successive")
-# these need the support at sampling time, so they are excluded from blind runs
-SUPPORT_AWARE = ("weighted", "minpinv")
+SAMPLER_TAGS = ("proposed-insert", "proposed-repeat", "uniform", "successive")
 # plan-building strategy of each aggregation sampler
 STRATEGY = {"proposed-insert": "insert-new", "proposed-repeat": "repeat-dominating"}
 # these give at most n measurements: distinct nodes, or a plan of full row rank
-AT_MOST_N = ("proposed-insert", "proposed-repeat", "uniform", "minpinv")
+AT_MOST_N = ("proposed-insert", "proposed-repeat", "uniform")
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -290,9 +282,8 @@ class DominatingCurveConfig(_Config):
 class _OperatorFactory:
     """Realizes sampler tags as operators, caching what is deterministic."""
 
-    def __init__(self, graph: Graph, basis: OrthoBasis):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.basis = basis
         self._cache: dict = {}
 
     def _cached(self, key, build):
@@ -300,13 +291,11 @@ class _OperatorFactory:
             self._cache[key] = build()
         return self._cache[key]
 
-    def operator(self, tag: str, m: int, support, seed: int,
-                 plan_seed: int) -> SamplingOperator:
+    def operator(self, tag: str, m: int, seed: int, plan_seed: int) -> SamplingOperator:
         """Operator of sampler ``tag`` with budget m.
 
         ``seed`` drives the random draw of the operator, ``plan_seed`` the plan
-        of an aggregation sampler; the support is read by the support-aware
-        samplers only.
+        of an aggregation sampler.
         """
         if tag in STRATEGY:
             plan = self._cached((tag, m, plan_seed),
@@ -314,11 +303,6 @@ class _OperatorFactory:
             return draw_operator(plan, seed=seed)
         if tag == "uniform":
             return uniform_node_sampling(self.graph.n, m, seed=seed)
-        if tag == "weighted":
-            return weighted_node_sampling(self.basis, support, m, seed=seed)
-        if tag == "minpinv":
-            key = (tag, m, tuple(int(v) for v in np.asarray(support)))
-            return self._cached(key, lambda: minpinv_greedy(self.basis, support, m))
         if tag == "successive":
             return self._cached((tag, m), lambda: successive_aggregations(self.graph, None, m))
         raise ValueError(f"unknown sampler tag {tag!r}")
@@ -345,7 +329,7 @@ def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[di
     m_max = max(config.sweep_values) if config.sweep_variable == "m" else config.fixed_m
     _check_fits(graph, config.k, config.samplers, m_max)
     basis = build_basis(graph, config.basis)
-    factory = _OperatorFactory(graph, basis)
+    factory = _OperatorFactory(graph)
     rows = []
     for tag in config.samplers:
         for value in config.sweep_values:
@@ -360,8 +344,7 @@ def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[di
                 spec = SparseSignalSpec.draw(graph.n, config.k, config.signal_model,
                                              derive_seed(ts, "signal"))
                 x = synthesize(basis, spec)
-                op = factory.operator(tag, m, spec.support, derive_seed(ts, "operator"),
-                                      plan_seed)
+                op = factory.operator(tag, m, derive_seed(ts, "operator"), plan_seed)
                 return op, spec, x, ts
 
             total = 0.0
@@ -403,9 +386,6 @@ def run_unknown_support(config: ExperimentConfig) -> list[dict]:
         raise ConfigError("blind recovery sweeps measurements only")
     if config.sigma != 0.0:
         raise ConfigError("blind recovery runs are noiseless")
-    bad = [t for t in config.samplers if t in SUPPORT_AWARE]
-    if bad:
-        raise ConfigError(f"samplers {bad} need the support and cannot run blind")
 
     def score_cell(basis, trials, sigma):
         signals = []
@@ -433,14 +413,14 @@ def run_condition_table(config: ConditionTableConfig) -> list[dict]:
         g = replace(config.graph, seed=derive_seed(ms, "graph", t)).build()
         _check_fits(g, config.k, methods, max(m_values, default=0))
         basis = gft_basis(g, normalized=True)
-        factory = _OperatorFactory(g, basis)
+        factory = _OperatorFactory(g)
         rng = np.random.default_rng(derive_seed(ms, "support", t))
         support = np.sort(rng.choice(g.n, size=config.k, replace=False))
         u_s = basis.u[:, support]
         for meth in methods:
             for m in m_values:
                 draw = "unif" if meth == "uniform" else "draw"
-                op = factory.operator(meth, m, support, derive_seed(ms, draw, t, m),
+                op = factory.operator(meth, m, derive_seed(ms, draw, t, m),
                                       derive_seed(ms, "plan", t, m))
                 conds[(meth, m)].append(condition_number(op.phi @ u_s))
     return [{"method": meth, "m": m, "median_cond": float(np.median(conds[(meth, m)])),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, closed_in_neighborhood, minimal_hop_level, p_hop_graph
+from .graph import Graph, closed_in_neighborhood, minimal_hop_level
 from .spectral import numerical_rank
 
 STRATEGIES = ("repeat-dominating", "insert-new")
@@ -293,14 +293,3 @@ def plan_to_json(plan: SamplingPlan) -> str:
         "seed": plan.seed,
     }
     return json.dumps(payload, indent=2)
-
-
-def plan_from_json(graph: Graph, text: str) -> SamplingPlan:
-    """Rebuild a plan against the original graph it was made from."""
-    payload = json.loads(text)
-    p = int(payload["p"])
-    nodes = np.asarray(payload["nodes"], dtype=np.int64)
-    agg = p_hop_graph(graph, p)
-    return SamplingPlan(nodes=nodes, p=p, strategy=payload["strategy"],
-                        multiplicities=node_multiplicities(agg, nodes),
-                        base_graph=agg, seed=payload.get("seed"))

@@ -1,18 +1,9 @@
-"""Reference samplers: uniform, weighted, pseudoinverse-greedy, successive."""
+"""Reference samplers: uniform node sampling and successive aggregations."""
 
 import numpy as np
 import pytest
 
 import localagg as la
-from localagg.spectral import OrthoBasis
-
-
-def _hadamard_basis(n: int) -> OrthoBasis:
-    # orthonormal basis with uniform entry magnitude 1/sqrt(n)
-    h = np.array([[1.0]])
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    return OrthoBasis(u=h / np.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -49,99 +40,6 @@ def test_uniform_rejects_oversampling():
         la.uniform_node_sampling(5, 6, seed=0)
     with pytest.raises(ValueError):
         la.uniform_node_sampling(5, 0, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# weighted
-
-def test_weighted_identity_basis_localizes_draws():
-    eye = OrthoBasis(u=np.eye(6))
-    op = la.weighted_node_sampling(eye, [3], 20, seed=1)
-    assert set(np.flatnonzero(op.phi.sum(axis=0))) == {3}
-
-
-def test_weighted_uniform_magnitude_basis_scales_rows():
-    basis = _hadamard_basis(8)
-    m = 4
-    op = la.weighted_node_sampling(basis, [0, 1], m, seed=2)
-    nz = op.phi[op.phi != 0]
-    assert np.allclose(np.abs(nz), np.sqrt(8 / m))
-
-
-def test_weighted_gram_isotropic_on_support():
-    g = la.generate("erdos-renyi", {"n": 30, "p_e": 0.25}, seed=6)
-    basis = la.gft_basis(g)
-    support = np.array([0, 3, 7, 11, 19])
-    m = 12
-    diag = np.zeros(g.n)
-    draws = 20_000
-    for t in range(draws):
-        op = la.weighted_node_sampling(basis, support, m, seed=t)
-        sel = np.argmax(np.abs(op.phi), axis=1)
-        w = op.phi[np.arange(m), sel]
-        np.add.at(diag, sel, w ** 2)
-    u_s = basis.u[:, support]
-    gram = u_s.T @ (diag[:, None] / draws * u_s)
-    assert np.abs(gram - np.eye(5)).max() < 0.05
-
-
-def test_weighted_rejects_zero_energy():
-    dead = OrthoBasis(u=np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        la.weighted_node_sampling(dead, [0], 3, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# pseudoinverse-greedy selection
-
-def test_minpinv_identity_basis_recovers_support():
-    eye = OrthoBasis(u=np.eye(7))
-    op = la.minpinv_greedy(eye, [1, 4, 6], 3)
-    assert sorted(np.argmax(op.phi, axis=1).tolist()) == [1, 4, 6]
-
-
-def test_minpinv_reaches_full_column_rank():
-    g = la.generate("random-geometric", {"n": 40, "radius": 0.35}, seed=4)
-    basis = la.gft_basis(g)
-    support = np.arange(6)
-    for m in (6, 9):
-        op = la.minpinv_greedy(basis, support, m)
-        assert la.numerical_rank(op.phi @ basis.u[:, support]) == 6
-
-
-def test_minpinv_deterministic():
-    g = la.generate("erdos-renyi", {"n": 25, "p_e": 0.3}, seed=9)
-    basis = la.gft_basis(g)
-    a = la.minpinv_greedy(basis, np.arange(5), 10)
-    b = la.minpinv_greedy(basis, np.arange(5), 10)
-    assert np.array_equal(a.phi, b.phi)
-
-
-def test_minpinv_beats_random_selection_known_support():
-    # deterministic optimized selection should track or beat random node picks
-    g = la.generate("random-geometric", {"n": 100, "radius": 0.2}, seed=31)
-    basis = la.gft_basis(g)
-    k, m, trials = 20, 40, 20
-    support = np.arange(k)
-    op_min = la.minpinv_greedy(basis, support, m)
-    err_min = 0.0
-    err_unif = 0.0
-    for t in range(trials):
-        spec = la.SparseSignalSpec(support=support, model="bandlimited", seed=t)
-        x = la.synthesize(basis, spec)
-        noise = np.random.default_rng(1000 + t).standard_normal(g.n) * 1e-3
-        res = la.ls_known_support(op_min, basis, support, op_min.phi @ (x + noise))
-        err_min += float(np.mean((res.x_star - x) ** 2))
-        op_u = la.uniform_node_sampling(g.n, m, seed=2000 + t)
-        res = la.ls_known_support(op_u, basis, support, op_u.phi @ (x + noise))
-        err_unif += float(np.mean((res.x_star - x) ** 2))
-    assert err_min <= err_unif
-
-
-def test_minpinv_rejects_oversampling():
-    eye = OrthoBasis(u=np.eye(5))
-    with pytest.raises(ValueError):
-        la.minpinv_greedy(eye, [0, 1], 6)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +112,6 @@ def test_all_baselines_feed_the_same_pipeline():
     x = la.synthesize(basis, spec)
     ops = [
         la.uniform_node_sampling(20, 10, seed=1),
-        la.weighted_node_sampling(basis, support, 10, seed=1),
-        la.minpinv_greedy(basis, support, 10),
         la.successive_aggregations(g, None, 10),
     ]
     for op in ops:

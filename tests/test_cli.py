@@ -7,7 +7,6 @@ import pytest
 
 import localagg as la
 from localagg.cli import main
-from localagg.sampler import plan_from_json
 from localagg.spectral import load_matrix_csv
 
 
@@ -47,8 +46,8 @@ def test_sample_writes_plan_and_operator(tmp_path):
                 "--plan-out", plan_path, "--operator-out", op_path,
                 "--operator-seed", 7)
     assert code == 0
-    plan = plan_from_json(la.load_edge_list(gpath), plan_path.read_text())
-    assert plan.m == 10 and plan.strategy in ("insert-new", "exact")
+    plan = la.build_plan(la.load_edge_list(gpath), 10, seed=5)
+    assert plan_path.read_text() == la.plan_to_json(plan) + "\n"
     phi = load_matrix_csv(op_path)
     assert phi.shape == (10, 18)
     assert np.array_equal(phi, la.draw_operator(plan, seed=7).phi)
@@ -312,8 +311,7 @@ def _blind_payload(**changes):
     ("unknown-support", _blind_payload(sweep={"variable": "m", "values": [6.5]}),
      "swept m must be an integer >= 1, got 6.5"),
     ("unknown-support", _blind_payload(samplers=["nope"]), "unknown sampler tag 'nope'"),
-    ("unknown-support", _blind_payload(samplers=["weighted"]),
-     "samplers ['weighted'] need the support and cannot run blind"),
+    ("unknown-support", _blind_payload(samplers=["weighted"]), "unknown sampler tag 'weighted'"),
     ("known-support", _blind_payload(graph=dict(_graph_payload(), seed=1.0)),
      "graph seed must be an integer >= 0, got 1.0"),
     ("wsn", {"n": 16, "k": 3, "trials": 0}, "trials must be an integer >= 1, got 0"),
@@ -352,9 +350,9 @@ def _blind_payload(**changes):
     ("known-support", _blind_payload(samplers=["uniform"],
                                      sweep={"variable": "m", "values": [6, 30]}),
      "m must be <= the graph's n = 18 for sampler 'uniform', got 30"),
-    ("known-support", _blind_payload(samplers=["successive", "minpinv"], fixed_m=19,
+    ("known-support", _blind_payload(samplers=["successive", "proposed-repeat"], fixed_m=19,
                                      sweep={"variable": "sigma", "values": [0.1]}),
-     "m must be <= the graph's n = 18 for sampler 'minpinv', got 19"),
+     "m must be <= the graph's n = 18 for sampler 'proposed-repeat', got 19"),
     ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4, 30]},
      "m must be <= the graph's n = 18 for sampler 'proposed-insert', got 30"),
     # a key that holds a list or an object refuses any other JSON type
@@ -431,6 +429,22 @@ def test_experiment_refuses_bad_noise_levels_and_graph_counts(tmp_path, kind, pa
     test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem)
 
 
+@pytest.mark.parametrize("data, problem", [
+    (b'{"graph": ', "Expecting value: line 1 column 11 (char 10)"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (None, "No such file or directory"),
+], ids=["truncated", "not-utf8", "missing"])
+def test_experiment_refuses_an_unreadable_config_in_one_line(tmp_path, data, problem):
+    cfg = tmp_path / "config.json"
+    if data is not None:
+        cfg.write_bytes(data)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        _run("experiment", "known-support", "--config", cfg, "--out", out)
+    assert str(info.value) == f"{cfg}: {problem}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target, text, line, problem", [
     ("operator", "1,0,0\n# comment\n0,1\n", 3, "expected 3 entries"),
     ("operator", "1,0,0\n0,x1,0\n", 2, "'x1' is not a number"),
@@ -469,6 +483,16 @@ def test_reconstruct_reports_graph_file_errors_by_line(tmp_path):
     with pytest.raises(SystemExit) as info:
         _run(*argv)
     assert str(info.value) == f"{tmp_path / 'graph.txt'}:3: self-loop 1"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("missing", ["graph.txt", "phi.csv", "y.csv"])
+def test_reconstruct_refuses_a_missing_file_in_one_line(tmp_path, missing):
+    argv = _reconstruct_inputs(tmp_path)
+    (tmp_path / missing).unlink()
+    with pytest.raises(SystemExit) as info:
+        _run(*argv)
+    assert str(info.value) == f"{tmp_path / missing}: No such file or directory"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -522,6 +546,10 @@ def _sample_inputs(tmp_path):
     (["sample", "--graph", "c6.txt", "--m", "0"], "--m 0: measurement budget m must be >= 1"),
     (["sample", "--graph", "c6.txt", "--m", "7"], "--m 7: cannot insert new nodes past m = n = 6"),
     (["sample", "--graph", "loop.txt", "--m", "2"], "{tmp}/loop.txt:3: self-loop 1"),
+    (["sample", "--graph", "missing.txt", "--m", "2"],
+     "{tmp}/missing.txt: No such file or directory"),
+    (["sample", "--graph", "c6.txt", "--positions", "missing.txt", "--m", "2"],
+     "{tmp}/missing.txt: No such file or directory"),
 ])
 def test_generate_and_sample_refuse_bad_input_in_one_line(tmp_path, monkeypatch, argv, problem):
     _sample_inputs(tmp_path)

@@ -320,27 +320,23 @@ def test_measure_rejects_bad_shape():
 # plan files
 
 def test_plan_json_round_trip():
+    # the JSON text reads back as the plan's nodes, hop level, strategy and seed
     g = la.generate("community", {"n": 40, "n_communities": 4,
                                   "p_intra": 0.4, "p_inter": 0.05}, seed=1)
     plan = la.build_plan(g, 25, "repeat-dominating", seed=17)
-    text = la.plan_to_json(plan)
-    payload = json.loads(text)
-    assert set(payload) == {"nodes", "p", "strategy", "seed"}
-    back = la.plan_from_json(g, text)
-    assert back.nodes.tolist() == plan.nodes.tolist()
-    assert back.p == plan.p
-    assert back.strategy == plan.strategy
-    assert back.seed == plan.seed
-    assert back.multiplicities.tolist() == plan.multiplicities.tolist()
-    assert back.dominating_set.tolist() == plan.dominating_set.tolist()
+    payload = json.loads(la.plan_to_json(plan))
+    assert payload == {"nodes": plan.nodes.tolist(), "p": plan.p,
+                       "strategy": "repeat-dominating", "seed": 17}
 
 
 def test_plan_json_round_trip_hop_expanded():
+    # a budget below the path's dominating set is met on the 3-hop graph, and
+    # the file records that hop level
     g = la.Graph(10, np.column_stack([np.arange(9), np.arange(1, 10)]))
     plan = la.build_plan(g, 2)
-    back = la.plan_from_json(g, la.plan_to_json(plan))
-    assert back.p == 3
-    assert back.base_graph.edge_set() == plan.base_graph.edge_set()
+    payload = json.loads(la.plan_to_json(plan))
+    assert payload["p"] == plan.p == 3
+    assert payload["nodes"] == plan.nodes.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +590,6 @@ def test_multiplicities_reject_nodes_out_of_range(path4):
     for bad in ([4], [0, -1]):
         with pytest.raises(ValueError, match="out of range"):
             la.node_multiplicities(path4, bad)
-    text = json.dumps({"nodes": [0, 7], "p": 1, "strategy": "exact", "seed": None})
-    with pytest.raises(ValueError, match="out of range"):
-        la.plan_from_json(path4, text)
 
 
 @pytest.mark.parametrize("graph", [
