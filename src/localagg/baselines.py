@@ -23,19 +23,16 @@ def uniform_node_sampling(n: int, m: int, seed: int | None = None) -> SamplingOp
     return SamplingOperator(phi=phi)
 
 
-def successive_aggregations(graph: Graph, node: int | None, m: int) -> SamplingOperator:
+def successive_aggregations(graph: Graph, m: int) -> SamplingOperator:
     """One observation node reading powers of the adjacency applied to the signal.
 
     Row l is the observation node's row of A**l (binary adjacency), l = 0..m-1.
-    When ``node`` is None the highest-degree node is used, ties toward the
-    lowest index.
+    The observation node is the highest-degree node, ties toward the lowest
+    index.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    if node is None:
-        node = int(np.argmax(graph.degrees))
-    if not 0 <= node < graph.n:
-        raise ValueError("observation node out of range")
+    node = int(np.argmax(graph.degrees))
     a = graph.adjacency.toarray()
     row = np.zeros(graph.n)
     row[node] = 1.0

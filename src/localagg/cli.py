@@ -10,8 +10,8 @@ from dataclasses import fields
 from . import harness
 from .graph import generate, load_edge_list, save_edge_list
 from .recon import bp_l1, check_support, ls_known_support
-from .sampler import (PoolExhaustedError, SamplingOperator, build_plan, draw_operator,
-                      plan_to_json)
+from .sampler import (STRATEGIES, PoolExhaustedError, SamplingOperator, build_plan,
+                      draw_operator, plan_to_json)
 from .spectral import BASIS_TAGS, build_basis, load_matrix_csv, save_matrix_csv
 
 
@@ -26,17 +26,14 @@ def _cmd_generate(args):
         graph = generate(args.kind, params, args.seed)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    positions_out = args.positions_out if graph.positions is not None else None
-    save_edge_list(graph, args.out, positions_path=positions_out)
+    save_edge_list(graph, args.out)
     print(f"wrote {graph.n} nodes, {graph.num_edges} edges to {args.out}")
 
 
 def _cmd_sample(args):
     try:
         # the loader's message starts with the file name and line
-        graph = load_edge_list(args.graph, positions_path=args.positions)
-    except OSError as exc:
-        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
+        graph = load_edge_list(args.graph)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     try:
@@ -63,8 +60,6 @@ def _cmd_reconstruct(args):
         basis = build_basis(load_edge_list(args.graph), args.basis)
         phi = load_matrix_csv(args.operator)
         y = load_matrix_csv(args.measurements).ravel()
-    except OSError as exc:
-        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     op = SamplingOperator(phi=phi)
@@ -93,8 +88,6 @@ def _cmd_experiment(args):
     try:
         with open(args.config) as fh:
             payload = json.load(fh)
-    except OSError as exc:
-        raise SystemExit(f"{args.config}: {exc.strerror}") from None
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise SystemExit(f"{args.config}: {exc}") from None
     if isinstance(payload, dict):  # from_dict refuses any other JSON value
@@ -121,15 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--params", required=True, help="JSON object of generator parameters")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.add_argument("--positions-out", default=None)
     g.set_defaults(func=_cmd_generate)
 
     s = sub.add_parser("sample", help="build a sampling plan, optionally draw the operator")
     s.add_argument("--graph", required=True)
-    s.add_argument("--positions", default=None)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--strategy", choices=("repeat-dominating", "insert-new"),
-                   default="insert-new")
+    s.add_argument("--strategy", choices=STRATEGIES, default="insert-new")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--plan-out", required=True)
     s.add_argument("--operator-out", default=None)
@@ -158,7 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except OSError as exc:  # a file named on the command line cannot be read or written
+        # a write that fails as the file is closed carries no file name
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        raise SystemExit(where + exc.strerror) from None
     return 0
 
 

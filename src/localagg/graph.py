@@ -33,17 +33,6 @@ class HopPlanInfeasibleError(ValueError):
     """No hop count brings the greedy dominating set within the budget."""
 
 
-GENERATOR_KINDS = (
-    "erdos-renyi",
-    "random-geometric",
-    "community",
-    "grid2d",
-    "small-world",
-    "cycle",
-    "complete",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable weighted graph.
@@ -193,15 +182,14 @@ def _next_hop_graph(graph: Graph, prev: Graph) -> Graph:
     """Level p+1 of the hop expansion from level p: one more hop of walks."""
     r = (prev.adjacency @ graph.adjacency + prev.adjacency).tocoo()
     keep = r.row < r.col
-    return Graph(graph.n, np.column_stack([r.row[keep], r.col[keep]]),
-                 positions=graph.positions)
+    return Graph(graph.n, np.column_stack([r.row[keep], r.col[keep]]))
 
 
 def p_hop_graph(graph: Graph, p: int) -> Graph:
     """Graph connecting nodes joined by a walk of length 1..p.
 
     ``p_hop_graph(g, 1)`` is ``g`` itself, with its weights; higher levels
-    have unit weights and keep the positions.  Levels are computed once per
+    have unit weights and no positions.  Levels are computed once per
     graph, each grown from the one below, and kept on the graph for its
     lifetime.  The expansion saturates at the largest component diameter:
     once one more hop adds no edge, that level is returned for any larger p.
@@ -377,6 +365,7 @@ _BUILDERS = {
     "cycle": (_cycle, {"n"}),
     "complete": (_complete, {"n"}),
 }
+GENERATOR_KINDS = tuple(_BUILDERS)
 
 
 def generate(kind: str, params: dict, seed: int) -> Graph:
@@ -416,12 +405,12 @@ def generate(kind: str, params: dict, seed: int) -> Graph:
 # Format: first non-comment line is the node count; each following line is
 # "i j" or "i j w" with 0-based endpoints; '#' starts a comment line.
 
-def load_edge_list(path, positions_path=None) -> Graph:
+def load_edge_list(path) -> Graph:
     n = None
     pairs: list[tuple[int, int]] = []
     weights: list[float] = []
     seen: set[tuple[int, int]] = set()
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # a bad byte fails in the parser below
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -463,33 +452,11 @@ def load_edge_list(path, positions_path=None) -> Graph:
             weights.append(w)
     if n is None:
         raise GraphFormatError(f"{path}: missing node count line")
-    positions = None
-    if positions_path is not None:
-        positions = _load_positions(positions_path, n)
     return Graph(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-                 weights=np.asarray(weights), positions=positions)
+                 weights=np.asarray(weights))
 
 
-def _load_positions(path, n: int) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected 'x y'")
-            try:
-                rows.append((float(tokens[0]), float(tokens[1])))
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: coordinates must be numbers")
-    if len(rows) != n:
-        raise GraphFormatError(f"{path}: expected {n} position lines, found {len(rows)}")
-    return np.asarray(rows)
-
-
-def save_edge_list(graph: Graph, path, positions_path=None) -> None:
+def save_edge_list(graph: Graph, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{graph.n}\n")
         for (i, j), w in zip(graph.edges, graph.weights):
@@ -497,9 +464,3 @@ def save_edge_list(graph: Graph, path, positions_path=None) -> None:
                 fh.write(f"{i} {j}\n")
             else:
                 fh.write(f"{i} {j} {float(w)!r}\n")
-    if positions_path is not None:
-        if graph.positions is None:
-            raise ValueError("graph has no positions to save")
-        with open(positions_path, "w") as fh:
-            for x, y in graph.positions:
-                fh.write(f"{float(x)!r} {float(y)!r}\n")

@@ -304,7 +304,7 @@ class _OperatorFactory:
         if tag == "uniform":
             return uniform_node_sampling(self.graph.n, m, seed=seed)
         if tag == "successive":
-            return self._cached((tag, m), lambda: successive_aggregations(self.graph, None, m))
+            return self._cached((tag, m), lambda: successive_aggregations(self.graph, m))
         raise ValueError(f"unknown sampler tag {tag!r}")
 
 
@@ -544,7 +544,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
         pos = rng_pos.random((scenario.n, 2))
         graph = geometric_graph_from_positions(pos, scenario.radius)
         basis = _spatial_dct_basis(pos)
-        spec = SparseSignalSpec(support=np.arange(scenario.k), model="bandlimited",
+        spec = SparseSignalSpec(support=np.arange(scenario.k),
                                 seed=derive_seed(ms, "signal", t))
         x = synthesize(basis, spec)
 

@@ -21,16 +21,10 @@ FLOOR_DB = -400.0
 
 @dataclass(frozen=True, eq=False)
 class SparseSignalSpec:
-    """Support and coefficients of a signal sparse in some orthonormal basis.
-
-    ``coefficients`` may be None, in which case synthesis draws a standard
-    normal vector on the support and normalizes it to unit length using
-    ``seed``.
-    """
+    """Support of a signal sparse in some orthonormal basis, and the seed from
+    which ``realized_coefficients`` draws its coefficients."""
 
     support: np.ndarray
-    coefficients: np.ndarray | None = None
-    model: str = "random-support"
     seed: int | None = None
 
     def __post_init__(self):
@@ -40,18 +34,8 @@ class SparseSignalSpec:
         if np.unique(s).size != s.size:
             raise ValueError("support indices must be distinct")
         s = np.sort(s)
-        if self.model not in SIGNAL_MODELS:
-            raise ValueError(f"model must be one of {SIGNAL_MODELS}")
-        if self.model == "bandlimited" and not np.array_equal(s, np.arange(s.size)):
-            raise ValueError("bandlimited support must be the first k indices")
         s.setflags(write=False)
         object.__setattr__(self, "support", s)
-        if self.coefficients is not None:
-            c = np.array(self.coefficients, dtype=np.float64, copy=True)
-            if c.shape != (s.size,):
-                raise ValueError("coefficients must match the support size")
-            c.setflags(write=False)
-            object.__setattr__(self, "coefficients", c)
 
     @property
     def k(self) -> int:
@@ -69,13 +53,11 @@ class SparseSignalSpec:
                                                                  replace=False))
         else:
             raise ValueError(f"model must be one of {SIGNAL_MODELS}")
-        return cls(support=support, model=model, seed=seed)
+        return cls(support=support, seed=seed)
 
 
 def realized_coefficients(spec: SparseSignalSpec) -> np.ndarray:
-    """Coefficient values on the support, drawing and normalizing if needed."""
-    if spec.coefficients is not None:
-        return np.asarray(spec.coefficients)
+    """Unit-norm coefficients on the support, drawn from the spec's seed."""
     rng = np.random.default_rng(spec.seed)
     c = rng.standard_normal(spec.k)
     return c / np.linalg.norm(c)

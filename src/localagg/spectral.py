@@ -86,9 +86,15 @@ def _canonical_subspace_basis(v: np.ndarray) -> np.ndarray:
     spanning the same subspace yields the same result.  Row i projects to a
     vector of norm ||v[i]||, and the Gram-Schmidt steps only shrink it, so rows
     of norm at most half the pick threshold are skipped.
+
+    The loop relies on v having orthonormal columns and n < 10**12 to pick c
+    vectors.  Were it to stop short, some unit w in span(v) would be orthogonal
+    to every pick.  Some row i has |w_i| >= 1/sqrt(n) > 1e-6, and both its norm
+    and its candidate's residual against earlier picks are >= |w_i|, so row i
+    is picked, and that pick is not orthogonal to w.
     """
     v = np.ascontiguousarray(v)
-    n, c = v.shape
+    c = v.shape[1]
     picked: list[np.ndarray] = []
     for i in np.flatnonzero(np.linalg.norm(v, axis=1) > 0.5e-6):
         cand = v @ v[i, :]
@@ -101,13 +107,6 @@ def _canonical_subspace_basis(v: np.ndarray) -> np.ndarray:
             picked.append(cand / norm)
             if len(picked) == c:
                 break
-    if len(picked) < c:
-        # fall back: complete with the leftover directions of v
-        q = np.column_stack(picked) if picked else np.zeros((n, 0))
-        resid = v - q @ (q.T @ v)
-        uu, ss, _ = np.linalg.svd(resid, full_matrices=False)
-        for t in range(c - len(picked)):
-            picked.append(uu[:, t])
     return np.column_stack(picked)
 
 
@@ -237,7 +236,7 @@ def save_matrix_csv(path, a) -> None:
 
 def load_matrix_csv(path) -> np.ndarray:
     rows: list[list[float]] = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # a bad byte fails in the parser below
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -90,8 +90,7 @@ def test_03_square_budget_known_support_is_exact():
     trials = 1000
     for t in range(trials):
         ts = derive_seed(42, "trial", t)
-        spec = la.SparseSignalSpec(support=support, model="bandlimited",
-                                   seed=derive_seed(ts, "signal"))
+        spec = la.SparseSignalSpec(support=support, seed=derive_seed(ts, "signal"))
         x = la.synthesize(basis, spec)
         op = la.draw_operator(plan, seed=derive_seed(ts, "operator"))
         res = la.ls_known_support(op, basis, support, la.measure(op, x)).scored(x)

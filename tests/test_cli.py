@@ -1,6 +1,7 @@
 """End-to-end command line flows through temporary files."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,24 +17,14 @@ def _run(*argv):
 
 def test_generate_then_load(tmp_path):
     out = tmp_path / "graph.txt"
-    pos = tmp_path / "pos.txt"
     code = _run("generate", "--kind", "random-geometric",
                 "--params", json.dumps({"n": 15, "radius": 0.5}),
-                "--seed", 3, "--out", out, "--positions-out", pos)
+                "--seed", 3, "--out", out)
     assert code == 0
-    graph = la.load_edge_list(out, positions_path=pos)
+    graph = la.load_edge_list(out)
     reference = la.generate("random-geometric", {"n": 15, "radius": 0.5}, seed=3)
     assert graph.n == 15
     assert graph.edge_set() == reference.edge_set()
-    assert np.allclose(graph.positions, reference.positions)
-
-
-def test_generate_skips_positions_for_abstract_graphs(tmp_path, capsys):
-    out = tmp_path / "graph.txt"
-    _run("generate", "--kind", "cycle", "--params", '{"n": 6}', "--out", out,
-         "--positions-out", tmp_path / "pos.txt")
-    assert not (tmp_path / "pos.txt").exists()
-    assert "6 nodes" in capsys.readouterr().out
 
 
 def test_sample_writes_plan_and_operator(tmp_path):
@@ -445,21 +436,22 @@ def test_experiment_refuses_an_unreadable_config_in_one_line(tmp_path, data, pro
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target, text, line, problem", [
-    ("operator", "1,0,0\n# comment\n0,1\n", 3, "expected 3 entries"),
-    ("operator", "1,0,0\n0,x1,0\n", 2, "'x1' is not a number"),
-    ("operator", "\n1,nan,0\n", 2, "'nan' is not finite"),
-    ("measurements", "1\n-inf\n", 2, "'-inf' is not finite"),
-    ("measurements", "1\n\n2,3\n", 3, "expected 1 entries"),
+@pytest.mark.parametrize("target, data, line, problem", [
+    ("operator", b"1,0,0\n# comment\n0,1\n", 3, "expected 3 entries"),
+    ("operator", b"1,0,0\n0,x1,0\n", 2, "'x1' is not a number"),
+    ("operator", b"\n1,nan,0\n", 2, "'nan' is not finite"),
+    ("operator", b"1,0,\xff\n", 1, "'\ufffd' is not a number"),
+    ("measurements", b"1\n-inf\n", 2, "'-inf' is not finite"),
+    ("measurements", b"1\n\n2,3\n", 3, "expected 1 entries"),
 ])
-def test_reconstruct_reports_matrix_file_errors_by_line(tmp_path, target, text, line,
+def test_reconstruct_reports_matrix_file_errors_by_line(tmp_path, target, data, line,
                                                        problem):
     gpath = tmp_path / "graph.txt"
     _run("generate", "--kind", "cycle", "--params", '{"n": 3}', "--out", gpath)
     files = {"operator": tmp_path / "phi.csv", "measurements": tmp_path / "y.csv"}
     files["operator"].write_text("1,0,0\n0,1,0\n")
     files["measurements"].write_text("1\n2\n")
-    files[target].write_text(text)
+    files[target].write_bytes(data)
     with pytest.raises(SystemExit) as info:
         _run("reconstruct", "--graph", gpath, "--operator", files["operator"],
              "--measurements", files["measurements"], "--out", tmp_path / "x.csv")
@@ -531,6 +523,7 @@ def test_reconstruct_names_files_that_do_not_fit_the_graph(tmp_path):
 def _sample_inputs(tmp_path):
     _run("generate", "--kind", "cycle", "--params", '{"n": 6}', "--out", tmp_path / "c6.txt")
     (tmp_path / "loop.txt").write_text("3\n0 1\n1 1\n")
+    (tmp_path / "notutf8.txt").write_bytes(b"\xff\n0 1\n")
 
 
 @pytest.mark.parametrize("argv, problem", [
@@ -548,8 +541,8 @@ def _sample_inputs(tmp_path):
     (["sample", "--graph", "loop.txt", "--m", "2"], "{tmp}/loop.txt:3: self-loop 1"),
     (["sample", "--graph", "missing.txt", "--m", "2"],
      "{tmp}/missing.txt: No such file or directory"),
-    (["sample", "--graph", "c6.txt", "--positions", "missing.txt", "--m", "2"],
-     "{tmp}/missing.txt: No such file or directory"),
+    (["sample", "--graph", "notutf8.txt", "--m", "2"],
+     "{tmp}/notutf8.txt:1: node count is not an integer"),
 ])
 def test_generate_and_sample_refuse_bad_input_in_one_line(tmp_path, monkeypatch, argv, problem):
     _sample_inputs(tmp_path)
@@ -560,3 +553,31 @@ def test_generate_and_sample_refuse_bad_input_in_one_line(tmp_path, monkeypatch,
         _run(*argv, *out)
     assert str(info.value) == problem.format(tmp=tmp_path)
     assert not (tmp_path / "g.txt").exists() and not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "cycle", "--params", '{"n": 6}', "--out"],
+    ["sample", "--graph", "c6.txt", "--m", "3", "--plan-out"],
+    ["sample", "--graph", "c6.txt", "--m", "3", "--plan-out", "plan.json", "--operator-out"],
+    ["reconstruct", "--graph", "c6.txt", "--operator", "phi.csv", "--measurements", "y.csv",
+     "--out"],
+    ["experiment", "condition-table", "--config", "config.json", "--out"],
+], ids=["generate", "plan", "operator", "reconstruct", "experiment"])
+def test_an_output_in_a_missing_directory_is_refused_in_one_line(tmp_path, monkeypatch, argv):
+    _sample_inputs(tmp_path)
+    la.save_matrix_csv(tmp_path / "phi.csv", np.eye(6)[:4])
+    la.save_matrix_csv(tmp_path / "y.csv", np.ones((4, 1)))
+    _write_config(tmp_path, {"graph": _graph_payload(), "k": 2, "m_values": [4],
+                             "trials": 1, "master_seed": 0})
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        _run(*argv, "nodir/out.txt")
+    assert str(info.value) == "nodir/out.txt: No such file or directory"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_write_that_fails_at_flush_is_refused_in_one_line():
+    # the error carries no file name: the text is written when the file is closed
+    with pytest.raises(SystemExit) as info:
+        _run("generate", "--kind", "cycle", "--params", '{"n": 6}', "--out", "/dev/full")
+    assert str(info.value) == "No space left on device"

@@ -256,11 +256,6 @@ def test_p_hop_rejects_bad_p(path4):
         la.p_hop_graph(path4, 0)
 
 
-def test_p_hop_keeps_positions():
-    g = la.generate("random-geometric", {"n": 12, "radius": 0.4}, seed=3)
-    assert np.array_equal(la.p_hop_graph(g, 2).positions, g.positions)
-
-
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))
 @settings(max_examples=40)
 def test_p_hop_matches_boolean_power_oracle(seed, p):
@@ -542,13 +537,12 @@ def test_generate_takes_numpy_integer_counts():
 def test_edge_list_round_trip(tmp_path):
     g = la.generate("random-geometric", {"n": 25, "radius": 0.4, "weighted": True},
                     seed=13)
-    gp, pp = tmp_path / "g.txt", tmp_path / "pos.txt"
-    la.save_edge_list(g, gp, positions_path=pp)
-    back = la.load_edge_list(gp, positions_path=pp)
+    gp = tmp_path / "g.txt"
+    la.save_edge_list(g, gp)
+    back = la.load_edge_list(gp)
     assert back.n == g.n
     assert back.edge_set() == g.edge_set()
     assert np.array_equal(back.weights, g.weights)
-    assert np.array_equal(back.positions, g.positions)
 
 
 def test_load_minimal_path_graph(tmp_path):
@@ -586,11 +580,3 @@ def test_load_missing_node_count(tmp_path):
     f.write_text("# nothing here\n")
     with pytest.raises(GraphFormatError, match="node count"):
         la.load_edge_list(f)
-
-
-def test_position_file_length_checked(tmp_path):
-    gp, pp = tmp_path / "g.txt", tmp_path / "pos.txt"
-    gp.write_text("3\n0 1\n")
-    pp.write_text("0.1 0.1\n0.2 0.2\n")
-    with pytest.raises(GraphFormatError, match="position"):
-        la.load_edge_list(gp, positions_path=pp)

@@ -34,12 +34,6 @@ def test_spec_validation():
         la.SparseSignalSpec(support=[])
     with pytest.raises(ValueError):
         la.SparseSignalSpec(support=[1, 1])
-    with pytest.raises(ValueError):
-        la.SparseSignalSpec(support=[1, 2], model="bandlimited")
-    with pytest.raises(ValueError):
-        la.SparseSignalSpec(support=[0, 1], coefficients=[1.0])
-    with pytest.raises(ValueError):
-        la.SparseSignalSpec(support=[0], model="lowpass")
 
 
 def test_spec_sorts_support():
@@ -65,8 +59,6 @@ def test_realized_coefficients_unit_norm_and_deterministic():
     c = realized_coefficients(spec)
     assert np.isclose(np.linalg.norm(c), 1.0)
     assert np.array_equal(c, realized_coefficients(spec))
-    explicit = la.SparseSignalSpec(support=[0, 1], coefficients=[2.0, -1.0])
-    assert realized_coefficients(explicit).tolist() == [2.0, -1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +66,8 @@ def test_realized_coefficients_unit_norm_and_deterministic():
 
 def test_synthesize_single_atom():
     basis = la.dct_basis(12)
-    spec = la.SparseSignalSpec(support=[7], coefficients=[1.0])
-    assert np.array_equal(la.synthesize(basis, spec), basis.u[:, 7])
+    x = la.synthesize(basis, la.SparseSignalSpec(support=[7], seed=0))
+    assert np.array_equal(x, basis.u[:, 7]) or np.array_equal(x, -basis.u[:, 7])
 
 
 def test_synthesize_parseval_and_off_support():

@@ -258,6 +258,29 @@ def test_cluster_row_skip_keeps_the_picks():
         assert np.allclose(new[:, 0], first / np.linalg.norm(first), atol=1e-9)
 
 
+def _check_rebasis(v, rng):
+    c = v.shape[1]
+    q = spectral._canonical_subspace_basis(v)
+    assert q.shape == v.shape
+    assert np.abs(q.T @ q - np.eye(c)).max() <= 1e-9
+    assert np.abs(v @ (v.T @ q) - q).max() <= 1e-9  # inside span(v), so spans it
+    r, _ = np.linalg.qr(rng.standard_normal((c, c)))
+    assert np.abs(spectral._canonical_subspace_basis(v @ r) - q).max() <= 1e-9
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 200), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_cluster_basis_is_independent_of_the_input_basis(seed, n, c):
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.standard_normal((n, min(c, n))))
+    _check_rebasis(v, rng)
+
+
+def test_cluster_basis_of_the_constant_vector():
+    # every row has norm 1/sqrt(n), the least the largest row of a unit vector can have
+    _check_rebasis(np.full((200, 1), 1.0 / np.sqrt(200.0)), np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # dct basis
 
