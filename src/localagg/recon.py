@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .graph import check_int
-from .spectral import OrthoBasis, numerical_rank, pseudoinverse
+from .spectral import OrthoBasis, _pinv_rank
 
 SIGNAL_MODELS = ("bandlimited", "random-support")
 
@@ -127,8 +127,8 @@ def ls_known_support(op, basis: OrthoBasis, support, y: np.ndarray) -> ReconResu
     _check_problem(op, basis, y)
     support = check_support(support, basis.n)
     psi_s = op.phi @ basis.u[:, support]
-    rank = numerical_rank(psi_s)
-    coef = pseudoinverse(psi_s) @ y
+    pinv, rank = _pinv_rank(psi_s)
+    coef = pinv @ y
     xhat = np.zeros(basis.n)
     xhat[support] = coef
     x_star = basis.u[:, support] @ coef
@@ -186,14 +186,21 @@ class SolverParams:
 
 
 def _bp_setup(op, basis: OrthoBasis, y):
-    """(psi, pinv, x_feas, y, scale) of one l1 problem, x_feas and y divided by scale."""
+    """(psi, pinv, x_feas, y, scale, first_check) of one l1 problem, x_feas and y
+    divided by scale.
+
+    ``first_check`` is the iteration of the first crossover attempt, 0 (never)
+    when psi has rank below m: no m columns of it are then independent, so no
+    basis is regular and ``_simplex_finish`` could only fail.
+    """
     y = np.asarray(y, dtype=np.float64)
     _check_problem(op, basis, y)
     psi = op.phi @ basis.u
-    pinv = pseudoinverse(psi)
+    pinv, rank = _pinv_rank(psi)
     x_feas = pinv @ y
     scale = math.sqrt(x_feas.dot(x_feas)) or 1.0
-    return psi, pinv, x_feas / scale, y / scale, scale
+    first_check = CROSSOVER_START if rank == psi.shape[0] else 0
+    return psi, pinv, x_feas / scale, y / scale, scale, first_check
 
 
 def _factor(psi_s: np.ndarray):
@@ -386,15 +393,16 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     (``dual_residual`` is rho times the last change of z); ``rho`` is the final
     penalty of the normalised problem.
 
-    At iteration ``CROSSOVER_START`` and every ``CROSSOVER_EVERY`` iterations
-    after it, a crossover runs (``_simplex_finish``): a few primal simplex
-    pivots from the basis of the m largest |x|, and if a KKT certificate proves
-    the vertex they reach optimal, the solve stops there.  An attempt that
-    fails leaves the iterates as they were.  A certified solve reports
-    ``certified`` and ``converged`` True, the vertex as its estimate, the
-    vertex's ``||psi x - y||`` as ``primal_residual`` and the ADMM dual
-    residual of that iteration.  ``pivots`` counts the simplex pivots of all
-    the solve's attempts (0 when none ran).
+    When psi has full row rank, at iteration ``CROSSOVER_START`` and every
+    ``CROSSOVER_EVERY`` iterations after it, a crossover runs
+    (``_simplex_finish``): a few primal simplex pivots from the basis of the m
+    largest |x|, and if a KKT certificate proves the vertex they reach
+    optimal, the solve stops there.  An attempt that fails leaves the iterates
+    as they were.  A certified solve reports ``certified`` and ``converged``
+    True, the vertex as its estimate, the vertex's ``||psi x - y||`` as
+    ``primal_residual`` and the ADMM dual residual of that iteration.
+    ``pivots`` counts the simplex pivots of all the solve's attempts (0 when
+    none ran).
 
     At small n an iteration costs numpy call overhead rather than arithmetic,
     so the loop body is written with as few calls as give the same float64
@@ -408,7 +416,7 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     """
     if params is None:
         params = SolverParams()
-    psi, pinv, x_feas, y, scale = _bp_setup(op, basis, y)
+    psi, pinv, x_feas, y, scale, next_check = _bp_setup(op, basis, y)
     n = psi.shape[1]
     psi_dot = psi.dot
     pinv_dot = pinv.dot
@@ -425,7 +433,6 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     z = np.zeros(n)
     u = np.zeros(n)
     converged = False
-    next_check = CROSSOVER_START
     vertex = None
     pivots = iterations = 0
     r_norm = s_norm = float("nan")
@@ -515,6 +522,7 @@ def bp_l1_many(problems, basis: OrthoBasis,
     results: list = [None] * len(block)
     psi, pinv, x_feas, y = (np.stack([s[i] for s in block]) for i in range(4))
     scales = [s[4] for s in block]
+    next_check = np.array([s[5] for s in block])
     slot = list(range(len(block)))       # row -> index of its problem
     b = len(block)
     z = np.zeros((b, n))
@@ -522,7 +530,6 @@ def bp_l1_many(problems, basis: OrthoBasis,
     rho = np.full(b, float(params.rho))
     its = np.zeros(b, dtype=np.int64)
     pivots = np.zeros(b, dtype=np.int64)
-    next_check = np.full(b, CROSSOVER_START)
     s_norm = np.full(b, np.nan)
     eps_abs = np.sqrt(n) * params.tol_abs
     while b:
@@ -576,13 +583,12 @@ def bp_l1_many(problems, basis: OrthoBasis,
             setup = next(pending, None)
             if setup is None:
                 continue
-            psi[row], pinv[row], x_feas[row], y[row], scales[row] = setup
+            psi[row], pinv[row], x_feas[row], y[row], scales[row], next_check[row] = setup
             slot[row] = len(results)
             results.append(None)
             z[row] = u[row] = 0.0
             rho[row] = params.rho
             its[row] = pivots[row] = 0
-            next_check[row] = CROSSOVER_START
             s_norm[row] = np.nan
             finished[row] = False
         if finished.any():

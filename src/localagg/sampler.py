@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, closed_in_neighborhood, minimal_hop_level
-from .spectral import numerical_rank
+from .graph import Graph, minimal_hop_level
+from .spectral import _rank_of, numerical_rank
 
 STRATEGIES = ("repeat-dominating", "insert-new")
 
@@ -119,29 +119,85 @@ def node_multiplicities(graph: Graph, nodes) -> np.ndarray:
     return np.bincount(_closed_rows(graph, nodes)[1], minlength=graph.n).astype(np.int64)
 
 
-def _pool(ac, members) -> tuple[np.ndarray, np.ndarray]:
-    """Pool mask of ``members`` and, per node, how many pool rows of ``ac`` contain it."""
-    in_pool = np.zeros(ac.shape[0], dtype=bool)
-    in_pool[members] = True
-    return in_pool, (ac.T @ in_pool.astype(np.float64)).astype(np.int64)
+class _Balance:
+    """The pool of candidates of a growing plan and its balancing criterion.
 
+    ``g`` holds the multiplicities and is updated in place.  The pool starts
+    as ``members``; ``cover[j]`` counts the pool nodes whose closed
+    neighborhood holds j, so the least count, ``gmin``, is taken over the
+    union of the pool's closed neighborhoods.  The criterion picks the pool
+    node whose closed neighborhood holds most nodes at count ``gmin``, ties
+    going to the lowest index: the argmax of ``ac @ (g == gmin)`` over the
+    pool, for the closed adjacency ``ac``.
 
-def _leave_pool(ac, in_pool: np.ndarray, cover: np.ndarray, v: int) -> None:
-    in_pool[v] = False
-    cover[ac.indices[ac.indptr[v]:ac.indptr[v + 1]]] -= 1
+    ``score`` holds that product for the ``level`` it was last computed at,
+    with -1 or less off the pool.  The sparse product runs on a fresh pool
+    and again only when a pick needs another level.  Between products:
 
-
-def _criterion_pick(ac, in_pool: np.ndarray, cover: np.ndarray, g: np.ndarray) -> int:
-    """Node of the pool whose neighborhood covers most minimum-count nodes.
-
-    ``ac`` is the closed adjacency and ``cover`` the pool's counts from
-    ``_pool``, so the minimum is taken over the union of the pool's closed
-    neighborhoods.  The counts are sums of ones, exact in floating point,
-    and argmax breaks ties toward the lowest node index.
+    - ``add(v)`` keeps the scores current.  v was picked at ``level`` (the
+      pool covers N[v]), so every member of N[v] counts at least ``level``
+      and none rises onto it; each member u at the level leaves it, which
+      takes one from the score of every node whose closed neighborhood holds
+      u, i.e. of each node of N[u] (``ac`` is symmetric).
+    - The scores are sums of ones, exact in floating point in any order, so
+      they equal the product bit for bit.
+    - Since the product, g has only grown and the pool only shrunk, so
+      ``gmin`` is at least ``level``.  It equals ``level`` exactly when some
+      covered node is still at it, i.e. when some pool node scores 1 or more.
+      So a pick whose best score is below 1 recomputes ``gmin`` and the
+      product and picks again, and every other pick is the product's.
+    - ``refill`` puts dropped members back into the pool.  That can lower
+      ``gmin``, and their scores sit at -1, so after a drop it recomputes
+      the product.
     """
-    gmin = g[cover > 0].min()
-    counts = ac @ (g == gmin).astype(np.float64)
-    return int(np.argmax(np.where(in_pool, counts, -1.0)))
+
+    def __init__(self, ac, g: np.ndarray, members):
+        self.ac = ac
+        self.ipl = ac.indptr.tolist()
+        self.g = g
+        in_pool = np.zeros(ac.shape[0], dtype=bool)
+        in_pool[members] = True
+        self.full = (in_pool, (ac.T @ in_pool.astype(np.float64)).astype(np.int64))
+        self.in_pool, self.cover = self.full[0].copy(), self.full[1].copy()
+        self.dropped = False
+        self._count()
+
+    def _count(self) -> None:
+        self.level = self.g[self.cover > 0].min()
+        self.score = self.ac @ (self.g == self.level).astype(np.float64)
+        self.score[~self.in_pool] = -1.0
+
+    def pick(self) -> int:
+        """The pool node that the balancing criterion picks."""
+        best = int(np.argmax(self.score))
+        if self.score[best] < 1.0:
+            self._count()
+            best = int(np.argmax(self.score))
+        return best
+
+    def drop(self, v: int) -> None:
+        """Take v out of the pool."""
+        self.in_pool[v] = False
+        self.cover[self.ac.indices[self.ipl[v]:self.ipl[v + 1]]] -= 1
+        self.score[v] = -1.0
+        self.dropped = True
+
+    def refill(self) -> None:
+        """Put every dropped member back into the pool."""
+        if self.dropped:
+            self.in_pool, self.cover = self.full[0].copy(), self.full[1].copy()
+            self.dropped = False
+            self._count()
+
+    def add(self, v: int) -> None:
+        """Count one more measurement on the closed neighborhood of v, the last pick."""
+        ix, ipl = self.ac.indices, self.ipl
+        nb = ix[ipl[v]:ipl[v + 1]]
+        old = self.g[nb]
+        self.g[nb] = old + 1
+        leave = nb[old == self.level].tolist()
+        if leave:
+            np.subtract.at(self.score, np.concatenate([ix[ipl[u]:ipl[u + 1]] for u in leave]), 1.0)
 
 
 # Residual ratios outside this band decide the rank test on their own: a
@@ -151,14 +207,22 @@ _RESIDUAL_BAND = (1e-12, 1e-6)
 
 
 class _Scaffold:
-    """Operator rows drawn so far, with an orthonormal basis of their span."""
+    """Operator rows drawn so far, with an orthonormal basis of their span.
+
+    ``rank`` is the numerical rank of the first rows, read from the singular
+    values of the k x k factor R of their QR (first^T = QR, so they are the
+    singular values of first) with ``numerical_rank``'s cutoff for the
+    k x n shape.  The basis is meaningful only when it is k.
+    """
 
     def __init__(self, first: np.ndarray, capacity: int):
         k, n = first.shape
+        q, r = np.linalg.qr(first.T)
+        self.rank = _rank_of(first.shape, np.linalg.svd(r, compute_uv=False))
         self.rows = np.empty((capacity, n))
         self.rows[:k] = first
         self.basis = np.empty((capacity, n))
-        self.basis[:k] = np.linalg.qr(first.T)[0].T
+        self.basis[:k] = q.T
         self.size = k
 
     def admit(self, row: np.ndarray) -> bool:
@@ -194,13 +258,12 @@ def _insert_new(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
     """
     if m > agg.n:
         raise PoolExhaustedError(f"cannot insert new nodes past m = n = {agg.n}")
-    ac = agg.closed_adjacency
-    in_pool, cover = _pool(ac, np.setdiff1d(np.arange(agg.n), nodes))
+    balance = _Balance(agg.closed_adjacency, g, np.setdiff1d(np.arange(agg.n), nodes))
     while len(nodes) < m:
-        best = _criterion_pick(ac, in_pool, cover, g)
-        _leave_pool(ac, in_pool, cover, best)
+        best = balance.pick()
+        balance.drop(best)
+        balance.add(best)
         nodes.append(best)
-        g[closed_in_neighborhood(agg, best)] += 1
 
 
 def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int,
@@ -210,25 +273,23 @@ def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int,
     A candidate is rejected when its freshly drawn row would make the drawn
     rows rank deficient; the next best dominator is tried in its place.
     """
-    ac = agg.closed_adjacency
     rng = np.random.default_rng(seed)
-    first = _gaussian_rows(agg, nodes, rng)
-    if numerical_rank(first) < len(nodes):
+    scaffold = _Scaffold(_gaussian_rows(agg, nodes, rng), m)
+    if scaffold.rank < len(nodes):
         raise PoolExhaustedError("initial dominating rows are rank deficient")
-    scaffold = _Scaffold(first, m)
-    dom_pool, dom_cover = _pool(ac, nodes)
+    balance = _Balance(agg.closed_adjacency, g, list(nodes))
     while len(nodes) < m:
-        in_pool, cover = dom_pool.copy(), dom_cover.copy()
+        balance.refill()
         while True:
-            if not in_pool.any():
+            if not balance.in_pool.any():
                 raise PoolExhaustedError(
                     "no dominator repetition keeps the operator full row rank")
-            cand = _criterion_pick(ac, in_pool, cover, g)
+            cand = balance.pick()
             if scaffold.admit(_gaussian_rows(agg, [cand], rng)[0]):
                 break
-            _leave_pool(ac, in_pool, cover, cand)
+            balance.drop(cand)
         nodes.append(cand)
-        g[closed_in_neighborhood(agg, cand)] += 1
+        balance.add(cand)
 
 
 def build_plan(graph: Graph, m: int, strategy: str = "insert-new",

@@ -196,13 +196,17 @@ def _rank_cut(shape, s: np.ndarray) -> float:
     return max(shape) * (s[0] if s.size else 0.0) * RANK_RTOL
 
 
+def _rank_of(shape, s: np.ndarray) -> int:
+    """Numerical rank of a matrix of ``shape`` with descending singular values s."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > _rank_cut(shape, s)))
+
+
 def numerical_rank(a) -> int:
     """Number of singular values above max(rows, cols) * smax * 2**-45."""
     m = _checked(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > _rank_cut(m.shape, s)))
+    return _rank_of(m.shape, np.linalg.svd(m, compute_uv=False))
 
 
 def condition_number(a) -> float:
@@ -215,13 +219,18 @@ def condition_number(a) -> float:
     return float(kept[0] / kept[-1])
 
 
-def pseudoinverse(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below the cutoff dropped."""
+def _pinv_rank(a) -> tuple[np.ndarray, int]:
+    """``pseudoinverse(a)`` and the rank of ``a`` by the same cutoff, from one SVD."""
     m = _checked(a)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     cut = _rank_cut(m.shape, s)
     inv = np.where(s > cut, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
+    return (vt.T * inv) @ u.T, _rank_of(m.shape, s)
+
+
+def pseudoinverse(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with singular values below the cutoff dropped."""
+    return _pinv_rank(a)[0]
 
 
 # ---------------------------------------------------------------------------

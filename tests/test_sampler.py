@@ -164,6 +164,41 @@ def test_scaffold_admit_agrees_with_numerical_rank(n, extra):
     assert scaffold.size == 3 + int(expected)
 
 
+@pytest.mark.parametrize("rows", ["full-rank", "repeated", "zero-row"])
+def test_scaffold_rank_from_r_agrees_with_numerical_rank(rows):
+    from localagg.sampler import _Scaffold
+
+    rng = np.random.default_rng(3)
+    first = rng.standard_normal((6, 40)) * (rng.random((6, 40)) < 0.3)
+    first[:, :6] += np.eye(6)
+    if rows == "repeated":
+        first[4] = first[1]
+    elif rows == "zero-row":
+        first[2] = 0.0
+    scaffold = _Scaffold(first, 8)
+    assert scaffold.rank == la.numerical_rank(first)
+    assert (scaffold.rank == 6) == (rows == "full-rank")
+
+
+def test_plan_repeat_refuses_rank_deficient_dominating_rows(monkeypatch):
+    # Gaussian rows on distinct neighborhoods are independent, so the refusal
+    # is reached by zeroing the first draw's second row
+    from localagg import sampler
+
+    real = sampler._gaussian_rows
+
+    def deficient(agg, nodes, rng, scale=None):
+        out = real(agg, nodes, rng, scale)
+        if len(nodes) > 1:
+            out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(sampler, "_gaussian_rows", deficient)
+    g = la.generate("cycle", {"n": 12}, 0)
+    with pytest.raises(PoolExhaustedError, match="initial dominating rows are rank deficient"):
+        la.build_plan(g, g.dominating_set.size + 2, "repeat-dominating", seed=0)
+
+
 def test_plan_repeat_pool_exhaustion_on_isolated_nodes():
     g = la.Graph(3, np.zeros((0, 2)))
     with pytest.raises(PoolExhaustedError):
@@ -520,6 +555,56 @@ def test_repeat_rank_rejections_match_legacy():
                     rejections += old[1]
     # the cases must exercise the rank test's rejection branch
     assert rejections > 0
+
+
+# 150 nodes: dominating sets of 25, 11 and 7 nodes at 1, 2 and 3 hops, so the
+# budgets grow plans on all three levels, and the large ones raise the least
+# count to 3 (insert-new) and 4 (repeat-dominating, with rank rejections and
+# pool resets near m = n)
+LARGE_GRAPH = ("random-geometric", {"n": 150, "radius": 0.15}, 1)
+LARGE_BUDGETS = (8, 10, 13, 18, 24, 26, 40, 75, 110, 150, 152)
+
+
+def test_build_plan_matches_legacy_builder_on_a_larger_graph():
+    g = la.generate(*LARGE_GRAPH)
+    seen = set()
+    for strategy in STRATEGIES:
+        for m in LARGE_BUDGETS:
+            new = _outcome(_plan_fields, g, m, strategy, 100 + m)
+            assert new == _outcome(_legacy_fields, g, m, strategy, 100 + m), (strategy, m)
+            if not isinstance(new[0], str):
+                seen.add((strategy, new[2], min(new[1])))
+    for strategy in STRATEGIES:
+        assert {p for s, p, _ in seen if s == strategy} == {1, 2, 3}
+        assert max(gmin for s, _, gmin in seen if s == strategy) >= 3
+
+
+def test_balance_scores_equal_the_product_at_every_pick(monkeypatch):
+    # the kept scores against the criterion recomputed from scratch, on plans
+    # whose least count rises many times and (repeat-dominating, m = 150)
+    # whose pool is refilled after rank rejections
+    from localagg import sampler
+
+    picks = []
+    real = sampler._Balance.pick
+
+    def checked(self):
+        best = real(self)
+        gmin = self.g[self.cover > 0].min()
+        fresh = self.ac @ (self.g == gmin).astype(np.float64)
+        assert self.level == gmin
+        assert self.score[self.in_pool].tobytes() == fresh[self.in_pool].tobytes()
+        assert (self.score[~self.in_pool] < 0).all()
+        assert best == int(np.argmax(np.where(self.in_pool, fresh, -1.0)))
+        picks.append(best)
+        return best
+
+    monkeypatch.setattr(sampler._Balance, "pick", checked)
+    g = la.generate(*LARGE_GRAPH)
+    for strategy in STRATEGIES:
+        for m in (24, 110, 150):
+            la.build_plan(g, m, strategy, seed=m)
+    assert len(picks) > 500
 
 
 def test_hop_cache_is_independent_of_budget_order():
