@@ -65,9 +65,7 @@ from .harness import (
     ExperimentConfig,
     GraphSpec,
     WsnScenario,
-    condition_table,
     derive_seed,
-    dominating_curve,
     run_known_support,
     run_unknown_support,
     write_csv,

@@ -1,8 +1,8 @@
 """Graph container, random generators, dominating sets and hop expansion.
 
 Nodes are integers 0..n-1.  Edges have no orientation: each is stored once in
-canonical (i < j) order and the adjacency is symmetric.  A graph may carry
-per-node 2D positions in the unit square (geometric graphs, sensor layouts).
+canonical (i < j) order and the adjacency is symmetric.  A graph holds its
+structure only: node coordinates, where a model needs them, stay with the caller.
 """
 
 from __future__ import annotations
@@ -46,14 +46,11 @@ class Graph:
         does not matter.
     weights : ndarray of shape (E,), optional
         Positive edge weights.  Defaults to all ones.
-    positions : ndarray of shape (n, 2), optional
-        Node coordinates in the unit square.
     """
 
     n: int
     edges: np.ndarray
     weights: np.ndarray | None = None
-    positions: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -83,14 +80,6 @@ class Graph:
         w.setflags(write=False)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "weights", w)
-        if self.positions is not None:
-            pos = np.array(self.positions, dtype=np.float64, copy=True)
-            if pos.shape != (self.n, 2):
-                raise ValueError("positions must have shape (n, 2)")
-            if pos.size and (pos.min() < 0.0 or pos.max() > 1.0):
-                raise ValueError("positions must lie in the unit square")
-            pos.setflags(write=False)
-            object.__setattr__(self, "positions", pos)
 
     @property
     def num_edges(self) -> int:
@@ -152,29 +141,20 @@ def connected_components(graph: Graph) -> np.ndarray:
 def greedy_dominating_set(graph: Graph) -> np.ndarray:
     """Greedy dominating set, in selection order.
 
-    Repeatedly adds the highest-degree node having no closed neighbor already
-    selected (ties broken toward the lowest index).  If that pool empties while
-    some node is still undominated, the highest-degree undominated node is
-    added instead.  Every node ends up with a selected node in its closed
-    neighborhood.
+    Repeatedly adds the highest-degree undominated node, lowest index on ties,
+    until every node has a selected node in its closed neighborhood.
     """
     n = graph.n
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     deg = graph.degrees.astype(np.float64)
     dominated = np.zeros(n, dtype=bool)
-    blocked = np.zeros(n, dtype=bool)  # has a closed neighbor in the set
     chosen: list[int] = []
     while not dominated.all():
-        pool = ~blocked
-        if not pool.any():
-            pool = ~dominated
         # argmax returns the first maximum, which is the lowest index
-        v = int(np.argmax(np.where(pool, deg, -1.0)))
+        v = int(np.argmax(np.where(dominated, -1.0, deg)))
         chosen.append(v)
-        nb = closed_in_neighborhood(graph, v)
-        dominated[nb] = True
-        blocked[nb] = True
+        dominated[closed_in_neighborhood(graph, v)] = True
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -189,10 +169,10 @@ def p_hop_graph(graph: Graph, p: int) -> Graph:
     """Graph connecting nodes joined by a walk of length 1..p.
 
     ``p_hop_graph(g, 1)`` is ``g`` itself, with its weights; higher levels
-    have unit weights and no positions.  Levels are computed once per
-    graph, each grown from the one below, and kept on the graph for its
-    lifetime.  The expansion saturates at the largest component diameter:
-    once one more hop adds no edge, that level is returned for any larger p.
+    have unit weights.  Levels are computed once per graph, each grown from
+    the one below, and kept on the graph for its lifetime.  The expansion
+    saturates at the largest component diameter: once one more hop adds no
+    edge, that level is returned for any larger p.
     """
     if p < 1:
         raise ValueError("hop count p must be >= 1")
@@ -230,12 +210,6 @@ def minimal_hop_level(graph: Graph, m: int) -> tuple[int, Graph]:
 # ---------------------------------------------------------------------------
 # generators
 
-def _canonical_pairs(i, j):
-    e = np.column_stack([np.minimum(i, j), np.maximum(i, j)]).astype(np.int64)
-    e = np.unique(e, axis=0)
-    return e
-
-
 def _erdos_renyi(params, rng):
     n, p_e = int(params["n"]), float(params["p_e"])
     iu, ju = np.triu_indices(n, k=1)
@@ -245,7 +219,8 @@ def _erdos_renyi(params, rng):
 
 def geometric_graph_from_positions(positions: np.ndarray, radius: float,
                                    weighted: bool = False) -> Graph:
-    """Connect points closer than ``radius``; optional weights exp(-distance).
+    """The graph on ``positions`` (n x 2) joining points closer than ``radius``;
+    optional weights exp(-distance).  The positions themselves are not kept.
 
     Only pairs within ``radius`` of each other in x are measured: the nodes are
     sorted by x and each is paired with the window that follows it.  The window
@@ -267,7 +242,7 @@ def geometric_graph_from_positions(positions: np.ndarray, radius: float,
     mask = dist < radius
     e = np.column_stack([i[mask], j[mask]])
     w = np.exp(-dist[mask]) if weighted else None
-    return Graph(n, e, weights=w, positions=pos)
+    return Graph(n, e, weights=w)
 
 
 def _random_geometric(params, rng):
@@ -297,8 +272,8 @@ def _community(params, rng):
         u = int(rng.integers(starts[c], starts[c + 1]))
         v = int(rng.integers(starts[c + 1], starts[c + 2]))
         pairs.append(np.array([[u, v]]))
-    e = _canonical_pairs(*np.concatenate(pairs).T) if pairs else np.zeros((0, 2))
-    return Graph(n, e)
+    # a bridge may repeat a drawn edge
+    return Graph(n, np.unique(np.sort(np.concatenate(pairs), axis=1), axis=0))
 
 
 def _grid2d(params, rng):

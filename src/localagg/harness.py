@@ -151,19 +151,18 @@ def _schema(cls) -> tuple[dict, list]:
 class _Config:
     """A config that one JSON object spells out: its keys are the dataclass
     fields, and those without a default are required.  ``CHECKS`` maps a field
-    to the check of its value, which ``from_dict`` runs as it reads the value."""
+    to the check of its value, which ``from_dict`` runs as it reads the value
+    and construction runs again, so a config built in code is checked too."""
 
     WHERE = "config"
+
+    def __post_init__(self):
+        for name, rule in self.CHECKS.items():
+            rule(name, getattr(self, name))
 
     @classmethod
     def from_dict(cls, d: dict):
         return cls(**_read(d, cls.WHERE, *_schema(cls), cls.CHECKS))
-
-    def check(self):
-        """Run ``CHECKS`` on a config built in code; return the config."""
-        for name, rule in self.CHECKS.items():
-            rule(name, getattr(self, name))
-        return self
 
     def to_dict(self) -> dict:
         """The JSON object of the config; a field left as None is left out."""
@@ -213,7 +212,7 @@ class ExperimentConfig(_Config):
     def __post_init__(self):
         self.samplers = tuple(self.samplers)
         self.sweep_values = tuple(self.sweep_values)
-        self.check()
+        super().__post_init__()
         self.sigma = float(self.sigma)
         if self.fixed_m is not None:
             _count("fixed_m", self.fixed_m)
@@ -233,6 +232,11 @@ class ExperimentConfig(_Config):
                               f"expected one of {SIGNAL_MODELS}")
         if self.sweep_variable == "sigma" and self.fixed_m is None:
             raise ConfigError("sweeping sigma requires fixed_m")
+        # the swept variable's value comes from the sweep, so these go unread
+        if self.sweep_variable == "m" and self.fixed_m is not None:
+            raise ConfigError("fixed_m is not read when sweeping m")
+        if self.sweep_variable == "sigma" and self.sigma != 0.0:
+            raise ConfigError("sigma is not read when sweeping sigma")
 
     # the file nests the sweep as {"sweep": {"variable": ..., "values": [...]}}
     def to_dict(self) -> dict:
@@ -303,9 +307,8 @@ class _OperatorFactory:
             return draw_operator(plan, seed=seed)
         if tag == "uniform":
             return uniform_node_sampling(self.graph.n, m, seed=seed)
-        if tag == "successive":
-            return self._cached((tag, m), lambda: successive_aggregations(self.graph, m))
-        raise ValueError(f"unknown sampler tag {tag!r}")
+        # every config checks its tags against SAMPLER_TAGS, so this is "successive"
+        return self._cached((tag, m), lambda: successive_aggregations(self.graph, m))
 
 
 def _check_fits(graph: Graph, k: int, samplers, m: int) -> None:
@@ -363,6 +366,9 @@ def run_known_support(config: ExperimentConfig) -> list[dict]:
     the true support; per-point aggregation is the decibel value of the mean
     linear MSE over trials.
     """
+    if config.solver != SolverParams():
+        raise ConfigError("least-squares runs take no l1 solver settings")
+
     def score_cell(basis, trials, sigma):
         for op, spec, x, ts in trials:
             pre = x
@@ -428,21 +434,11 @@ def run_condition_table(config: ConditionTableConfig) -> list[dict]:
             for meth in methods for m in m_values]
 
 
-def condition_table(graph_spec: GraphSpec, k: int, m_values, trials: int, master_seed: int,
-                    methods=ConditionTableConfig.methods) -> list[dict]:
-    return run_condition_table(ConditionTableConfig(graph_spec, k, m_values, trials,
-                                                    master_seed, methods).check())
-
-
 def run_dominating_curve(config: DominatingCurveConfig) -> list[dict]:
     """Greedy dominating-set size of the p-hop expansion for p = 1..p_max."""
     graph = config.graph.build()
     return [{"p": p, "dominating_size": int(p_hop_graph(graph, p).dominating_set.size)}
             for p in range(1, config.p_max + 1)]
-
-
-def dominating_curve(graph_spec: GraphSpec, p_max: int) -> list[dict]:
-    return run_dominating_curve(DominatingCurveConfig(graph_spec, p_max).check())
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +465,7 @@ class WsnScenario(_Config):
               "radius": _positive, "bs_distance_factor": _positive}
 
     def __post_init__(self):
-        # no check() here: the wsn-field benchmark builds 256 scenarios in its
+        # no CHECKS here: the wsn-field benchmark builds 256 scenarios in its
         # timed set-up, which checks there made 1.8x slower
         self.cluster_head_counts = tuple(self.cluster_head_counts)
         self.m_values = tuple(self.m_values)
@@ -492,14 +488,14 @@ def _spatial_dct_basis(positions: np.ndarray) -> OrthoBasis:
     return OrthoBasis(u=u)
 
 
-def _forward_route_power(graph: Graph, plan) -> float:
+def _forward_route_power(graph: Graph, pos: np.ndarray, plan) -> float:
     """Squared-distance cost of forwarding every aggregated scalar.
 
     Every node of a measurement's neighborhood sends its value to the
     aggregating node along the breadth-first shortest path on the original
-    graph, paying the squared length of every edge walked.
+    graph, paying the squared length of every edge walked, with node i at
+    ``pos[i]``.
     """
-    pos = graph.positions
     total = 0.0
     for node in plan.nodes:
         node = int(node)
@@ -555,7 +551,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
             res = bp_l1(op, basis, op.phi @ x, scenario.solver)
             err = float(np.mean((res.x_star - x) ** 2))
             agg.setdefault(("proposed", m), []).append(
-                (_forward_route_power(graph, plan), err))
+                (_forward_route_power(graph, pos, plan), err))
 
         for nc in scenario.cluster_head_counts:
             method = f"cluster-{nc}"

@@ -13,11 +13,12 @@ import pytest
 import localagg as la
 from conftest import ACCEPTANCE_LINES
 from localagg.harness import (
+    ConditionTableConfig,
     ExperimentConfig,
     GraphSpec,
     WsnScenario,
-    condition_table,
     derive_seed,
+    run_condition_table,
     run_unknown_support,
     wsn_experiment,
 )
@@ -103,8 +104,9 @@ def test_03_square_budget_known_support_is_exact():
 
 
 def test_04_conditioning_beats_successive_aggregation():
-    rows = condition_table(GraphSpec("erdos-renyi", {"n": 100, "p_e": 0.2}, seed=0),
-                           k=10, m_values=(20,), trials=100, master_seed=21)
+    rows = run_condition_table(ConditionTableConfig(
+        GraphSpec("erdos-renyi", {"n": 100, "p_e": 0.2}, seed=0),
+        k=10, m_values=(20,), trials=100, master_seed=21))
     med = {r["method"]: r["median_cond"] for r in rows}
     ok = 1.0 <= med["proposed-insert"] <= 50.0 and med["successive"] >= 1e10
     record(4, "median conditioning at m = 2k", ok,
@@ -194,7 +196,7 @@ def test_07_low_coherence_graph_recovers_earlier():
 def test_08_edge_weights_leave_recovery_unchanged():
     master = 17
     gw = la.generate("random-geometric", {"n": 100, "radius": 0.2, "weighted": True}, seed=3)
-    gb = la.Graph(gw.n, gw.edges, weights=None, positions=gw.positions)
+    gb = la.Graph(gw.n, gw.edges, weights=None)
     basis_w, basis_b = la.gft_basis(gw), la.gft_basis(gb)
     # with equal weights the two bases, and so the two curves, agree by construction
     basis_gap = float(np.abs(basis_w.u - basis_b.u).max())

@@ -581,3 +581,17 @@ def test_a_write_that_fails_at_flush_is_refused_in_one_line():
     with pytest.raises(SystemExit) as info:
         _run("generate", "--kind", "cycle", "--params", '{"n": 6}', "--out", "/dev/full")
     assert str(info.value) == "No space left on device"
+
+
+@pytest.mark.parametrize("kind, payload, problem", [
+    # the swept variable takes its value from the sweep, so a fixed one goes unread
+    ("known-support", _blind_payload(fixed_m=6), "fixed_m is not read when sweeping m"),
+    ("known-support", _blind_payload(fixed_m=6, sigma=0.1,
+                                     sweep={"variable": "sigma", "values": [0.1]}),
+     "sigma is not read when sweeping sigma"),
+    # least squares on the known support runs no l1 solve
+    ("known-support", _blind_payload(solver={"max_iter": 100}),
+     "least-squares runs take no l1 solver settings"),
+])
+def test_experiment_refuses_values_nothing_reads(tmp_path, kind, payload, problem):
+    test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem)

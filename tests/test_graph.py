@@ -34,21 +34,13 @@ def test_rejects_self_loop_duplicate_and_bad_weight():
         la.Graph(2, [[0, 2]])
 
 
-def test_positions_validated_and_frozen():
-    with pytest.raises(ValueError):
-        la.Graph(2, [[0, 1]], positions=[[0.1, 1.5], [0.2, 0.2]])
-    g = la.Graph(2, [[0, 1]], positions=[[0.1, 0.9], [0.2, 0.2]])
-    with pytest.raises(ValueError):
-        g.edges[0, 0] = 5
-    with pytest.raises(ValueError):
-        g.positions[0, 0] = 0.5
-
-
 def test_input_arrays_are_copied():
     e = np.array([[1, 0]])
     g = la.Graph(2, e)
     e[0, 0] = 0  # mutating the caller's array must not touch the graph
     assert g.edges.tolist() == [[0, 1]]
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 5
 
 
 def test_degrees_path(path4):
@@ -363,16 +355,27 @@ def test_geometric_weighted_weight_range():
 
 
 def test_geometric_edges_respect_radius():
-    g = la.generate("random-geometric", {"n": 50, "radius": 0.3}, seed=5)
+    pos = np.random.default_rng(5).random((50, 2))
+    g = la.geometric_graph_from_positions(pos, 0.3)
     for i, j in g.edges:
-        assert np.linalg.norm(g.positions[i] - g.positions[j]) < 0.3
+        assert np.linalg.norm(pos[i] - pos[j]) < 0.3
 
 
 def test_geometric_weights_match_distances():
-    g = la.generate("random-geometric", {"n": 40, "radius": 0.35, "weighted": True},
-                    seed=9)
-    d = np.linalg.norm(g.positions[g.edges[:, 0]] - g.positions[g.edges[:, 1]], axis=1)
+    pos = np.random.default_rng(9).random((40, 2))
+    g = la.geometric_graph_from_positions(pos, 0.35, weighted=True)
+    d = np.linalg.norm(pos[g.edges[:, 0]] - pos[g.edges[:, 1]], axis=1)
     assert np.allclose(g.weights, np.exp(-d), atol=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_random_geometric_is_built_on_the_seeded_positions(weighted):
+    g = la.generate("random-geometric", {"n": 60, "radius": 0.25, "weighted": weighted},
+                    seed=13)
+    pos = np.random.default_rng(13).random((60, 2))
+    direct = la.geometric_graph_from_positions(pos, 0.25, weighted)
+    assert g.edges.tobytes() == direct.edges.tobytes()
+    assert g.weights.tobytes() == direct.weights.tobytes()
 
 
 # equivalence with the all-pairs geometric builder
@@ -390,7 +393,7 @@ def _legacy_geometric(positions, radius, weighted=False):
     mask = dist[iu, ju] < radius
     e = np.column_stack([iu[mask], ju[mask]])
     w = np.exp(-dist[iu[mask], ju[mask]]) if weighted else None
-    return la.Graph(n, e, weights=w, positions=pos)
+    return la.Graph(n, e, weights=w)
 
 
 def _assert_same_geometric(pos, radius, weighted):
@@ -398,7 +401,6 @@ def _assert_same_geometric(pos, radius, weighted):
     old = _legacy_geometric(pos, radius, weighted)
     assert new.edges.tobytes() == old.edges.tobytes()
     assert new.weights.tobytes() == old.weights.tobytes()
-    assert new.positions.tobytes() == old.positions.tobytes()
     return old
 
 

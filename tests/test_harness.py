@@ -8,17 +8,19 @@ import pytest
 
 import localagg as la
 from localagg.harness import (
+    ConditionTableConfig,
     ConfigError,
+    DominatingCurveConfig,
     ExperimentConfig,
     GraphSpec,
     WsnScenario,
     _largest_remainder,
     _spatial_dct_basis,
-    condition_table,
     config_hash,
     derive_seed,
-    dominating_curve,
     result_meta,
+    run_condition_table,
+    run_dominating_curve,
     run_known_support,
     run_unknown_support,
     write_csv,
@@ -264,42 +266,42 @@ def test_unknown_support_rejects_bad_configs():
 
 def test_condition_table_shape_and_determinism():
     spec = GraphSpec("erdos-renyi", {"n": 30, "p_e": 0.3}, seed=0)
-    rows = condition_table(spec, k=5, m_values=(10, 20), trials=4, master_seed=6)
+    config = ConditionTableConfig(spec, k=5, m_values=(10, 20), trials=4, master_seed=6)
+    rows = run_condition_table(config)
     assert [(r["method"], r["m"]) for r in rows] == [
         ("proposed-insert", 10), ("proposed-insert", 20),
         ("successive", 10), ("successive", 20)]
     for row in rows:
         assert row["median_cond"] >= 1.0 and row["trials"] == 4
-    again = condition_table(spec, k=5, m_values=(10, 20), trials=4, master_seed=6)
-    assert rows == again
+    assert run_condition_table(config) == rows
 
 
 def test_condition_table_rejects_unknown_method():
     spec = GraphSpec("cycle", {"n": 10}, seed=0)
-    with pytest.raises(ValueError, match="sampler"):
-        condition_table(spec, k=2, m_values=(4,), trials=1, master_seed=0,
-                        methods=("nope",))
+    with pytest.raises(ConfigError, match="sampler"):
+        ConditionTableConfig(spec, k=2, m_values=(4,), methods=("nope",))
     # the methods are checked before any graph is generated
     unbuildable = GraphSpec("no-such-kind", {}, seed=0)
-    with pytest.raises(ValueError, match="sampler"):
-        condition_table(unbuildable, k=2, m_values=(4,), trials=1, master_seed=0,
-                        methods=("nope",))
+    with pytest.raises(ConfigError, match="sampler"):
+        ConditionTableConfig(unbuildable, k=2, m_values=(4,), methods=("nope",))
 
 
 def test_dominating_curve_complete_graph():
-    rows = dominating_curve(GraphSpec("complete", {"n": 7}, seed=0), p_max=3)
+    rows = run_dominating_curve(DominatingCurveConfig(GraphSpec("complete", {"n": 7}, seed=0),
+                                                      p_max=3))
     assert [r["dominating_size"] for r in rows] == [1, 1, 1]
     assert [r["p"] for r in rows] == [1, 2, 3]
 
 
 def test_dominating_curve_cycle_twelve():
-    rows = dominating_curve(GraphSpec("cycle", {"n": 12}, seed=0), p_max=6)
+    rows = run_dominating_curve(DominatingCurveConfig(GraphSpec("cycle", {"n": 12}, seed=0),
+                                                      p_max=6))
     assert [r["dominating_size"] for r in rows] == [6, 4, 3, 2, 2, 1]
 
 
 def test_dominating_curve_rejects_bad_p():
-    with pytest.raises(ValueError):
-        dominating_curve(GraphSpec("cycle", {"n": 12}, seed=0), p_max=0)
+    with pytest.raises(ConfigError, match="p_max must be an integer >= 1, got 0"):
+        DominatingCurveConfig(GraphSpec("cycle", {"n": 12}, seed=0), p_max=0)
 
 
 # ---------------------------------------------------------------------------

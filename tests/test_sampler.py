@@ -393,8 +393,7 @@ def _legacy_closed(g: la.Graph, i: int) -> np.ndarray:
 def _legacy_reach_to_graph(graph: la.Graph, reach) -> la.Graph:
     r = reach.tocoo()
     keep = r.row < r.col
-    return la.Graph(graph.n, np.column_stack([r.row[keep], r.col[keep]]).astype(np.int64),
-                    positions=graph.positions)
+    return la.Graph(graph.n, np.column_stack([r.row[keep], r.col[keep]]).astype(np.int64))
 
 
 def _legacy_hop_search(graph: la.Graph, m: int):
