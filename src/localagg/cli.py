@@ -8,7 +8,7 @@ import sys
 from dataclasses import fields
 
 from . import harness
-from .graph import generate, load_edge_list, save_edge_list
+from .graph import HopPlanInfeasibleError, generate, load_edge_list, save_edge_list
 from .recon import bp_l1, check_support, ls_known_support
 from .sampler import (STRATEGIES, PoolExhaustedError, SamplingOperator, build_plan,
                       draw_operator, plan_to_json)
@@ -96,7 +96,7 @@ def _cmd_experiment(args):
     try:
         config = config_class.from_dict(payload)
         rows = run(config)
-    except harness.ConfigError as exc:
+    except (harness.ConfigError, HopPlanInfeasibleError) as exc:
         raise SystemExit(f"{args.config}: {exc}") from None
     harness.write_csv(args.out, rows, columns,
                       harness.result_meta(config.to_dict(), config.master_seed))

@@ -125,7 +125,8 @@ def _check_real(name: str, value, positive: bool = False) -> None:
                           f"got {value!r}")
 
 
-def _check_samplers(_label, tags) -> None:
+def _check_samplers(label, tags) -> None:
+    _nonempty(label, tags)
     for tag in tags:
         if tag not in SAMPLER_TAGS:
             raise ConfigError(f"unknown sampler tag {tag!r}")
@@ -137,9 +138,20 @@ _seed = partial(check_int, error=ConfigError)
 _positive = partial(_check_real, positive=True)
 
 
+def _nonempty(label: str, values) -> None:
+    """Refuse an empty list, which would select no result row."""
+    if not values:
+        raise ConfigError(f"{label} must be nonempty")
+
+
 def _counts(label: str, values) -> None:
     for value in values:
         _count(f"{label} entry", value)
+
+
+def _budgets(label: str, values) -> None:
+    _nonempty(label, values)
+    _counts(label, values)
 
 
 def _schema(cls) -> tuple[dict, list]:
@@ -265,7 +277,7 @@ class ConditionTableConfig(_Config):
     methods: tuple = ("proposed-insert", "successive")
 
     CHECKS = {"methods": _check_samplers, "k": _count, "trials": _count, "master_seed": _seed,
-              "m_values": _counts}
+              "m_values": _budgets}
 
 
 @dataclass
@@ -295,15 +307,13 @@ class _OperatorFactory:
             self._cache[key] = build()
         return self._cache[key]
 
-    def operator(self, tag: str, m: int, seed: int, plan_seed: int) -> SamplingOperator:
-        """Operator of sampler ``tag`` with budget m.
+    def operator(self, tag: str, m: int, seed: int) -> SamplingOperator:
+        """Operator of sampler ``tag`` with budget m; ``seed`` drives its random draw.
 
-        ``seed`` drives the random draw of the operator, ``plan_seed`` the plan
-        of an aggregation sampler.
+        An aggregation sampler's plan is deterministic, so one plan serves every draw.
         """
         if tag in STRATEGY:
-            plan = self._cached((tag, m, plan_seed),
-                                lambda: build_plan(self.graph, m, STRATEGY[tag], seed=plan_seed))
+            plan = self._cached((tag, m), lambda: build_plan(self.graph, m, STRATEGY[tag]))
             return draw_operator(plan, seed=seed)
         if tag == "uniform":
             return uniform_node_sampling(self.graph.n, m, seed=seed)
@@ -340,14 +350,13 @@ def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[di
                 m, sigma = int(value), config.sigma
             else:
                 m, sigma = int(config.fixed_m), float(value)
-            plan_seed = derive_seed(config.master_seed, "plan", tag, m)
 
             def draw(t):
                 ts = derive_seed(config.master_seed, tag, value, t)
                 spec = SparseSignalSpec.draw(graph.n, config.k, config.signal_model,
                                              derive_seed(ts, "signal"))
                 x = synthesize(basis, spec)
-                op = factory.operator(tag, m, derive_seed(ts, "operator"), plan_seed)
+                op = factory.operator(tag, m, derive_seed(ts, "operator"))
                 return op, spec, x, ts
 
             total = 0.0
@@ -417,7 +426,7 @@ def run_condition_table(config: ConditionTableConfig) -> list[dict]:
     conds: dict = {(meth, m): [] for meth in methods for m in m_values}
     for t in range(config.trials):
         g = replace(config.graph, seed=derive_seed(ms, "graph", t)).build()
-        _check_fits(g, config.k, methods, max(m_values, default=0))
+        _check_fits(g, config.k, methods, max(m_values))
         basis = gft_basis(g, normalized=True)
         factory = _OperatorFactory(g)
         rng = np.random.default_rng(derive_seed(ms, "support", t))
@@ -426,8 +435,7 @@ def run_condition_table(config: ConditionTableConfig) -> list[dict]:
         for meth in methods:
             for m in m_values:
                 draw = "unif" if meth == "uniform" else "draw"
-                op = factory.operator(meth, m, derive_seed(ms, draw, t, m),
-                                      derive_seed(ms, "plan", t, m))
+                op = factory.operator(meth, m, derive_seed(ms, draw, t, m))
                 conds[(meth, m)].append(condition_number(op.phi @ u_s))
     return [{"method": meth, "m": m, "median_cond": float(np.median(conds[(meth, m)])),
              "trials": config.trials}
@@ -461,7 +469,7 @@ class WsnScenario(_Config):
     # a radius <= 0 leaves the fields edgeless and a NaN one pairs every node;
     # a NaN distance factor writes NaN powers
     CHECKS = {"n": _count, "k": _count, "trials": _count, "master_seed": _seed,
-              "cluster_head_counts": _counts, "m_values": _counts,
+              "cluster_head_counts": _counts, "m_values": _budgets,
               "radius": _positive, "bs_distance_factor": _positive}
 
     def __post_init__(self):
@@ -545,8 +553,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
         x = synthesize(basis, spec)
 
         for m in scenario.m_values:
-            plan = build_plan(graph, m, "insert-new",
-                              seed=derive_seed(ms, "plan", t, m))
+            plan = build_plan(graph, m, "insert-new")
             op = draw_operator(plan, seed=derive_seed(ms, "draw", t, m))
             res = bp_l1(op, basis, op.phi @ x, scenario.solver)
             err = float(np.mean((res.x_star - x) ** 2))

@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .graph import Graph, minimal_hop_level
-from .spectral import _rank_of, numerical_rank
 
 STRATEGIES = ("repeat-dominating", "insert-new")
 
@@ -39,7 +39,7 @@ class SamplingPlan:
     strategy: str          # "exact", "repeat-dominating" or "insert-new"
     multiplicities: np.ndarray
     base_graph: Graph
-    seed: int | None = None
+    seed: int | None = None  # as given to build_plan; no plan reads it
 
     def __post_init__(self):
         for name in ("nodes", "multiplicities"):
@@ -95,7 +95,7 @@ def _closed_rows(graph: Graph, nodes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gaussian_rows(agg: Graph, nodes, rng: np.random.Generator,
-                   scale: np.ndarray | None = None) -> np.ndarray:
+                   scale: np.ndarray) -> np.ndarray:
     """One standard Gaussian row per entry of ``nodes``, supported on its closed
     neighborhood in ``agg``; the entry at column j is divided by ``scale[j]``.
 
@@ -103,9 +103,7 @@ def _gaussian_rows(agg: Graph, nodes, rng: np.random.Generator,
     is the order of drawing each row separately from the same generator.
     """
     rows, cols = _closed_rows(agg, nodes)
-    vals = rng.standard_normal(cols.size)
-    if scale is not None:
-        vals /= scale[cols]
+    vals = rng.standard_normal(cols.size) / scale[cols]
     out = np.zeros((len(nodes), agg.n))
     out[rows, cols] = vals
     return out
@@ -200,57 +198,6 @@ class _Balance:
             np.subtract.at(self.score, np.concatenate([ix[ipl[u]:ipl[u + 1]] for u in leave]), 1.0)
 
 
-# Residual ratios outside this band decide the rank test on their own: a
-# dependent row keeps ~1e-16 of its norm, an independent Gaussian row most
-# of it.  Inside the band the singular-value rule of numerical_rank decides.
-_RESIDUAL_BAND = (1e-12, 1e-6)
-
-
-class _Scaffold:
-    """Operator rows drawn so far, with an orthonormal basis of their span.
-
-    ``rank`` is the numerical rank of the first rows, read from the singular
-    values of the k x k factor R of their QR (first^T = QR, so they are the
-    singular values of first) with ``numerical_rank``'s cutoff for the
-    k x n shape.  The basis is meaningful only when it is k.
-    """
-
-    def __init__(self, first: np.ndarray, capacity: int):
-        k, n = first.shape
-        q, r = np.linalg.qr(first.T)
-        self.rank = _rank_of(first.shape, np.linalg.svd(r, compute_uv=False))
-        self.rows = np.empty((capacity, n))
-        self.rows[:k] = first
-        self.basis = np.empty((capacity, n))
-        self.basis[:k] = q.T
-        self.size = k
-
-    def admit(self, row: np.ndarray) -> bool:
-        """Append ``row`` if the stack stays full row rank; report whether it did.
-
-        The row's relative residual after two projection passes against the
-        basis decides; in the ambiguous band (or for a zero row, whose ratio
-        is NaN), numerical_rank of the stacked rows decides.
-        """
-        q = self.basis[:self.size]
-        resid = row - (q @ row) @ q
-        resid -= (q @ resid) @ q
-        norm = np.linalg.norm(resid)
-        with np.errstate(invalid="ignore"):
-            ratio = norm / np.linalg.norm(row)
-        lo, hi = _RESIDUAL_BAND
-        if ratio <= lo:
-            return False
-        if not ratio >= hi:
-            stacked = np.vstack([self.rows[:self.size], row])
-            if numerical_rank(stacked) < stacked.shape[0]:
-                return False
-        self.rows[self.size] = row
-        self.basis[self.size] = resid / norm
-        self.size += 1
-        return True
-
-
 def _insert_new(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
     """Grow ``nodes`` (and ``g``) to m entries with nodes not sampled yet.
 
@@ -266,17 +213,30 @@ def _insert_new(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
         nodes.append(best)
 
 
-def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int,
-                       seed: int | None) -> None:
+def _full_term_rank(agg: Graph, nodes) -> bool:
+    """Whether the closed neighborhoods of ``nodes`` have full term rank.
+
+    That is, whether a bipartite matching pairs each entry of ``nodes`` (a
+    repeated node once per repetition) with a distinct node of its closed
+    neighborhood in ``agg``.  With such a matching, a matrix of independent
+    Gaussian entries on these neighborhoods has full row rank with
+    probability one (Edmonds 1967); without it, every matrix supported on
+    them is row rank deficient.
+    """
+    pattern = agg.closed_adjacency[np.asarray(nodes, dtype=np.int64)]
+    return bool((csgraph.maximum_bipartite_matching(pattern, perm_type="column") >= 0).all())
+
+
+def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
     """Grow ``nodes`` (the dominating set) and ``g`` to m entries by repeating dominators.
 
-    A candidate is rejected when its freshly drawn row would make the drawn
-    rows rank deficient; the next best dominator is tried in its place.
+    A candidate is rejected when the plan with it would lose full term rank
+    (see _full_term_rank), so that the operator drawn for the plan has full
+    row rank with probability one; the next best dominator is tried in its
+    place.  The dominating set itself has full term rank: its nodes are
+    distinct and each lies in its own closed neighborhood, so matching each
+    to itself is a full matching.
     """
-    rng = np.random.default_rng(seed)
-    scaffold = _Scaffold(_gaussian_rows(agg, nodes, rng), m)
-    if scaffold.rank < len(nodes):
-        raise PoolExhaustedError("initial dominating rows are rank deficient")
     balance = _Balance(agg.closed_adjacency, g, list(nodes))
     while len(nodes) < m:
         balance.refill()
@@ -285,7 +245,7 @@ def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int,
                 raise PoolExhaustedError(
                     "no dominator repetition keeps the operator full row rank")
             cand = balance.pick()
-            if scaffold.admit(_gaussian_rows(agg, [cand], rng)[0]):
+            if _full_term_rank(agg, nodes + [cand]):
                 break
             balance.drop(cand)
         nodes.append(cand)
@@ -299,10 +259,12 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
     The greedy dominating set of the smallest feasible hop expansion seeds the
     plan.  If it is smaller than m, extra nodes are added one at a time by the
     balancing criterion: either repeating dominators ("repeat-dominating",
-    each insertion checked to keep a freshly drawn operator full row rank) or
-    inserting nodes not yet sampled ("insert-new").  The returned strategy tag
-    is "exact" when no growth was needed.  Hop levels come from the graph's
-    cache (see graph.p_hop_graph), so plans on one graph share them.
+    each insertion checked to keep the plan at full term rank, so that its
+    operator has full row rank with probability one) or inserting nodes not
+    yet sampled ("insert-new").  The returned strategy tag is "exact" when no
+    growth was needed.  Hop levels come from the graph's cache (see
+    graph.p_hop_graph), so plans on one graph share them.  Plans are
+    deterministic: ``seed`` is recorded in the plan and its file, not consumed.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
@@ -317,7 +279,7 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
         if strategy == "insert-new":
             _insert_new(agg, nodes, g, m)
         else:
-            _repeat_dominating(agg, nodes, g, m, seed)
+            _repeat_dominating(agg, nodes, g, m)
     return SamplingPlan(nodes=np.asarray(nodes, dtype=np.int64), p=p, strategy=tag,
                         multiplicities=g, base_graph=agg, seed=seed)
 

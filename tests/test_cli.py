@@ -116,6 +116,10 @@ def _graph_payload():
     return {"kind": "erdos-renyi", "params": {"n": 18, "p_e": 0.35}, "seed": 1}
 
 
+def _sparse_geometric():
+    return {"kind": "random-geometric", "params": {"n": 60, "radius": 0.05}, "seed": 0}
+
+
 def _write_config(tmp_path, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))
@@ -415,6 +419,15 @@ def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem
      "bs_distance_factor must be a finite number > 0, got inf"),
     ("wsn", {"n": 16, "k": 3, "bs_distance_factor": -5.0},
      "bs_distance_factor must be a finite number > 0, got -5.0"),
+    # a budget below the saturated dominating set ended in a traceback
+    ("unknown-support", _blind_payload(graph=_sparse_geometric(), sweep={"variable": "m",
+                                                                        "values": [3]}),
+     "dominating set has 50 nodes at saturation, budget is 3"),
+    ("known-support", _blind_payload(graph=_sparse_geometric(), sweep={"variable": "m",
+                                                                      "values": [3]}),
+     "dominating set has 50 nodes at saturation, budget is 3"),
+    ("wsn", {"n": 16, "k": 3, "radius": 0.01, "cluster_head_counts": [2], "m_values": [3]},
+     "dominating set has 16 nodes at saturation, budget is 3"),
 ])
 def test_experiment_refuses_bad_noise_levels_and_graph_counts(tmp_path, kind, payload, problem):
     test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem)
@@ -594,4 +607,18 @@ def test_a_write_that_fails_at_flush_is_refused_in_one_line():
      "least-squares runs take no l1 solver settings"),
 ])
 def test_experiment_refuses_values_nothing_reads(tmp_path, kind, payload, problem):
+    test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem)
+
+
+@pytest.mark.parametrize("kind, payload, problem", [
+    ("known-support", _blind_payload(samplers=[]), "samplers must be nonempty"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4], "methods": []},
+     "methods must be nonempty"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": []},
+     "m_values must be nonempty"),
+    ("wsn", {"n": 16, "k": 3, "cluster_head_counts": [2], "m_values": []},
+     "m_values must be nonempty"),
+])
+def test_experiment_refuses_a_config_that_selects_no_rows(tmp_path, kind, payload, problem):
+    # each wrote a table with a header and no rows
     test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem)

@@ -143,60 +143,32 @@ def test_plan_repeat_keeps_full_row_rank():
     assert la.numerical_rank(op.phi) == m
 
 
-@pytest.mark.parametrize("n, extra", [
-    (5, None),           # zero row: NaN ratio, the SVD rejects it
-    (5, 0.0),            # a copy of a scaffold row
-    (5, 1.0),            # clearly independent
-    (5, 1e-9),           # ambiguous band, above the SVD cut: admitted
-    (20_000, 1e-11),     # ambiguous band, below the SVD cut (~8e-10): rejected
-])
-def test_scaffold_admit_agrees_with_numerical_rank(n, extra):
-    from localagg.sampler import _Scaffold
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60)
+def test_full_term_rank_agrees_with_numerical_rank_of_a_gaussian_draw(seed):
+    from localagg.sampler import _full_term_rank, _gaussian_rows
 
-    first = np.eye(3, n)
-    row = np.zeros(n)
-    if extra is not None:
-        row[0] = 1.0
-        row[3] = extra
-    expected = la.numerical_rank(np.vstack([first, row])) == 4
-    scaffold = _Scaffold(first, 4)
-    assert scaffold.admit(row) == expected
-    assert scaffold.size == 3 + int(expected)
+    g = random_graph(seed, n_max=16)
+    rng = np.random.default_rng(seed)
+    nodes = rng.integers(0, g.n, int(rng.integers(1, g.n + 3))).tolist()
+    drawn = _gaussian_rows(g, nodes, rng, np.ones(g.n))
+    assert _full_term_rank(g, nodes) == (la.numerical_rank(drawn) == len(nodes))
+    # every hop level's greedy dominating set, up to saturation, is matched to itself
+    for p in range(1, g.n + 1):
+        level = la.p_hop_graph(g, p)
+        assert _full_term_rank(level, level.dominating_set)
+        if la.p_hop_graph(g, p + 1) is level:
+            break
 
 
-@pytest.mark.parametrize("rows", ["full-rank", "repeated", "zero-row"])
-def test_scaffold_rank_from_r_agrees_with_numerical_rank(rows):
-    from localagg.sampler import _Scaffold
-
-    rng = np.random.default_rng(3)
-    first = rng.standard_normal((6, 40)) * (rng.random((6, 40)) < 0.3)
-    first[:, :6] += np.eye(6)
-    if rows == "repeated":
-        first[4] = first[1]
-    elif rows == "zero-row":
-        first[2] = 0.0
-    scaffold = _Scaffold(first, 8)
-    assert scaffold.rank == la.numerical_rank(first)
-    assert (scaffold.rank == 6) == (rows == "full-rank")
-
-
-def test_plan_repeat_refuses_rank_deficient_dominating_rows(monkeypatch):
-    # Gaussian rows on distinct neighborhoods are independent, so the refusal
-    # is reached by zeroing the first draw's second row
-    from localagg import sampler
-
-    real = sampler._gaussian_rows
-
-    def deficient(agg, nodes, rng, scale=None):
-        out = real(agg, nodes, rng, scale)
-        if len(nodes) > 1:
-            out[1] = 0.0
-        return out
-
-    monkeypatch.setattr(sampler, "_gaussian_rows", deficient)
-    g = la.generate("cycle", {"n": 12}, 0)
-    with pytest.raises(PoolExhaustedError, match="initial dominating rows are rank deficient"):
-        la.build_plan(g, g.dominating_set.size + 2, "repeat-dominating", seed=0)
+def test_plan_repeat_is_the_same_for_every_seed():
+    g = la.generate(*LARGE_GRAPH)
+    for m in (40, 110, 150):
+        a, b = (la.build_plan(g, m, "repeat-dominating", seed=s) for s in (0, 20180417))
+        assert a.strategy == "repeat-dominating"
+        assert a.nodes.tolist() == b.nodes.tolist()
+        assert a.multiplicities.tolist() == b.multiplicities.tolist()
+        assert (a.seed, b.seed) == (0, 20180417)
 
 
 def test_plan_repeat_pool_exhaustion_on_isolated_nodes():
