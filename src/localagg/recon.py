@@ -8,7 +8,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 from .graph import check_int
 from .spectral import OrthoBasis, _pinv_rank
@@ -161,6 +161,11 @@ CROSSOVER_FEAS = 1e-9
 CROSSOVER_DUAL = 1e-10
 CROSSOVER_GAP = 1e-9
 
+# set-up: the largest ||psi||_F ||pinv||_F and ||psi pinv - I||_F at which the
+# Cholesky pseudoinverse is used (see _bp_pinv)
+CHOLESKY_BOUND = 8192.0
+CHOLESKY_RESIDUAL = 1e-6
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -185,9 +190,58 @@ class SolverParams:
         check_int("max_iter", self.max_iter, 1)
 
 
+def _bp_pinv(psi: np.ndarray):
+    """(pinv, rank, setup) of psi: its pseudoinverse, its rank under
+    ``spectral._rank_cut`` and the path that gave them, "cholesky" or "svd".
+
+    For m <= n the pseudoinverse of a full-row-rank psi is psi^T (psi psi^T)^-1:
+    LAPACK's potrf factors G = psi psi^T, potrs solves G X = psi, and pinv =
+    X^T.  That is an m x m factorization in place of an m x n SVD.  It is
+    taken, with rank m, only when potrf succeeds and, as computed, b =
+    ||psi||_F ||X||_F <= ``CHOLESKY_BOUND`` = 2**13 (false for a non-finite
+    X) and e = ||psi pinv - I||_F <= ``CHOLESKY_RESIDUAL``.  With u = 2**-53:
+
+    - the exact R = psi pinv - I differs from the computed one by at most
+      about n u b, so ||R||_2 < 1/2 for n below 2**38: psi pinv = I + R is
+      invertible and psi has rank m;
+    - sigma_m(psi) >= sigma_m(psi pinv) / ||pinv||_2 >= (1 - ||R||_2) / ||X||_F
+      and sigma_1(psi) <= ||psi||_F, so the condition number kappa of psi is
+      below 2 b <= 2**14;
+    - ``_rank_cut`` is max(m, n) sigma_1 2**-45, below sigma_m while max(m,
+      n) < 2**31, by a margin far beyond the SVD's own rounding (about n u
+      sigma_1): ``_pinv_rank`` would find rank m too;
+    - the normal equations err by about kappa**2 u relative to the SVD's
+      pseudoinverse, at most about 2**-25 and near 1e-15 for kappa near 1;
+      they leave e near the same size, far below ``CHOLESKY_RESIDUAL``, and
+      a projection x = v - pinv psi v + x_feas meets the measurements to
+      psi x - y = -R (psi v - y), within e of the gap it starts from.
+
+    The test of e is what proves the rank: a rank-deficient psi (a row that
+    combines others) can pass potrf on rounding and give a moderate b, but
+    not a small e.  Every other case (m > n, no rows, a non-finite ||psi||_F,
+    potrf failing on a zero or repeated row, either test failing) takes
+    ``_pinv_rank``'s SVD, which refuses an empty or non-finite psi.
+    """
+    m, n = psi.shape
+    flat = psi.ravel()
+    frob = math.sqrt(flat.dot(flat))
+    if 0 < m <= n and math.isfinite(frob):
+        c, info = dpotrf(psi.dot(psi.T))
+        if info == 0:
+            x = dpotrs(c, psi)[0]
+            if frob * np.linalg.norm(x) <= CHOLESKY_BOUND:
+                pinv = x.T
+                r = psi.dot(pinv)
+                r.flat[::m + 1] -= 1.0
+                if np.linalg.norm(r) <= CHOLESKY_RESIDUAL:
+                    return pinv, m, "cholesky"
+    pinv, rank = _pinv_rank(psi)
+    return pinv, rank, "svd"
+
+
 def _bp_setup(op, basis: OrthoBasis, y):
-    """(psi, pinv, x_feas, y, scale, first_check) of one l1 problem, x_feas and y
-    divided by scale.
+    """(psi, pinv, x_feas, y, scale, first_check, setup) of one l1 problem,
+    x_feas and y divided by scale and pinv from ``_bp_pinv``.
 
     ``first_check`` is the iteration of the first crossover attempt, 0 (never)
     when psi has rank below m: no m columns of it are then independent, so no
@@ -196,11 +250,11 @@ def _bp_setup(op, basis: OrthoBasis, y):
     y = np.asarray(y, dtype=np.float64)
     _check_problem(op, basis, y)
     psi = op.phi @ basis.u
-    pinv, rank = _pinv_rank(psi)
+    pinv, rank, setup = _bp_pinv(psi)
     x_feas = pinv @ y
     scale = math.sqrt(x_feas.dot(x_feas)) or 1.0
     first_check = CROSSOVER_START if rank == psi.shape[0] else 0
-    return psi, pinv, x_feas / scale, y / scale, scale, first_check
+    return psi, pinv, x_feas / scale, y / scale, scale, first_check, setup
 
 
 def _factor(psi_s: np.ndarray):
@@ -365,13 +419,13 @@ def _certify(psi: np.ndarray, y: np.ndarray, s: np.ndarray, sigma: np.ndarray, l
 
 def _bp_result(basis: OrthoBasis, scale: float, x: np.ndarray, iterations: int,
                converged: bool, certified: bool, pivots: int, r_norm: float,
-               s_norm: float, rho: float) -> ReconResult:
+               s_norm: float, rho: float, setup: str) -> ReconResult:
     """The finished solve of the normalised problem, in the caller's units."""
     xhat = scale * x
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
              "certified": certified, "primal_residual": scale * r_norm,
              "dual_residual": scale * s_norm, "objective": float(np.abs(xhat).sum()),
-             "rho": rho, "pivots": pivots}
+             "rho": rho, "pivots": pivots, "setup": setup}
     return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
@@ -402,7 +456,8 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     True, the vertex as its estimate, the vertex's ``||psi x - y||`` as
     ``primal_residual`` and the ADMM dual residual of that iteration.
     ``pivots`` counts the simplex pivots of all the solve's attempts (0 when
-    none ran).
+    none ran), and ``setup`` names how the pseudoinverse of psi was computed
+    (``_bp_pinv``): "cholesky" or, as a fallback, "svd".
 
     At small n an iteration costs numpy call overhead rather than arithmetic,
     so the loop body is written with as few calls as give the same float64
@@ -416,7 +471,7 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     """
     if params is None:
         params = SolverParams()
-    psi, pinv, x_feas, y, scale, next_check = _bp_setup(op, basis, y)
+    psi, pinv, x_feas, y, scale, next_check, setup = _bp_setup(op, basis, y)
     n = psi.shape[1]
     psi_dot = psi.dot
     pinv_dot = pinv.dot
@@ -473,7 +528,7 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
                 break
             next_check += CROSSOVER_EVERY
     return _bp_result(basis, scale, x, iterations, converged, vertex is not None,
-                      pivots, r_norm, s_norm, rho)
+                      pivots, r_norm, s_norm, rho, setup)
 
 
 # bytes of operator stacks (each problem's psi and its pseudoinverse, 16 m n)
@@ -523,6 +578,7 @@ def bp_l1_many(problems, basis: OrthoBasis,
     psi, pinv, x_feas, y = (np.stack([s[i] for s in block]) for i in range(4))
     scales = [s[4] for s in block]
     next_check = np.array([s[5] for s in block])
+    setups = [s[6] for s in block]
     slot = list(range(len(block)))       # row -> index of its problem
     b = len(block)
     z = np.zeros((b, n))
@@ -579,11 +635,12 @@ def bp_l1_many(problems, basis: OrthoBasis,
             results[slot[row]] = _bp_result(
                 basis, scales[row], x_row, int(its[row]), bool(converged[row]),
                 row in vertices, int(pivots[row]), r_row, float(s_norm[row]),
-                float(rho[row]))
+                float(rho[row]), setups[row])
             setup = next(pending, None)
             if setup is None:
                 continue
-            psi[row], pinv[row], x_feas[row], y[row], scales[row], next_check[row] = setup
+            (psi[row], pinv[row], x_feas[row], y[row], scales[row], next_check[row],
+             setups[row]) = setup
             slot[row] = len(results)
             results.append(None)
             z[row] = u[row] = 0.0
@@ -596,6 +653,7 @@ def bp_l1_many(problems, basis: OrthoBasis,
             psi, pinv, x_feas, y, z, u, rho, its, pivots, next_check, s_norm = (
                 a[keep] for a in (psi, pinv, x_feas, y, z, u, rho, its, pivots, next_check,
                                   s_norm))
-            scales, slot = ([seq[i] for i in keep.tolist()] for seq in (scales, slot))
+            scales, setups, slot = ([seq[i] for i in keep.tolist()]
+                                    for seq in (scales, setups, slot))
             b = keep.size
     return results

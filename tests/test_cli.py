@@ -84,7 +84,7 @@ def test_reconstruct_round_trip(tmp_path, capsys, method):
     printed = capsys.readouterr().out
     if method == "bp":
         assert "converged=True, certified=False, primal_residual=" in printed
-        assert printed.rstrip().endswith(", pivots=0)")
+        assert printed.rstrip().endswith(", pivots=0, setup=cholesky)")
 
 
 def test_reconstruct_ls_requires_support(tmp_path):

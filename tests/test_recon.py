@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import LinAlgWarning, lu_factor
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linprog
 
 import localagg as la
@@ -14,6 +15,8 @@ from localagg.recon import (FLOOR_DB, PERFECT_DB, ReconResult, SolverParams,
                             realized_coefficients, to_db)
 from localagg.sampler import SamplingOperator
 from localagg.spectral import pseudoinverse
+
+from conftest import random_graph
 
 
 def _setup(n=24, p_e=0.3, seed=0, k=4, m=12):
@@ -248,6 +251,129 @@ def test_bp_rejects_bad_measurement_shape():
 
 
 # ---------------------------------------------------------------------------
+# the set-up's pseudoinverse: a Cholesky factor of psi psi^T when it provably
+# has full row rank, else the SVD
+
+def _near_singular(m, n, sigma, seed=0):
+    """m x n psi with singular values 1 (m - 1 times) and sigma."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    s = np.ones(m)
+    s[-1] = sigma
+    return (u * s) @ v.T
+
+
+def _sigma_at_bound(m):
+    """sigma at which ||psi||_F ||pinv||_F of ``_near_singular`` is the bound:
+    the small root t = sigma**2 of (m - 1 + t)(m - 1 + 1/t) = bound**2."""
+    beta = recon.CHOLESKY_BOUND ** 2 - 1 - (m - 1) ** 2
+    return np.sqrt(2 * (m - 1) / (beta + np.sqrt(beta ** 2 - 4 * (m - 1) ** 2)))
+
+
+def test_setup_takes_the_svd_without_full_row_rank():
+    # repeated rows, a zero row and more rows than columns: no rank m, no
+    # Cholesky, no crossover attempt
+    op, basis, y, _ = _blind_problem("default")
+    zero_row = SamplingOperator(phi=np.vstack([op.phi, np.zeros(op.n)]))
+    cases = [_blind_problem("repeated-rows")[:3], _blind_problem("tall")[:3],
+             (zero_row, basis, np.append(y, 0.0))]
+    for op, basis, y in cases:
+        psi, pinv, *_, first_check, setup = recon._bp_setup(op, basis, y)
+        assert setup == "svd" and first_check == 0
+        assert la.numerical_rank(psi) < op.m
+        assert _same_bytes(pinv, pseudoinverse(psi))
+        assert la.bp_l1(op, basis, y, SolverParams(max_iter=50)).solver_stats["setup"] == "svd"
+    # every full-rank problem of the byte comparison takes the Cholesky path
+    for name in _BLIND_CASES:
+        op, basis, y, _ = _blind_problem(name)
+        full = name not in ("repeated-rows", "inconsistent", "tall")
+        assert recon._bp_setup(op, basis, y)[-2:] == (
+            (recon.CROSSOVER_START, "cholesky") if full else (0, "svd"))
+
+
+def test_setup_refuses_a_row_that_combines_others():
+    # a row 0.5 r0 + 0.25 r1 leaves G singular, but rounding can let potrf
+    # through with a moderate ||psi||_F ||X||_F: only the residual
+    # ||psi pinv - I||_F tells that X is not a pseudoinverse
+    rounded_through = 0
+    for seed in range(10):
+        a = np.random.default_rng(seed).standard_normal((12, 30))
+        psi = np.vstack([a, 0.5 * a[0] + 0.25 * a[1]])
+        pinv, rank, setup = recon._bp_pinv(psi)
+        assert setup == "svd" and rank == la.numerical_rank(psi) == 12
+        c, info = dpotrf(psi @ psi.T)
+        if info == 0:
+            x = dpotrs(c, psi)[0]
+            rounded_through += np.linalg.norm(psi) * np.linalg.norm(x) <= recon.CHOLESKY_BOUND
+    assert rounded_through > 0
+
+
+@pytest.mark.parametrize("m, n", [(4, 10), (20, 40), (50, 100)])
+def test_setup_bound_decides_near_singular_psi(m, n):
+    edge = _sigma_at_bound(m)
+    for sigma, setup in ((1.001 * edge, "cholesky"), (0.999 * edge, "svd")):
+        psi = _near_singular(m, n, sigma)
+        pinv, rank, got = recon._bp_pinv(psi)
+        assert got == setup
+        # both sides of the bound have full rank by the SVD's cutoff
+        assert rank == la.numerical_rank(psi) == m
+        ref = pseudoinverse(psi)
+        assert np.abs(pinv - ref).max() <= 1e-8 * np.abs(ref).max()
+    # below the SVD's cutoff the rank drops and the crossover is skipped
+    psi = _near_singular(m, n, 1e-15)
+    assert recon._bp_pinv(psi)[1:] == (m - 1, "svd")
+
+
+# an inf entry times the basis's zeros makes NaNs in op.phi @ basis.u, which
+# numpy reports before the set-up refuses psi
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_setup_refuses_non_finite_and_empty_operators():
+    op, basis, y, params = _blind_problem("default")
+    empty = SamplingOperator(phi=np.zeros((0, op.n)))
+    with pytest.raises(ValueError, match="expected a nonempty 2-D matrix"):
+        la.bp_l1(empty, basis, np.zeros(0), params)
+    for bad in (np.nan, np.inf, -np.inf):
+        phi = op.phi.copy()
+        phi[3, 5] = bad
+        broken = SamplingOperator(phi=phi)
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            la.bp_l1(broken, basis, y, params)
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            la.bp_l1_many([(op, y), (broken, y)], basis, params)
+        # the Cholesky path is not tried, so it adds no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                recon._bp_pinv(broken.phi)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=50, deadline=None)
+def test_cholesky_setup_matches_the_svd(seed):
+    # operators of every random graph kind in a graph and a DCT basis: on the
+    # Cholesky path, the SVD's pseudoinverse to 1e-12 relative plus the normal
+    # equations' kappa**2 u term, and the SVD's rank
+    g = random_graph(seed)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, g.n + 1))
+    try:
+        plan = la.build_plan(g, m, "insert-new")
+    except la.HopPlanInfeasibleError:
+        assume(False)
+    basis = la.gft_basis(g) if seed % 2 else la.dct_basis(g.n)
+    psi = la.draw_operator(plan, seed=seed).phi @ basis.u
+    pinv, rank, setup = recon._bp_pinv(psi)
+    assume(setup == "cholesky")
+    assert rank == la.numerical_rank(psi) == m
+    assert pinv.shape == (g.n, m) and pinv.flags.c_contiguous
+    ref = pseudoinverse(psi)
+    s = np.linalg.svd(psi, compute_uv=False)
+    tol = 1e-12 + 16 * 2.0 ** -53 * (s[0] / s[-1]) ** 2
+    assert np.abs(pinv - ref).max() <= tol * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
 # the ADMM loop against its textbook form, byte for byte
 
 def _legacy_soft(v, t):
@@ -259,7 +385,7 @@ def _legacy_bp_l1(op, basis, y, params):
     y = np.asarray(y, dtype=np.float64)
     psi = op.phi @ basis.u
     n = psi.shape[1]
-    pinv = pseudoinverse(psi)
+    pinv, _, setup = recon._bp_pinv(psi)
     x_feas = pinv @ y
     scale = float(np.linalg.norm(x_feas))
     if scale == 0.0:
@@ -314,7 +440,7 @@ def _legacy_bp_l1(op, basis, y, params):
     stats = {"method": "bp", "iterations": iterations, "converged": converged,
              "certified": certified, "primal_residual": scale * r_norm,
              "dual_residual": scale * s_norm, "objective": float(np.abs(xhat).sum()),
-             "rho": rho, "pivots": pivots}
+             "rho": rho, "pivots": pivots, "setup": setup}
     return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 
 
@@ -586,7 +712,7 @@ def test_engine_matches_bp_l1_byte_for_byte(monkeypatch, name, budget):
     certified = [res.solver_stats["pivots"] for res in many if res.solver_stats["certified"]]
     # rows of the crossover block are certified with and without pivots, and
     # degenerate rows only after pivots
-    assert sorted(certified) == {"crossover": [0, 0, 2], "degenerate": [20, 20, 28]}.get(name, [])
+    assert sorted(certified) == {"crossover": [0, 0, 2], "degenerate": [19, 20, 29]}.get(name, [])
 
 
 def test_engine_blocks_cover_each_regime():
@@ -767,7 +893,7 @@ def test_simplex_finish_certifies_degenerate_problems(kind):
 
 
 def test_spent_budget_returns_none_and_leaves_the_iterates(monkeypatch):
-    # this solve needs 11 pivots at its first finish; with a budget of one it
+    # this solve needs 15 pivots at its first finish; with a budget of one it
     # runs out, and the ADMM iterates after it are those of a solve whose
     # finishes return at once: same bytes, only the pivot count differs
     _, basis, op, _, x = _setup(n=30, m=18, k=7, seed=10)
@@ -798,7 +924,7 @@ def test_spent_budget_returns_none_and_leaves_the_iterates(monkeypatch):
     monkeypatch.setattr(recon, "CROSSOVER_BUDGET", budget)
     monkeypatch.setattr(recon, "_simplex_finish", real)
     certified = la.bp_l1(op, basis, y, params).solver_stats
-    assert certified["certified"] and certified["pivots"] == 11
+    assert certified["certified"] and certified["pivots"] == 15
 
 
 def _cluster_operator(n, m, members, rows, seed):

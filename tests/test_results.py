@@ -92,8 +92,8 @@ def test_unknown_support_short_run_matches_fixture(tmp_path):
 
 def test_wsn_short_run_matches_fixture(tmp_path):
     # the committed sensor-field run at 2 trials; the fixture's rows were last
-    # written when bp_l1 began to end solves with simplex pivots from the ADMM
-    # iterate, which moved only mean_mse_db.  A child process pins BLAS to one
+    # written when bp_l1 began to take its pseudoinverse from a Cholesky factor
+    # of psi psi^T, which moved only mean_mse_db.  A child process pins BLAS to one
     # thread before numpy loads: threaded BLAS changes the last digits of
     # mean_mse_db.
     out = tmp_path / "wsn_tradeoff.csv"
