@@ -25,6 +25,14 @@ def check_int(name: str, value, minimum: int | None = None, error=ValueError) ->
         raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def check_real(name: str, value, positive: bool = False, error=ValueError) -> None:
+    """Raise ``error`` unless value is a finite number (not a bool) >= 0, > 0 if ``positive``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        raise error(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                    f"got {value!r}")
+
+
 class GraphFormatError(ValueError):
     """An edge-list file could not be parsed."""
 

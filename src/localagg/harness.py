@@ -12,20 +12,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields, asdict, replace
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from . import __version__
 from .baselines import successive_aggregations, uniform_node_sampling
 from .graph import (
     Graph,
     check_int,
-    closed_in_neighborhood,
+    check_real,
     generate,
     geometric_graph_from_positions,
     p_hop_graph,
@@ -40,7 +37,7 @@ from .recon import (
     synthesize,
     to_db,
 )
-from .sampler import SamplingOperator, build_plan, draw_operator
+from .sampler import SamplingOperator, _closed_rows, build_plan, draw_operator
 from .spectral import BASIS_TAGS, OrthoBasis, build_basis, condition_number, dct_basis, gft_basis
 
 SAMPLER_TAGS = ("proposed-insert", "proposed-repeat", "uniform", "successive")
@@ -117,14 +114,6 @@ _READERS = {
 }
 
 
-def _check_real(name: str, value, positive: bool = False) -> None:
-    """Refuse a value that is not a finite number >= 0 (> 0 when ``positive``)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
-        raise ConfigError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
-                          f"got {value!r}")
-
-
 def _check_samplers(label, tags) -> None:
     _nonempty(label, tags)
     for tag in tags:
@@ -135,7 +124,8 @@ def _check_samplers(label, tags) -> None:
 # the value checks of the config tables, each called as check(label, value)
 _count = partial(check_int, minimum=1, error=ConfigError)
 _seed = partial(check_int, error=ConfigError)
-_positive = partial(_check_real, positive=True)
+_real = partial(check_real, error=ConfigError)
+_positive = partial(check_real, positive=True, error=ConfigError)
 
 
 def _nonempty(label: str, values) -> None:
@@ -218,7 +208,7 @@ class ExperimentConfig(_Config):
     # a count such as "trials": 2.5 is refused, not truncated; score_cell adds
     # noise only when sigma > 0, so a NaN or negative level would run
     # noiseless under its own label
-    CHECKS = {"k": _count, "trials": _count, "master_seed": _seed, "sigma": _check_real,
+    CHECKS = {"k": _count, "trials": _count, "master_seed": _seed, "sigma": _real,
               "samplers": _check_samplers}
 
     def __post_init__(self):
@@ -232,7 +222,7 @@ class ExperimentConfig(_Config):
             raise ConfigError("sweep_variable must be 'm' or 'sigma'")
         if not self.sweep_values:
             raise ConfigError("sweep_values must be nonempty")
-        swept = _count if self.sweep_variable == "m" else _check_real
+        swept = _count if self.sweep_variable == "m" else _real
         for value in self.sweep_values:
             swept(f"swept {self.sweep_variable}", value)
         if list(self.sweep_values) != sorted(set(self.sweep_values)):
@@ -496,28 +486,21 @@ def _spatial_dct_basis(positions: np.ndarray) -> OrthoBasis:
     return OrthoBasis(u=u)
 
 
-def _forward_route_power(graph: Graph, pos: np.ndarray, plan) -> float:
+def _forward_route_power(pos: np.ndarray, plan) -> float:
     """Squared-distance cost of forwarding every aggregated scalar.
 
-    Every node of a measurement's neighborhood sends its value to the
-    aggregating node along the breadth-first shortest path on the original
-    graph, paying the squared length of every edge walked, with node i at
-    ``pos[i]``.
+    Each node of a measurement's closed neighborhood sends its value one hop
+    to the aggregating node, paying the squared distance between them, with
+    node i at ``pos[i]``; the aggregating node's own value travels distance
+    zero.  The model holds for one-hop plans only, which ``wsn_experiment``
+    checks.  The terms are added one at a time in row-major order, so the
+    total is the one a plain loop over the rows gives; numpy's pairwise
+    ``sum`` and the compensated builtin ``sum`` of Python 3.12 round
+    differently.
     """
-    total = 0.0
-    for node in plan.nodes:
-        node = int(node)
-        nb = closed_in_neighborhood(plan.base_graph, node)
-        _, pred = csgraph.breadth_first_order(graph.adjacency, node,
-                                              return_predecessors=True)
-        for j in nb:
-            j = int(j)
-            cur = j
-            while cur != node:
-                par = int(pred[cur])
-                total += float(((pos[cur] - pos[par]) ** 2).sum())
-                cur = par
-    return total
+    rows, cols = _closed_rows(plan.base_graph, plan.nodes)
+    d2 = ((pos[cols] - pos[plan.nodes[rows]]) ** 2).sum(axis=1)
+    return float(np.add.accumulate(d2)[-1])
 
 
 def _largest_remainder(m: int, sizes: np.ndarray) -> np.ndarray:
@@ -537,7 +520,9 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
     reconstruct blindly via l1 minimization in a spatial DCT basis; they
     differ in how measurements are formed and what in-network forwarding
     costs.  Returns one row per method and budget with mean powers and mean
-    reconstruction error.
+    reconstruction error.  A budget below a field's one-hop dominating set
+    is refused: its plan would aggregate over several hops, which the
+    forwarding cost does not model.
     """
     ms = scenario.master_seed
     d_bs2 = float(scenario.bs_distance_factor) ** 2
@@ -554,11 +539,15 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
 
         for m in scenario.m_values:
             plan = build_plan(graph, m, "insert-new")
+            if plan.p > 1:
+                raise ConfigError(
+                    f"m = {m} is below the field's one-hop dominating set of "
+                    f"{graph.dominating_set.size} nodes; forwarding is costed one hop only")
             op = draw_operator(plan, seed=derive_seed(ms, "draw", t, m))
             res = bp_l1(op, basis, op.phi @ x, scenario.solver)
             err = float(np.mean((res.x_star - x) ** 2))
             agg.setdefault(("proposed", m), []).append(
-                (_forward_route_power(graph, pos, plan), err))
+                (_forward_route_power(pos, plan), err))
 
         for nc in scenario.cluster_head_counts:
             method = f"cluster-{nc}"

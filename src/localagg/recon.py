@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
-from .graph import check_int
+from .graph import check_int, check_real
 from .spectral import OrthoBasis, _pinv_rank
 
 SIGNAL_MODELS = ("bandlimited", "random-support")
@@ -31,6 +30,8 @@ class SparseSignalSpec:
         s = np.array(self.support, dtype=np.int64, copy=True)
         if s.size == 0:
             raise ValueError("support must be nonempty")
+        if s.min() < 0:
+            raise ValueError(f"support index {int(s.min())} is negative")
         if np.unique(s).size != s.size:
             raise ValueError("support indices must be distinct")
         s = np.sort(s)
@@ -183,10 +184,7 @@ class SolverParams:
 
     def __post_init__(self):
         for name in ("rho", "tol_abs", "tol_rel"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value <= 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            check_real(name, getattr(self, name), positive=True)
         check_int("max_iter", self.max_iter, 1)
 
 

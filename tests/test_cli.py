@@ -293,7 +293,7 @@ def _blind_payload(**changes):
 @pytest.mark.parametrize("kind, payload, problem", [
     ("unknown-support", {"graph": _graph_payload(), "k": 3, "solver": {"rho": float("nan")},
                          "sweep": {"variable": "m", "values": [6]}},
-     "solver rho must be a positive finite number, got nan"),
+     "solver rho must be a finite number > 0, got nan"),
     ("wsn", {"n": 16, "k": 3, "solver": {"max_iter": 2.5}},
      "solver max_iter must be an integer >= 1, got 2.5"),
     ("known-support", _blind_payload(k=0), "k must be an integer >= 1, got 0"),
@@ -428,6 +428,11 @@ def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem
      "dominating set has 50 nodes at saturation, budget is 3"),
     ("wsn", {"n": 16, "k": 3, "radius": 0.01, "cluster_head_counts": [2], "m_values": [3]},
      "dominating set has 16 nodes at saturation, budget is 3"),
+    # a budget that only a two-hop plan fits has no one-hop forwarding cost
+    ("wsn", {"n": 16, "k": 3, "radius": 0.3, "cluster_head_counts": [2], "m_values": [4],
+             "master_seed": 1},
+     "m = 4 is below the field's one-hop dominating set of 5 nodes; "
+     "forwarding is costed one hop only"),
 ])
 def test_experiment_refuses_bad_noise_levels_and_graph_counts(tmp_path, kind, payload, problem):
     test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem)

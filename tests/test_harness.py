@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import localagg as la
 from localagg.harness import (
@@ -331,6 +332,57 @@ def test_wsn_rerun_is_bit_identical():
                      m_values=(8,), trials=1, master_seed=2,
                      solver=SolverParams(max_iter=1000))
     assert wsn_experiment(sc) == wsn_experiment(sc)
+
+
+def _legacy_forward_route_power(graph, pos, plan) -> float:
+    """The former route power: each neighborhood node walks its breadth-first
+    shortest path on ``graph`` to the aggregating node, edge by edge."""
+    from scipy.sparse import csgraph
+
+    total = 0.0
+    for node in plan.nodes:
+        node = int(node)
+        nb = la.closed_in_neighborhood(plan.base_graph, node)
+        _, pred = csgraph.breadth_first_order(graph.adjacency, node,
+                                              return_predecessors=True)
+        for j in nb:
+            cur = int(j)
+            while cur != node:
+                par = int(pred[cur])
+                total += float(((pos[cur] - pos[par]) ** 2).sum())
+                cur = par
+    return total
+
+
+def _field(seed: int, n: int, radius: float):
+    pos = np.random.default_rng(seed).random((n, 2))
+    return pos, la.geometric_graph_from_positions(pos, radius)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 7, 20180417])
+def test_route_power_equals_the_walk_on_default_fields(master_seed):
+    # the field that wsn_experiment's trial 0 lays out for this master seed
+    sc = WsnScenario()
+    pos, graph = _field(derive_seed(master_seed, "positions", 0), sc.n, sc.radius)
+    for m in sc.m_values:
+        plan = la.build_plan(graph, m, "insert-new")
+        assert plan.p == 1
+        assert harness._forward_route_power(pos, plan) == \
+            _legacy_forward_route_power(graph, pos, plan)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40)
+def test_route_power_equals_the_walk_on_one_hop_plans(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 81))
+    pos, graph = _field(int(rng.integers(2 ** 31)), n, float(rng.uniform(0.1, 0.7)))
+    smallest = graph.dominating_set.size
+    for m in {smallest, n, int(rng.integers(smallest, n + 1))}:
+        plan = la.build_plan(graph, m, "insert-new")
+        assert plan.p == 1
+        assert harness._forward_route_power(pos, plan) == \
+            _legacy_forward_route_power(graph, pos, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ def test_spec_validation():
         la.SparseSignalSpec(support=[])
     with pytest.raises(ValueError):
         la.SparseSignalSpec(support=[1, 1])
+    # a negative index was accepted and synthesize wrapped it to the last atoms
+    with pytest.raises(ValueError, match="support index -8 is negative"):
+        la.SparseSignalSpec(support=[0, -8, -1])
 
 
 def test_spec_sorts_support():
