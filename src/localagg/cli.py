@@ -78,7 +78,7 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_experiment(args):
-    config_class, run, columns = harness.EXPERIMENTS[args.what]
+    config_class, run = harness.EXPERIMENTS[args.what]
     given = {"--seed": ("master_seed", args.seed), "--trials": ("trials", args.trials)}
     overrides = {key: value for key, value in given.values() if value is not None}
     if not overrides.keys() <= {f.name for f in fields(config_class)}:
@@ -98,8 +98,7 @@ def _cmd_experiment(args):
         rows = run(config)
     except (harness.ConfigError, HopPlanInfeasibleError) as exc:
         raise SystemExit(f"{args.config}: {exc}") from None
-    harness.write_csv(args.out, rows, columns,
-                      harness.result_meta(config.to_dict(), config.master_seed))
+    harness.write_csv(args.out, rows, harness.result_meta(config.to_dict(), config.master_seed))
     print(f"wrote {len(rows)} rows to {args.out}")
 
 

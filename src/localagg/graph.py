@@ -421,8 +421,8 @@ def load_edge_list(path) -> Graph:
                     w = float(tokens[2])
                 except ValueError:
                     raise GraphFormatError(f"{path}:{lineno}: weight is not a number")
-                if not w > 0:
-                    raise GraphFormatError(f"{path}:{lineno}: weight must be positive")
+                if not 0 < w < math.inf:
+                    raise GraphFormatError(f"{path}:{lineno}: weight must be positive and finite")
             if i == j:
                 raise GraphFormatError(f"{path}:{lineno}: self-loop {i}")
             if not (0 <= i < n and 0 <= j < n):

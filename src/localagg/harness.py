@@ -51,7 +51,8 @@ def derive_seed(master: int, *parts) -> int:
     """Stable sub-seed from a master seed and a tuple of labels/values."""
     def canon(p):
         if isinstance(p, float):
-            return repr(p)
+            # float() first: numpy 2 renders an np.float64 as "np.float64(0.01)"
+            return repr(float(p))
         return str(p)
 
     text = "|".join([str(int(master))] + [canon(p) for p in parts])
@@ -527,7 +528,6 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
     ms = scenario.master_seed
     d_bs2 = float(scenario.bs_distance_factor) ** 2
     agg: dict = {}        # (method, m) -> per-trial (intra-network power, mse)
-    redraws: dict = {}    # method -> head redraws summed over trials
     for t in range(scenario.trials):
         rng_pos = np.random.default_rng(derive_seed(ms, "positions", t))
         pos = rng_pos.random((scenario.n, 2))
@@ -551,8 +551,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
 
         for nc in scenario.cluster_head_counts:
             method = f"cluster-{nc}"
-            heads, members, tries = _draw_clusters(scenario, pos, t, nc)
-            redraws[method] = redraws.get(method, 0) + tries - 1
+            heads, members = _draw_clusters(scenario, pos, t, nc)
             sizes = np.asarray([members[c].size for c in range(nc)])
             dists2 = [((pos[members[c]] - pos[heads[c]]) ** 2).sum(axis=1)
                       for c in range(nc)]
@@ -587,47 +586,45 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
             "mean_power_bs": p_bs,
             "mean_mse_db": to_db(float(err.mean())),
             "trials": scenario.trials,
-            "head_redraws": redraws.get(method, 0),
         })
     return rows
 
 
 def _draw_clusters(scenario: WsnScenario, pos: np.ndarray, trial: int, nc: int):
-    """Heads plus nearest-head membership; redraw on a degenerate clustering."""
-    for attempt in range(64):
-        rng = np.random.default_rng(derive_seed(scenario.master_seed, "heads",
-                                                trial, nc, attempt))
-        heads = rng.choice(scenario.n, size=nc, replace=False)
-        d2 = ((pos[:, None, :] - pos[heads][None, :, :]) ** 2).sum(axis=2)
-        owner = np.argmin(d2, axis=1)
-        members = [np.flatnonzero(owner == c) for c in range(nc)]
-        if all(ms.size > 0 for ms in members):
-            return heads, members, attempt + 1
-    raise RuntimeError("could not draw a clustering without empty clusters")
+    """Heads plus nearest-head membership.
+
+    A head is at distance zero from itself, so its cluster is empty only if
+    another head shares its position; ``_largest_remainder`` then gives that
+    cluster no rows.
+    """
+    # the trailing 0, once the index of a redraw, keeps the heads of every committed table
+    rng = np.random.default_rng(derive_seed(scenario.master_seed, "heads", trial, nc, 0))
+    heads = rng.choice(scenario.n, size=nc, replace=False)
+    d2 = ((pos[:, None, :] - pos[heads][None, :, :]) ** 2).sum(axis=2)
+    owner = np.argmin(d2, axis=1)
+    return heads, [np.flatnonzero(owner == c) for c in range(nc)]
 
 
-EXPERIMENTS = {  # experiment kind -> (config class, run, CSV columns)
-    "known-support": (ExperimentConfig, run_known_support,
-                      ["sampler", "sweep_variable", "sweep_value", "mean_mse_db", "trials"]),
-    "unknown-support": (ExperimentConfig, run_unknown_support,
-                        ["sampler", "sweep_variable", "sweep_value", "recovery_prob", "trials"]),
-    "condition-table": (ConditionTableConfig, run_condition_table,
-                        ["method", "m", "median_cond", "trials"]),
-    "dominating-curve": (DominatingCurveConfig, run_dominating_curve, ["p", "dominating_size"]),
-    "wsn": (WsnScenario, wsn_experiment,
-            ["method", "m", "mean_power", "mean_power_intra", "mean_power_bs", "mean_mse_db",
-             "trials", "head_redraws"]),
+# experiment kind -> (config class, run); each run returns one or more rows,
+# built from one dict literal whose keys are the table's columns
+EXPERIMENTS = {
+    "known-support": (ExperimentConfig, run_known_support),
+    "unknown-support": (ExperimentConfig, run_unknown_support),
+    "condition-table": (ConditionTableConfig, run_condition_table),
+    "dominating-curve": (DominatingCurveConfig, run_dominating_curve),
+    "wsn": (WsnScenario, wsn_experiment),
 }
 
 
 # ---------------------------------------------------------------------------
 # result files
 
-def write_csv(path, rows: list[dict], fieldnames: list[str], meta: dict) -> None:
-    """Result table with a leading comment line carrying provenance."""
+def write_csv(path, rows: list[dict], meta: dict) -> None:
+    """Result table with a leading comment line carrying provenance; the
+    header is the first row's keys."""
     with open(path, "w", newline="") as fh:
         fh.write("# " + ", ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

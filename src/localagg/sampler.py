@@ -144,20 +144,15 @@ class _Balance:
       covered node is still at it, i.e. when some pool node scores 1 or more.
       So a pick whose best score is below 1 recomputes ``gmin`` and the
       product and picks again, and every other pick is the product's.
-    - ``refill`` puts dropped members back into the pool.  That can lower
-      ``gmin``, and their scores sit at -1, so after a drop it recomputes
-      the product.
     """
 
     def __init__(self, ac, g: np.ndarray, members):
         self.ac = ac
         self.ipl = ac.indptr.tolist()
         self.g = g
-        in_pool = np.zeros(ac.shape[0], dtype=bool)
-        in_pool[members] = True
-        self.full = (in_pool, (ac.T @ in_pool.astype(np.float64)).astype(np.int64))
-        self.in_pool, self.cover = self.full[0].copy(), self.full[1].copy()
-        self.dropped = False
+        self.in_pool = np.zeros(ac.shape[0], dtype=bool)
+        self.in_pool[members] = True
+        self.cover = (ac.T @ self.in_pool.astype(np.float64)).astype(np.int64)
         self._count()
 
     def _count(self) -> None:
@@ -178,14 +173,6 @@ class _Balance:
         self.in_pool[v] = False
         self.cover[self.ac.indices[self.ipl[v]:self.ipl[v + 1]]] -= 1
         self.score[v] = -1.0
-        self.dropped = True
-
-    def refill(self) -> None:
-        """Put every dropped member back into the pool."""
-        if self.dropped:
-            self.in_pool, self.cover = self.full[0].copy(), self.full[1].copy()
-            self.dropped = False
-            self._count()
 
     def add(self, v: int) -> None:
         """Count one more measurement on the closed neighborhood of v, the last pick."""
@@ -236,20 +223,23 @@ def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
     place.  The dominating set itself has full term rank: its nodes are
     distinct and each lies in its own closed neighborhood, so matching each
     to itself is a full matching.
+
+    A rejection is final.  For plans P inside P' (as multisets), a matching
+    that covers every entry of P' + [c] covers P + [c], so a repetition of c
+    rejected at P is rejected at every plan grown from P.  Keeping it in the
+    pool would not change a pick either: it would be picked and rejected
+    again, or leave the other members' level and scores as they are.
     """
     balance = _Balance(agg.closed_adjacency, g, list(nodes))
     while len(nodes) < m:
-        balance.refill()
-        while True:
-            if not balance.in_pool.any():
-                raise PoolExhaustedError(
-                    "no dominator repetition keeps the operator full row rank")
-            cand = balance.pick()
-            if _full_term_rank(agg, nodes + [cand]):
-                break
+        if not balance.in_pool.any():
+            raise PoolExhaustedError("no dominator repetition keeps the operator full row rank")
+        cand = balance.pick()
+        if _full_term_rank(agg, nodes + [cand]):
+            nodes.append(cand)
+            balance.add(cand)
+        else:
             balance.drop(cand)
-        nodes.append(cand)
-        balance.add(cand)
 
 
 def build_plan(graph: Graph, m: int, strategy: str = "insert-new",

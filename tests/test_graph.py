@@ -567,6 +567,8 @@ def test_load_ignores_comments_and_blanks(tmp_path):
     ("3\n0 5\n", 2),
     ("3\n0 1 -1.0\n", 2),
     ("3\n0 1 x\n", 2),
+    ("3\n0 1 inf\n", 2),
+    ("3\n0 1 1e400\n", 2),
     ("x\n0 1\n", 1),
     ("3\n0\n", 2),
 ])

@@ -57,6 +57,11 @@ def test_derive_seed_pinned_values():
 def test_derive_seed_order_and_types():
     assert derive_seed(0, "a", 1) != derive_seed(0, 1, "a")
     assert derive_seed(0, 0.1) == derive_seed(0, "0.1")  # documented collision
+    # a numpy float seeds like the Python float of the same value, as does a
+    # sweep value read from a numpy array
+    assert derive_seed(7, "noise", np.float64(0.1), 3) == derive_seed(7, "noise", 0.1, 3)
+    assert [derive_seed(0, v) for v in np.array([0.01, 0.02])] == \
+        [derive_seed(0, v) for v in (0.01, 0.02)]
     assert 0 <= derive_seed(3, "x") < 2 ** 64
 
 
@@ -323,8 +328,22 @@ def test_wsn_power_accounting():
         assert row["trials"] == 2
     # every node its own head: readings travel distance zero inside clusters
     assert by_method["cluster-16"]["mean_power_intra"] == 0.0
-    assert by_method["cluster-16"]["head_redraws"] == 0
     assert by_method["proposed"]["mean_power_intra"] > 0.0
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=30)
+def test_every_cluster_holds_its_own_head(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 61))
+    pos = rng.random((n, 2))
+    sc = WsnScenario(n=n, k=1, cluster_head_counts=(1, n // 2, n),
+                     master_seed=int(rng.integers(2 ** 31)))
+    for nc in sc.cluster_head_counts:
+        heads, members = harness._draw_clusters(sc, pos, int(rng.integers(10)), nc)
+        assert len(heads) == len(members) == nc
+        assert all(heads[c] in members[c] for c in range(nc))
+        assert sorted(np.concatenate(members).tolist()) == list(range(n))
 
 
 def test_wsn_rerun_is_bit_identical():
@@ -418,8 +437,7 @@ def test_spatial_dct_basis_is_permuted_dct():
 def test_write_csv_meta_line_and_body(tmp_path):
     path = tmp_path / "table.csv"
     rows = [{"a": 1, "b": 2.5}, {"a": 3, "b": -1.0}]
-    write_csv(path, rows, ["a", "b"], {"config-hash": "abc123", "seed": 7,
-                                       "version": "0.1.0"})
+    write_csv(path, rows, {"config-hash": "abc123", "seed": 7, "version": "0.1.0"})
     lines = path.read_text().splitlines()
     assert lines[0] == "# config-hash=abc123, seed=7, version=0.1.0"
     assert lines[1] == "a,b"
@@ -433,7 +451,6 @@ def test_write_csv_reruns_byte_identical(tmp_path):
     for name in ("one.csv", "two.csv"):
         rows = run_known_support(cfg)
         p = tmp_path / name
-        write_csv(p, rows, list(rows[0]), result_meta(cfg.to_dict(),
-                                                      cfg.master_seed))
+        write_csv(p, rows, result_meta(cfg.to_dict(), cfg.master_seed))
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -92,10 +92,11 @@ def test_unknown_support_short_run_matches_fixture(tmp_path):
 
 def test_wsn_short_run_matches_fixture(tmp_path):
     # the committed sensor-field run at 2 trials; the fixture's rows were last
-    # written when bp_l1 began to take its pseudoinverse from a Cholesky factor
-    # of psi psi^T, which moved only mean_mse_db.  A child process pins BLAS to one
-    # thread before numpy loads: threaded BLAS changes the last digits of
-    # mean_mse_db.
+    # written when the head_redraws column, 0 in every row, was dropped, and
+    # their values when bp_l1 began to take its pseudoinverse from a Cholesky
+    # factor of psi psi^T, which moved only mean_mse_db.  A child process pins
+    # BLAS to one thread before numpy loads: threaded BLAS changes the last
+    # digits of mean_mse_db.
     out = tmp_path / "wsn_tradeoff.csv"
     env = _child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     subprocess.run([sys.executable, "-m", "localagg.cli", "experiment", "wsn",

@@ -530,8 +530,8 @@ def test_repeat_rank_rejections_match_legacy():
 
 # 150 nodes: dominating sets of 25, 11 and 7 nodes at 1, 2 and 3 hops, so the
 # budgets grow plans on all three levels, and the large ones raise the least
-# count to 3 (insert-new) and 4 (repeat-dominating, with rank rejections and
-# pool resets near m = n)
+# count to 3 (insert-new) and 4 (repeat-dominating, with rank rejections
+# near m = n)
 LARGE_GRAPH = ("random-geometric", {"n": 150, "radius": 0.15}, 1)
 LARGE_BUDGETS = (8, 10, 13, 18, 24, 26, 40, 75, 110, 150, 152)
 
@@ -550,10 +550,49 @@ def test_build_plan_matches_legacy_builder_on_a_larger_graph():
         assert max(gmin for s, _, gmin in seen if s == strategy) >= 3
 
 
+def test_rejected_repetitions_are_never_tested_again(monkeypatch):
+    from localagg import sampler
+
+    real = sampler._full_term_rank
+    rejected, retested = set(), []
+
+    def recorded(agg, nodes):
+        full = real(agg, nodes)
+        if nodes[-1] in rejected:
+            retested.append(nodes[-1])
+        if not full:
+            rejected.add(nodes[-1])
+        return full
+
+    monkeypatch.setattr(sampler, "_full_term_rank", recorded)
+    g = la.generate(*LARGE_GRAPH)
+    for m in (140, 150):
+        rejected.clear()
+        la.build_plan(g, m, "repeat-dominating")
+        assert rejected, m
+    assert retested == []
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60)
+def test_term_rank_deficiency_is_inherited_by_larger_plans(seed):
+    # for P inside P', a plan P + [c] without full term rank makes P' + [c]
+    # lack it too: the grounds for dropping a rejected repetition for good
+    from localagg.sampler import _full_term_rank
+
+    g = random_graph(seed, n_max=12)
+    rng = np.random.default_rng(seed)
+    small = rng.integers(0, g.n, int(rng.integers(0, g.n + 1))).tolist()
+    large = rng.permutation(small + rng.integers(0, g.n, int(rng.integers(0, 4))).tolist())
+    c = int(rng.integers(g.n))
+    if not _full_term_rank(g, small + [c]):
+        assert not _full_term_rank(g, large.tolist() + [c])
+
+
 def test_balance_scores_equal_the_product_at_every_pick(monkeypatch):
     # the kept scores against the criterion recomputed from scratch, on plans
     # whose least count rises many times and (repeat-dominating, m = 150)
-    # whose pool is refilled after rank rejections
+    # whose pool loses rejected dominators
     from localagg import sampler
 
     picks = []
@@ -573,7 +612,7 @@ def test_balance_scores_equal_the_product_at_every_pick(monkeypatch):
     monkeypatch.setattr(sampler._Balance, "pick", checked)
     g = la.generate(*LARGE_GRAPH)
     for strategy in STRATEGIES:
-        for m in (24, 110, 150):
+        for m in (24, 75, 110, 150):
             la.build_plan(g, m, strategy, seed=m)
     assert len(picks) > 500
 
