@@ -37,7 +37,7 @@ def _cmd_sample(args):
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     try:
-        plan = build_plan(graph, args.m, args.strategy, seed=args.seed)
+        plan = build_plan(graph, args.m, args.strategy)
     except (ValueError, PoolExhaustedError) as exc:
         raise SystemExit(f"--m {args.m}: {exc}") from None
     with open(args.plan_out, "w") as fh:
@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", required=True)
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--strategy", choices=STRATEGIES, default="insert-new")
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--plan-out", required=True)
     s.add_argument("--operator-out", default=None)
     s.add_argument("--operator-seed", type=int, default=0)

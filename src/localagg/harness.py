@@ -120,6 +120,7 @@ def _check_samplers(label, tags) -> None:
     for tag in tags:
         if tag not in SAMPLER_TAGS:
             raise ConfigError(f"unknown sampler tag {tag!r}")
+    _distinct(label, tags)
 
 
 # the value checks of the config tables, each called as check(label, value)
@@ -135,9 +136,17 @@ def _nonempty(label: str, values) -> None:
         raise ConfigError(f"{label} must be nonempty")
 
 
+def _distinct(label: str, values) -> None:
+    """Refuse a repeated entry, whose rows would be written twice or merged."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{label} repeats {value!r}")
+
+
 def _counts(label: str, values) -> None:
     for value in values:
         _count(f"{label} entry", value)
+    _distinct(label, values)
 
 
 def _budgets(label: str, values) -> None:
@@ -221,8 +230,7 @@ class ExperimentConfig(_Config):
             _count("fixed_m", self.fixed_m)
         if self.sweep_variable not in ("m", "sigma"):
             raise ConfigError("sweep_variable must be 'm' or 'sigma'")
-        if not self.sweep_values:
-            raise ConfigError("sweep_values must be nonempty")
+        _nonempty("sweep_values", self.sweep_values)
         swept = _count if self.sweep_variable == "m" else _real
         for value in self.sweep_values:
             swept(f"swept {self.sweep_variable}", value)
@@ -464,8 +472,8 @@ class WsnScenario(_Config):
               "radius": _positive, "bs_distance_factor": _positive}
 
     def __post_init__(self):
-        # no CHECKS here: the wsn-field benchmark builds 256 scenarios in its
-        # timed set-up, which checks there made 1.8x slower
+        # no CHECKS here but in wsn_experiment: the wsn-field benchmark builds
+        # 256 scenarios in its timed set-up, which checks here made 1.8x slower
         self.cluster_head_counts = tuple(self.cluster_head_counts)
         self.m_values = tuple(self.m_values)
         if self.trials < 1:
@@ -525,6 +533,10 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
     is refused: its plan would aggregate over several hops, which the
     forwarding cost does not model.
     """
+    _Config.__post_init__(scenario)  # the CHECKS that WsnScenario's construction skips
+    m_max = max(scenario.m_values)
+    if m_max > scenario.n:
+        raise ConfigError(f"m must be <= the field's n = {scenario.n}, got {m_max}")
     ms = scenario.master_seed
     d_bs2 = float(scenario.bs_distance_factor) ** 2
     agg: dict = {}        # (method, m) -> per-trial (intra-network power, mse)

@@ -29,27 +29,29 @@ class SamplingPlan:
     """Where each measurement aggregates.
 
     nodes[t] is the node whose closed neighborhood (on ``base_graph``) feeds
-    measurement t.  ``multiplicities[j]`` counts how many measurements touch
-    node j.  ``base_graph`` is the aggregation graph, the p-hop expansion of
-    the graph the plan was built for (that graph itself at one hop).
+    measurement t.  ``base_graph`` is the aggregation graph, the p-hop
+    expansion of the graph the plan was built for (that graph itself at one
+    hop).
     """
 
     nodes: np.ndarray
     p: int
     strategy: str          # "exact", "repeat-dominating" or "insert-new"
-    multiplicities: np.ndarray
     base_graph: Graph
-    seed: int | None = None  # as given to build_plan; no plan reads it
 
     def __post_init__(self):
-        for name in ("nodes", "multiplicities"):
-            arr = np.array(getattr(self, name), dtype=np.int64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        nodes = np.array(self.nodes, dtype=np.int64, copy=True)
+        nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def m(self) -> int:
         return int(self.nodes.size)
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """How many measurements touch each node (see node_multiplicities)."""
+        return node_multiplicities(self.base_graph, self.nodes)
 
     @property
     def dominating_set(self) -> np.ndarray:
@@ -92,21 +94,6 @@ def _closed_rows(graph: Graph, nodes) -> tuple[np.ndarray, np.ndarray]:
     offset = np.repeat(start - (np.cumsum(length) - length), length)
     cols = ac.indices[offset + np.arange(offset.size)]
     return np.repeat(np.arange(nodes.size), length), cols
-
-
-def _gaussian_rows(agg: Graph, nodes, rng: np.random.Generator,
-                   scale: np.ndarray) -> np.ndarray:
-    """One standard Gaussian row per entry of ``nodes``, supported on its closed
-    neighborhood in ``agg``; the entry at column j is divided by ``scale[j]``.
-
-    Values are drawn in one call, row by row in ascending column order, which
-    is the order of drawing each row separately from the same generator.
-    """
-    rows, cols = _closed_rows(agg, nodes)
-    vals = rng.standard_normal(cols.size) / scale[cols]
-    out = np.zeros((len(nodes), agg.n))
-    out[rows, cols] = vals
-    return out
 
 
 def node_multiplicities(graph: Graph, nodes) -> np.ndarray:
@@ -254,7 +241,8 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
     yet sampled ("insert-new").  The returned strategy tag is "exact" when no
     growth was needed.  Hop levels come from the graph's cache (see
     graph.p_hop_graph), so plans on one graph share them.  Plans are
-    deterministic: ``seed`` is recorded in the plan and its file, not consumed.
+    deterministic in graph, m and strategy: ``seed`` is accepted and not
+    read, since the benchmark workloads still pass one.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
@@ -262,28 +250,29 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
         raise ValueError("measurement budget m must be >= 1")
     p, agg = minimal_hop_level(graph, m)
     nodes = [int(v) for v in agg.dominating_set]
-    g = node_multiplicities(agg, nodes)
     tag = "exact"
     if len(nodes) < m:
         tag = strategy
-        if strategy == "insert-new":
-            _insert_new(agg, nodes, g, m)
-        else:
-            _repeat_dominating(agg, nodes, g, m)
+        grow = _insert_new if strategy == "insert-new" else _repeat_dominating
+        grow(agg, nodes, node_multiplicities(agg, nodes), m)
     return SamplingPlan(nodes=np.asarray(nodes, dtype=np.int64), p=p, strategy=tag,
-                        multiplicities=g, base_graph=agg, seed=seed)
+                        base_graph=agg)
 
 
 def draw_operator(plan: SamplingPlan, seed: int | None = None) -> SamplingOperator:
     """Draw the sparse Gaussian measurement matrix for a plan.
 
     Row t is supported on the closed neighborhood of plan.nodes[t]; the entry
-    touching node j has variance 1/multiplicities[j], so measurements form an
-    isotropic ensemble on average.  Entries are filled row by row in ascending
-    column order from a PCG64 generator, making draws reproducible per seed.
+    touching node j has variance 1/multiplicities[j], the number of entries
+    filled in column j, so measurements form an isotropic ensemble on average.
+    Entries are drawn in one call, row by row in ascending column order, from
+    a PCG64 generator, making draws reproducible per seed.
     """
-    scale = np.sqrt(np.where(plan.multiplicities > 0, plan.multiplicities, 1))
-    phi = _gaussian_rows(plan.base_graph, plan.nodes, np.random.default_rng(seed), scale)
+    n = plan.base_graph.n
+    rows, cols = _closed_rows(plan.base_graph, plan.nodes)
+    scale = np.sqrt(np.bincount(cols, minlength=n))
+    phi = np.zeros((plan.m, n))
+    phi[rows, cols] = np.random.default_rng(seed).standard_normal(cols.size) / scale[cols]
     return SamplingOperator(phi=phi)
 
 
@@ -303,6 +292,5 @@ def plan_to_json(plan: SamplingPlan) -> str:
         "nodes": [int(v) for v in plan.nodes],
         "p": int(plan.p),
         "strategy": plan.strategy,
-        "seed": plan.seed,
     }
     return json.dumps(payload, indent=2)

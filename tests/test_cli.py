@@ -33,11 +33,11 @@ def test_sample_writes_plan_and_operator(tmp_path):
          '{"n": 18, "p_e": 0.3}', "--seed", 1, "--out", gpath)
     plan_path = tmp_path / "plan.json"
     op_path = tmp_path / "phi.csv"
-    code = _run("sample", "--graph", gpath, "--m", 10, "--seed", 5,
+    code = _run("sample", "--graph", gpath, "--m", 10,
                 "--plan-out", plan_path, "--operator-out", op_path,
                 "--operator-seed", 7)
     assert code == 0
-    plan = la.build_plan(la.load_edge_list(gpath), 10, seed=5)
+    plan = la.build_plan(la.load_edge_list(gpath), 10)
     assert plan_path.read_text() == la.plan_to_json(plan) + "\n"
     phi = load_matrix_csv(op_path)
     assert phi.shape == (10, 18)
@@ -49,11 +49,22 @@ def test_sample_plan_json_fields(tmp_path):
     _run("generate", "--kind", "cycle", "--params", '{"n": 9}', "--out", gpath)
     plan_path = tmp_path / "plan.json"
     _run("sample", "--graph", gpath, "--m", 3, "--strategy",
-         "repeat-dominating", "--seed", 0, "--plan-out", plan_path)
+         "repeat-dominating", "--plan-out", plan_path)
     payload = json.loads(plan_path.read_text())
-    assert set(payload) >= {"nodes", "p", "strategy", "seed"}
+    assert set(payload) == {"nodes", "p", "strategy"}
     assert payload["strategy"] in ("repeat-dominating", "exact")
     assert len(payload["nodes"]) == 3
+
+
+def test_sample_has_no_seed(tmp_path, capsys):
+    # plans are deterministic in graph, m and strategy, so no seed is taken
+    gpath = tmp_path / "graph.txt"
+    _run("generate", "--kind", "cycle", "--params", '{"n": 9}', "--out", gpath)
+    plan_path = tmp_path / "plan.json"
+    with pytest.raises(SystemExit):
+        _run("sample", "--graph", gpath, "--m", 3, "--seed", 0, "--plan-out", plan_path)
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+    assert not plan_path.exists()
 
 
 @pytest.mark.parametrize("method", ["ls", "bp"])
@@ -369,6 +380,19 @@ def _blind_payload(**changes):
     ("known-support",
      _blind_payload(graph=dict(_graph_payload(), params={"n": 18, "p_e": "0.3"})),
      "graph: p_e must be a real number, got '0.3'"),
+    # insert-new cannot fill a wsn budget above the field's n
+    ("wsn", {"n": 20, "k": 3, "cluster_head_counts": [2], "m_values": [25], "trials": 1},
+     "m must be <= the field's n = 20, got 25"),
+    # a repeated entry would write its rows twice, or merge two rows into one
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [6, 6]},
+     "m_values repeats 6"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [6],
+                         "methods": ["uniform", "successive", "uniform"]},
+     "methods repeats 'uniform'"),
+    ("known-support", _blind_payload(samplers=["uniform", "uniform"]),
+     "samplers repeats 'uniform'"),
+    ("wsn", {"n": 16, "k": 3, "m_values": [12, 12]}, "m_values repeats 12"),
+    ("wsn", {"n": 16, "k": 3, "cluster_head_counts": [2, 2]}, "cluster_head_counts repeats 2"),
 ])
 def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem):
     # Python's json reads and writes NaN, so a config file can carry one; the

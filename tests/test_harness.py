@@ -172,6 +172,21 @@ def test_wsn_scenario_round_trip_and_validation():
             WsnScenario.from_dict({key: bad})
 
 
+@pytest.mark.parametrize("changes, problem", [
+    ({"m_values": ()}, "m_values must be nonempty"),
+    ({"m_values": (12, 12)}, "m_values repeats 12"),
+    ({"cluster_head_counts": (2, 2)}, "cluster_head_counts repeats 2"),
+    ({"m_values": (12, 25)}, "m must be <= the field's n = 20, got 25"),
+])
+def test_wsn_experiment_refuses_a_scenario_built_in_code_before_drawing(changes, problem):
+    # construction leaves these to the run, which refuses them before any field
+    base = dict(n=20, k=3, cluster_head_counts=(2,), m_values=(12,), trials=1)
+    sc = WsnScenario(**{**base, **changes})
+    with pytest.raises(ConfigError) as info:
+        wsn_experiment(sc)
+    assert str(info.value) == problem
+
+
 # ---------------------------------------------------------------------------
 # known-support sweeps
 
