@@ -8,7 +8,7 @@ import sys
 from dataclasses import fields
 
 from . import harness
-from .graph import HopPlanInfeasibleError, generate, load_edge_list, save_edge_list
+from .graph import HopPlanInfeasibleError, check_int, generate, load_edge_list, save_edge_list
 from .recon import bp_l1, check_support, ls_known_support
 from .sampler import (STRATEGIES, PoolExhaustedError, SamplingOperator, build_plan,
                       draw_operator, plan_to_json)
@@ -22,6 +22,7 @@ def _cmd_generate(args):
         raise SystemExit(f"--params {args.params}: {exc}") from None
     if not isinstance(params, dict):
         raise SystemExit(f"--params must be a JSON object, got {args.params}")
+    check_int("--seed", args.seed, minimum=0, error=SystemExit)
     try:
         graph = generate(args.kind, params, args.seed)
     except ValueError as exc:
@@ -31,6 +32,7 @@ def _cmd_generate(args):
 
 
 def _cmd_sample(args):
+    check_int("--operator-seed", args.operator_seed, minimum=0, error=SystemExit)
     try:
         # the loader's message starts with the file name and line
         graph = load_edge_list(args.graph)

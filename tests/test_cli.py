@@ -597,6 +597,19 @@ def test_generate_and_sample_refuse_bad_input_in_one_line(tmp_path, monkeypatch,
     assert not (tmp_path / "g.txt").exists() and not (tmp_path / "plan.json").exists()
 
 
+@pytest.mark.parametrize("argv, problem", [
+    (["generate", "--kind", "cycle", "--params", '{"n": 6}', "--seed", "-1"],
+     "--seed must be an integer >= 0, got -1"),
+    (["sample", "--graph", "c6.txt", "--m", "3", "--operator-out", "phi.csv",
+      "--operator-seed", "-1"], "--operator-seed must be an integer >= 0, got -1"),
+])
+def test_generate_and_sample_refuse_a_negative_seed_in_one_line(tmp_path, monkeypatch, argv,
+                                                                 problem):
+    # numpy takes no negative seed: sample wrote its plan and then ended in a traceback
+    test_generate_and_sample_refuse_bad_input_in_one_line(tmp_path, monkeypatch, argv, problem)
+    assert not (tmp_path / "phi.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--kind", "cycle", "--params", '{"n": 6}', "--out"],
     ["sample", "--graph", "c6.txt", "--m", "3", "--plan-out"],

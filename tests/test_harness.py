@@ -105,8 +105,11 @@ def test_config_validation_errors():
         _small_config(sweep_variable="sigma", sweep_values=(0.1, 0.2))
     with pytest.raises(ValueError, match="sigma"):
         _small_config(sigma=-1.0)
+    # a spec read from a file and one built in code are checked alike, at construction
     with pytest.raises(ConfigError, match="graph seed must be an integer >= 0, got -1"):
         GraphSpec.from_dict({"kind": "cycle", "params": {"n": 5}, "seed": -1})
+    with pytest.raises(ConfigError, match="graph seed must be an integer >= 0, got -1"):
+        GraphSpec("cycle", {"n": 5}, seed=-1)
 
 
 def test_config_dict_round_trip():
@@ -160,16 +163,15 @@ def test_wsn_scenario_round_trip_and_validation():
                      trials=2, solver=SolverParams(max_iter=500))
     again = WsnScenario.from_dict(sc.to_dict())
     assert again.to_dict() == sc.to_dict()
-    with pytest.raises(ValueError):
-        WsnScenario(n=10, k=11)
-    with pytest.raises(ValueError):
-        WsnScenario(n=10, k=2, cluster_head_counts=(11,))
-    with pytest.raises(ValueError):
-        WsnScenario(trials=0)
+    # a scenario is checked when it runs, whether built in code or read from a file
+    for bad in [WsnScenario(n=10, k=11), WsnScenario(n=10, k=2, cluster_head_counts=(11,)),
+                WsnScenario(trials=0)]:
+        with pytest.raises(ConfigError):
+            wsn_experiment(bad)
     # a config file's counts must be integers: int() would truncate them
     for key, bad in [("n", 30.0), ("cluster_head_counts", [3, 4.5]), ("m_values", [10, False])]:
         with pytest.raises(ConfigError, match="must be an integer"):
-            WsnScenario.from_dict({key: bad})
+            wsn_experiment(WsnScenario.from_dict({key: bad}))
 
 
 @pytest.mark.parametrize("changes, problem", [
@@ -177,9 +179,14 @@ def test_wsn_scenario_round_trip_and_validation():
     ({"m_values": (12, 12)}, "m_values repeats 12"),
     ({"cluster_head_counts": (2, 2)}, "cluster_head_counts repeats 2"),
     ({"m_values": (12, 25)}, "m must be <= the field's n = 20, got 25"),
+    ({"k": 21}, "k must be <= the field's n = 20, got 21"),
+    ({"cluster_head_counts": (2, 21)}, "cluster head counts must lie in [1, n]"),
+    ({"trials": 0}, "trials must be an integer >= 1, got 0"),
+    ({"cluster_head_counts": ("a",)},
+     "cluster_head_counts entry must be an integer >= 1, got 'a'"),
 ])
 def test_wsn_experiment_refuses_a_scenario_built_in_code_before_drawing(changes, problem):
-    # construction leaves these to the run, which refuses them before any field
+    # construction leaves every value check to the run, which refuses before any field
     base = dict(n=20, k=3, cluster_head_counts=(2,), m_values=(12,), trials=1)
     sc = WsnScenario(**{**base, **changes})
     with pytest.raises(ConfigError) as info:
