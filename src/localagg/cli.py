@@ -32,7 +32,9 @@ def _cmd_generate(args):
 
 
 def _cmd_sample(args):
-    check_int("--operator-seed", args.operator_seed, minimum=0, error=SystemExit)
+    if args.operator_seed is not None and not args.operator_out:
+        raise SystemExit("--operator-seed is read only with --operator-out")
+    check_int("--operator-seed", args.operator_seed or 0, minimum=0, error=SystemExit)
     try:
         # the loader's message starts with the file name and line
         graph = load_edge_list(args.graph)
@@ -47,7 +49,7 @@ def _cmd_sample(args):
     print(f"plan: m={plan.m} p={plan.p} strategy={plan.strategy} "
           f"dominating={plan.dominating_set.size}")
     if args.operator_out:
-        op = draw_operator(plan, seed=args.operator_seed)
+        op = draw_operator(plan, seed=args.operator_seed or 0)
         save_matrix_csv(args.operator_out, op.phi)
         print(f"wrote operator {op.m}x{op.n} to {args.operator_out}")
 
@@ -55,6 +57,8 @@ def _cmd_sample(args):
 def _cmd_reconstruct(args):
     if args.method == "ls" and not args.support:
         raise SystemExit("ls reconstruction needs --support")
+    if args.method == "bp" and args.support is not None:
+        raise SystemExit("--support is read only with --method ls")
     try:
         # each loader's message starts with the file name and line, and
         # build_basis names an unknown basis
@@ -122,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--strategy", choices=STRATEGIES, default="insert-new")
     s.add_argument("--plan-out", required=True)
     s.add_argument("--operator-out", default=None)
-    s.add_argument("--operator-seed", type=int, default=0)
+    s.add_argument("--operator-seed", type=int, help="default 0; needs --operator-out")
     s.set_defaults(func=_cmd_sample)
 
     r = sub.add_parser("reconstruct", help="recover a signal from measurements")

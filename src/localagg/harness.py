@@ -482,12 +482,8 @@ class WsnScenario(_Config):
 
 def _spatial_dct_basis(positions: np.ndarray) -> OrthoBasis:
     """DCT atoms laid over nodes sorted by (x, y); smooth fields become sparse."""
-    n = positions.shape[0]
-    order = np.lexsort((positions[:, 1], positions[:, 0]))
-    base = dct_basis(n).u
-    u = np.empty_like(base)
-    u[order, :] = base
-    return OrthoBasis(u=u)
+    rank = np.argsort(np.lexsort((positions[:, 1], positions[:, 0])))
+    return OrthoBasis(u=dct_basis(positions.shape[0]).u[rank])
 
 
 def _forward_route_power(pos: np.ndarray, plan) -> float:
@@ -546,43 +542,24 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
                                 seed=derive_seed(ms, "signal", t))
         x = synthesize(basis, spec)
 
+        def solve(method, m, op, power):
+            res = bp_l1(op, basis, op.phi @ x, scenario.solver)
+            agg.setdefault((method, m), []).append((power, float(np.mean((res.x_star - x) ** 2))))
+
         for m in scenario.m_values:
             plan = build_plan(graph, m, "insert-new")
             if plan.p > 1:
                 raise ConfigError(
                     f"m = {m} is below the field's one-hop dominating set of "
                     f"{graph.dominating_set.size} nodes; forwarding is costed one hop only")
-            op = draw_operator(plan, seed=derive_seed(ms, "draw", t, m))
-            res = bp_l1(op, basis, op.phi @ x, scenario.solver)
-            err = float(np.mean((res.x_star - x) ** 2))
-            agg.setdefault(("proposed", m), []).append(
-                (_forward_route_power(pos, plan), err))
+            solve("proposed", m, draw_operator(plan, seed=derive_seed(ms, "draw", t, m)),
+                  _forward_route_power(pos, plan))
 
         for nc in scenario.cluster_head_counts:
-            method = f"cluster-{nc}"
-            heads, members = _draw_clusters(scenario, pos, t, nc)
-            sizes = np.asarray([members[c].size for c in range(nc)])
-            dists2 = [((pos[members[c]] - pos[heads[c]]) ** 2).sum(axis=1)
-                      for c in range(nc)]
+            _, members, cost = _draw_clusters(scenario, pos, t, nc)
             for m in scenario.m_values:
-                alloc = _largest_remainder(m, sizes)
-                rng = np.random.default_rng(derive_seed(ms, "cluster-draw", t, nc, m))
-                phi = np.zeros((m, scenario.n))
-                row = 0
-                p_intra = 0.0
-                for c in range(nc):
-                    mc = int(alloc[c])
-                    if mc == 0:
-                        continue
-                    cols = members[c]
-                    phi[row:row + mc, cols] = rng.standard_normal((mc, cols.size))
-                    row += mc
-                    # the head's own reading travels distance zero
-                    p_intra += mc * float(dists2[c].sum())
-                op = SamplingOperator(phi=phi)
-                res = bp_l1(op, basis, op.phi @ x, scenario.solver)
-                err = float(np.mean((res.x_star - x) ** 2))
-                agg.setdefault((method, m), []).append((p_intra, err))
+                seed = derive_seed(ms, "cluster-draw", t, nc, m)
+                solve(f"cluster-{nc}", m, *_cluster_operator(members, cost, m, scenario.n, seed))
 
     rows = []
     for (method, m), vals in agg.items():
@@ -600,7 +577,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
 
 
 def _draw_clusters(scenario: WsnScenario, pos: np.ndarray, trial: int, nc: int):
-    """Heads plus nearest-head membership.
+    """Heads, nearest-head clusters and each cluster's sum of squared distances to its head.
 
     A head is at distance zero from itself, so its cluster is empty only if
     another head shares its position; ``_largest_remainder`` then gives that
@@ -611,7 +588,24 @@ def _draw_clusters(scenario: WsnScenario, pos: np.ndarray, trial: int, nc: int):
     heads = rng.choice(scenario.n, size=nc, replace=False)
     d2 = ((pos[:, None, :] - pos[heads][None, :, :]) ** 2).sum(axis=2)
     owner = np.argmin(d2, axis=1)
-    return heads, [np.flatnonzero(owner == c) for c in range(nc)]
+    members = [np.flatnonzero(owner == c) for c in range(nc)]
+    return heads, members, np.array([d2[mem, c].sum() for c, mem in enumerate(members)])
+
+
+def _cluster_operator(members: list, cost: np.ndarray, m: int, n: int, seed: int):
+    """In-cluster sensing: m Gaussian rows and their intra-network power.
+
+    ``_largest_remainder`` gives cluster c ``alloc[c]`` rows over its members,
+    each gathered at the head for ``cost[c]``.  One call draws the rows in
+    order, the values one draw per cluster gives; costs add in cluster order.
+    """
+    alloc = _largest_remainder(m, np.asarray([c.size for c in members]))
+    gathered = [members[c] for c in np.repeat(np.arange(len(members)), alloc)]
+    cols = np.concatenate(gathered)
+    rows = np.repeat(np.arange(m), [g.size for g in gathered])
+    phi = np.zeros((m, n))
+    phi[rows, cols] = np.random.default_rng(seed).standard_normal(cols.size)
+    return SamplingOperator(phi=phi), float(np.add.accumulate(alloc * cost)[-1])
 
 
 # experiment kind -> (config class, run); each run returns one or more rows,

@@ -109,6 +109,16 @@ def test_reconstruct_ls_requires_support(tmp_path):
              "--out", tmp_path / "x.csv")
 
 
+def test_sample_draws_the_operator_with_seed_0_by_default(tmp_path):
+    gpath = tmp_path / "graph.txt"
+    _run("generate", "--kind", "cycle", "--params", '{"n": 9}', "--out", gpath)
+    op_path = tmp_path / "phi.csv"
+    assert _run("sample", "--graph", gpath, "--m", 4, "--plan-out", tmp_path / "plan.json",
+                "--operator-out", op_path) == 0
+    plan = la.build_plan(la.load_edge_list(gpath), 4)
+    assert np.array_equal(load_matrix_csv(op_path), la.draw_operator(plan, seed=0).phi)
+
+
 def test_reconstruct_rejects_unknown_basis(tmp_path):
     gpath = tmp_path / "graph.txt"
     _run("generate", "--kind", "cycle", "--params", '{"n": 5}', "--out", gpath)
@@ -543,6 +553,15 @@ def test_reconstruct_rejects_bad_support(tmp_path, support, problem):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_reconstruct_refuses_a_support_that_bp_does_not_read(tmp_path):
+    # bp ignored the support and wrote a reconstruction
+    argv = _reconstruct_inputs(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        _run(*argv, "--method", "bp", "--support", "banana")
+    assert str(info.value) == "--support is read only with --method ls"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("target", ["phi.csv", "y.csv"])
 def test_reconstruct_rejects_an_empty_matrix_file(tmp_path, target):
     # an operator file without rows used to end in an IndexError traceback
@@ -585,6 +604,9 @@ def _sample_inputs(tmp_path):
      "{tmp}/missing.txt: No such file or directory"),
     (["sample", "--graph", "notutf8.txt", "--m", "2"],
      "{tmp}/notutf8.txt:1: node count is not an integer"),
+    # without an operator file the seed was ignored and the command exited 0
+    (["sample", "--graph", "c6.txt", "--m", "3", "--operator-seed", "7"],
+     "--operator-seed is read only with --operator-out"),
 ])
 def test_generate_and_sample_refuse_bad_input_in_one_line(tmp_path, monkeypatch, argv, problem):
     _sample_inputs(tmp_path)

@@ -362,10 +362,55 @@ def test_every_cluster_holds_its_own_head(seed):
     sc = WsnScenario(n=n, k=1, cluster_head_counts=(1, n // 2, n),
                      master_seed=int(rng.integers(2 ** 31)))
     for nc in sc.cluster_head_counts:
-        heads, members = harness._draw_clusters(sc, pos, int(rng.integers(10)), nc)
+        heads, members, _ = harness._draw_clusters(sc, pos, int(rng.integers(10)), nc)
         assert len(heads) == len(members) == nc
         assert all(heads[c] in members[c] for c in range(nc))
         assert sorted(np.concatenate(members).tolist()) == list(range(n))
+
+
+def _legacy_cluster_operator(pos, heads, members, m, n, seed):
+    """The former in-cluster draw: one draw per cluster into its block of rows,
+    a hand-kept row offset, and distances to the head recomputed per cluster."""
+    nc = len(heads)
+    sizes = np.asarray([members[c].size for c in range(nc)])
+    dists2 = [((pos[members[c]] - pos[heads[c]]) ** 2).sum(axis=1) for c in range(nc)]
+    alloc = _largest_remainder(m, sizes)
+    rng = np.random.default_rng(seed)
+    phi = np.zeros((m, n))
+    row = 0
+    p_intra = 0.0
+    for c in range(nc):
+        mc = int(alloc[c])
+        if mc == 0:
+            continue
+        cols = members[c]
+        phi[row:row + mc, cols] = rng.standard_normal((mc, cols.size))
+        row += mc
+        p_intra += mc * float(dists2[c].sum())
+    return phi, p_intra
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60)
+def test_cluster_operator_equals_the_per_cluster_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 41))
+    pos = rng.random((n, 2))
+    # nodes 0 and 1 share a position: with every node a head, one cluster is
+    # empty; the last node may copy another one too
+    pos[1] = pos[0]
+    pos[-1] = pos[int(rng.integers(n))]
+    sc = WsnScenario(n=n, k=1, master_seed=int(rng.integers(2 ** 31)))
+    for nc in {1, int(rng.integers(1, n + 1)), n}:
+        heads, members, cost = harness._draw_clusters(sc, pos, int(rng.integers(10)), nc)
+        assert nc < n or any(mem.size == 0 for mem in members)
+        # budgets below nc leave clusters without rows
+        for m in {1, max(nc - 1, 1), nc, int(rng.integers(1, n + 1)), n}:
+            draw_seed = int(rng.integers(2 ** 63))
+            op, power = harness._cluster_operator(members, cost, m, n, draw_seed)
+            phi, p_intra = _legacy_cluster_operator(pos, heads, members, m, n, draw_seed)
+            assert op.phi.tobytes() == phi.tobytes()
+            assert power == p_intra
 
 
 def test_wsn_rerun_is_bit_identical():
