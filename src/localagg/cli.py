@@ -8,7 +8,8 @@ import sys
 from dataclasses import fields
 
 from . import harness
-from .graph import HopPlanInfeasibleError, check_int, generate, load_edge_list, save_edge_list
+from .graph import (SEEDLESS_KINDS, HopPlanInfeasibleError, check_int, generate, load_edge_list,
+                    save_edge_list)
 from .recon import bp_l1, check_support, ls_known_support
 from .sampler import (STRATEGIES, PoolExhaustedError, SamplingOperator, build_plan,
                       draw_operator, plan_to_json)
@@ -22,9 +23,12 @@ def _cmd_generate(args):
         raise SystemExit(f"--params {args.params}: {exc}") from None
     if not isinstance(params, dict):
         raise SystemExit(f"--params must be a JSON object, got {args.params}")
-    check_int("--seed", args.seed, minimum=0, error=SystemExit)
+    if args.seed is not None:
+        check_int("--seed", args.seed, minimum=0, error=SystemExit)
+        if args.kind in SEEDLESS_KINDS:
+            raise SystemExit(f"--seed is not read by --kind {args.kind}, which draws nothing")
     try:
-        graph = generate(args.kind, params, args.seed)
+        graph = generate(args.kind, params, args.seed or 0)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     save_edge_list(graph, args.out)
@@ -116,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write a random graph as an edge list")
     g.add_argument("--kind", required=True)
     g.add_argument("--params", required=True, help="JSON object of generator parameters")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int,
+                   help=f"default 0; refused for {', '.join(SEEDLESS_KINDS)}, which draw nothing")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 

@@ -349,6 +349,8 @@ _BUILDERS = {
     "complete": (_complete, {"n"}),
 }
 GENERATOR_KINDS = tuple(_BUILDERS)
+# the kinds whose builders draw nothing, so their graphs do not depend on the seed
+SEEDLESS_KINDS = ("grid2d", "cycle", "complete")
 
 
 def generate(kind: str, params: dict, seed: int) -> Graph:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 from dataclasses import MISSING, dataclass, field, fields, asdict, replace
 from functools import partial
 
 import numpy as np
 
-from . import __version__
+from . import __version__, recon
 from .baselines import successive_aggregations, uniform_node_sampling
 from .graph import (
     Graph,
@@ -217,7 +219,7 @@ class ExperimentConfig(_Config):
     fixed_m: int | None = None
     solver: SolverParams = field(default_factory=SolverParams)
 
-    # a count such as "trials": 2.5 is refused, not truncated; score_cell adds
+    # a count such as "trials": 2.5 is refused, not truncated; _known_cell adds
     # noise only when sigma > 0, so a NaN or negative level would run
     # noiseless under its own label
     CHECKS = {"k": _count, "trials": _count, "master_seed": _seed, "sigma": _real,
@@ -331,42 +333,139 @@ def _check_fits(graph: Graph, k: int, samplers, m: int) -> None:
                               f"got {m}")
 
 
-def _sweep(config: ExperimentConfig, column: str, reduce, score_cell) -> list[dict]:
+def _one_blas_thread(environ) -> bool:
+    """Whether ``environ`` holds BLAS to one thread.  OpenBLAS, which numpy's
+    wheels bundle, reads its thread count from ``OPENBLAS_NUM_THREADS`` or,
+    if that is unset, from ``OMP_NUM_THREADS``."""
+    return environ.get("OPENBLAS_NUM_THREADS", environ.get("OMP_NUM_THREADS")) == "1"
+
+
+# BLAS fixes its thread count when numpy loads.  A threaded BLAS already
+# spreads one process over the CPUs, and forked workers would each start its
+# threads again (on a 2-vCPU Xeon VM the test suite took 122 s with workers
+# and 88 s without), so _map_in_order forks only over a BLAS held to one thread.
+_ONE_BLAS_THREAD = _one_blas_thread(os.environ)
+
+# the (fn, units) that a forked worker of _map_in_order inherits through its initializer
+_inherited: tuple = ()
+
+
+def _adopt(fn, units) -> None:
+    global _inherited
+    _inherited = fn, units
+
+
+def _run_unit(i: int):
+    fn, units = _inherited
+    return fn(*units[i])
+
+
+def _map_in_order(fn, units: list, solver: str) -> list:
+    """``[fn(*unit) for unit in units]``, run by one forked worker per CPU.
+
+    The workers inherit ``fn`` and ``units`` at the fork, so nothing of them
+    is pickled: unit indices go out, results come back in unit order, and a
+    reduction over them keeps its order and bits.  The pool is torn down on
+    every path, and a unit's error reaches the caller with its own type and
+    message.
+
+    The units run in this process when one CPU or one unit leaves nothing to
+    share; when BLAS was not held to one thread (``_ONE_BLAS_THREAD``), as
+    the runner script and the benchmark hold it; on a platform without CPU
+    affinity masks (macOS, Windows), where forking is unsafe or missing; and
+    when this module's name ``solver`` is bound to a stand-in for recon's
+    function, such as the timing wrapper of ``perfbench/tracing.py``: a
+    stand-in records what it sees in its own process, and a worker's records
+    would never reach this one.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(units)) if _ONE_BLAS_THREAD else 1
+    if workers < 2 or globals()[solver] is not getattr(recon, solver):
+        return [fn(*unit) for unit in units]
+    pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (fn, units))
+    try:
+        return list(pool.imap(_run_unit, range(len(units))))
+    finally:
+        pool.terminate()   # as a Pool's with-block does on leaving; join reaps the workers
+        pool.join()
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """What every cell of a sweep reads: built once, shared by the workers that run the cells."""
+
+    config: ExperimentConfig
+    graph: Graph
+    basis: OrthoBasis
+    factory: _OperatorFactory
+
+    def point(self, value) -> tuple[int, float]:
+        """(m, sigma) at sweep value ``value``."""
+        if self.config.sweep_variable == "m":
+            return int(value), self.config.sigma
+        return int(self.config.fixed_m), float(value)
+
+    def trials(self, tag: str, value):
+        """Yield each trial of a cell as ``(op, spec, x, trial_seed)``, the signal
+        x drawn from spec and measured through op, drawing it only when asked for."""
+        c = self.config
+        m, _ = self.point(value)
+        for t in range(c.trials):
+            ts = derive_seed(c.master_seed, tag, value, t)
+            spec = SparseSignalSpec.draw(self.graph.n, c.k, c.signal_model,
+                                         derive_seed(ts, "signal"))
+            x = synthesize(self.basis, spec)
+            yield self.factory.operator(tag, m, derive_seed(ts, "operator")), spec, x, ts
+
+
+def _sweep(config: ExperimentConfig, column: str, reduce, cell, solver: str) -> list[dict]:
     """One row per sampler and sweep value, ``column`` = reduce(mean trial score).
 
-    ``score_cell(basis, trials, sigma)`` returns or yields the scores of one
-    cell's trials in trial order; ``trials`` yields each trial as
-    ``(op, spec, x, trial_seed)``, the signal x drawn from spec and measured
-    through op, drawing it only when asked for.
+    ``cell(sweep, tag, value)`` returns the scores of one cell's trials in
+    trial order.  The cells run through ``_map_in_order``, with ``solver`` the
+    name of the recon function they call.
     """
     graph = config.graph.build()
     m_max = max(config.sweep_values) if config.sweep_variable == "m" else config.fixed_m
     _check_fits(graph, config.k, config.samplers, m_max)
-    basis = build_basis(graph, config.basis)
-    factory = _OperatorFactory(graph)
+    sweep = _Sweep(config, graph, build_basis(graph, config.basis), _OperatorFactory(graph))
+    cells = [(tag, value) for tag in config.samplers for value in config.sweep_values]
     rows = []
-    for tag in config.samplers:
-        for value in config.sweep_values:
-            if config.sweep_variable == "m":
-                m, sigma = int(value), config.sigma
-            else:
-                m, sigma = int(config.fixed_m), float(value)
-
-            def draw(t):
-                ts = derive_seed(config.master_seed, tag, value, t)
-                spec = SparseSignalSpec.draw(graph.n, config.k, config.signal_model,
-                                             derive_seed(ts, "signal"))
-                x = synthesize(basis, spec)
-                op = factory.operator(tag, m, derive_seed(ts, "operator"))
-                return op, spec, x, ts
-
-            total = 0.0
-            for score in score_cell(basis, map(draw, range(config.trials)), sigma):
-                total += score
-            rows.append({"sampler": tag, "sweep_variable": config.sweep_variable,
-                         "sweep_value": value, column: reduce(total / config.trials),
-                         "trials": config.trials})
+    for (tag, value), scores in zip(cells, _map_in_order(partial(cell, sweep), cells, solver)):
+        total = 0.0
+        for score in scores:
+            total += score
+        rows.append({"sampler": tag, "sweep_variable": config.sweep_variable,
+                     "sweep_value": value, column: reduce(total / config.trials),
+                     "trials": config.trials})
     return rows
+
+
+def _known_cell(sweep: _Sweep, tag: str, value) -> list[float]:
+    """Least-squares error on the true support of each trial of one cell."""
+    _, sigma = sweep.point(value)
+    scores = []
+    for op, spec, x, ts in sweep.trials(tag, value):
+        pre = x
+        if sigma > 0:
+            noise = np.random.default_rng(derive_seed(ts, "noise"))
+            pre = x + sigma * noise.standard_normal(x.size)
+        res = ls_known_support(op, sweep.basis, spec.support, op.phi @ pre)
+        scores.append(float(np.mean((res.x_star - x) ** 2)))
+    return scores
+
+
+def _unknown_cell(sweep: _Sweep, tag: str, value) -> list[float]:
+    """1.0 for each trial of one cell that l1 recovers perfectly, else 0.0."""
+    signals = []
+
+    def problems():
+        for op, _, x, _ in sweep.trials(tag, value):
+            signals.append(x)
+            yield op, op.phi @ x
+
+    results = bp_l1_many(problems(), sweep.basis, sweep.config.solver)
+    return [float(res.scored(x).perfect) for res, x in zip(results, signals)]
 
 
 def run_known_support(config: ExperimentConfig) -> list[dict]:
@@ -378,17 +477,7 @@ def run_known_support(config: ExperimentConfig) -> list[dict]:
     """
     if config.solver != SolverParams():
         raise ConfigError("least-squares runs take no l1 solver settings")
-
-    def score_cell(basis, trials, sigma):
-        for op, spec, x, ts in trials:
-            pre = x
-            if sigma > 0:
-                noise = np.random.default_rng(derive_seed(ts, "noise"))
-                pre = x + sigma * noise.standard_normal(x.size)
-            res = ls_known_support(op, basis, spec.support, op.phi @ pre)
-            yield float(np.mean((res.x_star - x) ** 2))
-
-    return _sweep(config, "mean_mse_db", to_db, score_cell)
+    return _sweep(config, "mean_mse_db", to_db, _known_cell, "ls_known_support")
 
 
 def run_unknown_support(config: ExperimentConfig) -> list[dict]:
@@ -402,19 +491,7 @@ def run_unknown_support(config: ExperimentConfig) -> list[dict]:
         raise ConfigError("blind recovery sweeps measurements only")
     if config.sigma != 0.0:
         raise ConfigError("blind recovery runs are noiseless")
-
-    def score_cell(basis, trials, sigma):
-        signals = []
-
-        def problems():
-            for op, _, x, _ in trials:
-                signals.append(x)
-                yield op, op.phi @ x
-
-        results = bp_l1_many(problems(), basis, config.solver)
-        return [float(res.scored(x).perfect) for res, x in zip(results, signals)]
-
-    return _sweep(config, "recovery_prob", float, score_cell)
+    return _sweep(config, "recovery_prob", float, _unknown_cell, "bp_l1_many")
 
 
 def run_condition_table(config: ConditionTableConfig) -> list[dict]:
@@ -541,10 +618,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
         spec = SparseSignalSpec(support=np.arange(scenario.k),
                                 seed=derive_seed(ms, "signal", t))
         x = synthesize(basis, spec)
-
-        def solve(method, m, op, power):
-            res = bp_l1(op, basis, op.phi @ x, scenario.solver)
-            agg.setdefault((method, m), []).append((power, float(np.mean((res.x_star - x) ** 2))))
+        solves = []       # this field's (method, m, op, power), in row order
 
         for m in scenario.m_values:
             plan = build_plan(graph, m, "insert-new")
@@ -552,14 +626,23 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
                 raise ConfigError(
                     f"m = {m} is below the field's one-hop dominating set of "
                     f"{graph.dominating_set.size} nodes; forwarding is costed one hop only")
-            solve("proposed", m, draw_operator(plan, seed=derive_seed(ms, "draw", t, m)),
-                  _forward_route_power(pos, plan))
+            solves.append(("proposed", m, draw_operator(plan, seed=derive_seed(ms, "draw", t, m)),
+                           _forward_route_power(pos, plan)))
 
         for nc in scenario.cluster_head_counts:
             _, members, cost = _draw_clusters(scenario, pos, t, nc)
             for m in scenario.m_values:
                 seed = derive_seed(ms, "cluster-draw", t, nc, m)
-                solve(f"cluster-{nc}", m, *_cluster_operator(members, cost, m, scenario.n, seed))
+                solves.append((f"cluster-{nc}", m,
+                               *_cluster_operator(members, cost, m, scenario.n, seed)))
+
+        def mse(op):
+            res = bp_l1(op, basis, op.phi @ x, scenario.solver)
+            return float(np.mean((res.x_star - x) ** 2))
+
+        errs = _map_in_order(mse, [(op,) for _, _, op, _ in solves], "bp_l1")
+        for (method, m, _, power), err in zip(solves, errs):
+            agg.setdefault((method, m), []).append((power, err))
 
     rows = []
     for (method, m), vals in agg.items():

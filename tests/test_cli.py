@@ -119,6 +119,14 @@ def test_sample_draws_the_operator_with_seed_0_by_default(tmp_path):
     assert np.array_equal(load_matrix_csv(op_path), la.draw_operator(plan, seed=0).phi)
 
 
+def test_generate_draws_with_seed_0_by_default(tmp_path):
+    gpath = tmp_path / "graph.txt"
+    params = {"n": 12, "p_e": 0.4}
+    assert _run("generate", "--kind", "erdos-renyi", "--params", json.dumps(params),
+                "--out", gpath) == 0
+    assert la.load_edge_list(gpath).edge_set() == la.generate("erdos-renyi", params, 0).edge_set()
+
+
 def test_reconstruct_rejects_unknown_basis(tmp_path):
     gpath = tmp_path / "graph.txt"
     _run("generate", "--kind", "cycle", "--params", '{"n": 5}', "--out", gpath)
@@ -607,6 +615,9 @@ def _sample_inputs(tmp_path):
     # without an operator file the seed was ignored and the command exited 0
     (["sample", "--graph", "c6.txt", "--m", "3", "--operator-seed", "7"],
      "--operator-seed is read only with --operator-out"),
+    # a deterministic kind wrote the same graph for every seed and exited 0
+    (["generate", "--kind", "grid2d", "--params", '{"rows": 2, "cols": 3}', "--seed", "5"],
+     "--seed is not read by --kind grid2d, which draws nothing"),
 ])
 def test_generate_and_sample_refuse_bad_input_in_one_line(tmp_path, monkeypatch, argv, problem):
     _sample_inputs(tmp_path)

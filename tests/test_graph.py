@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import localagg as la
-from localagg.graph import GraphFormatError, HopPlanInfeasibleError
+from localagg.graph import GENERATOR_KINDS, SEEDLESS_KINDS, GraphFormatError, HopPlanInfeasibleError
 
 from conftest import random_graph
 
@@ -376,6 +376,25 @@ def test_random_geometric_is_built_on_the_seeded_positions(weighted):
     direct = la.geometric_graph_from_positions(pos, 0.25, weighted)
     assert g.edges.tobytes() == direct.edges.tobytes()
     assert g.weights.tobytes() == direct.weights.tobytes()
+
+
+SMALL_PARAMS = {
+    "erdos-renyi": {"n": 30, "p_e": 0.3},
+    "random-geometric": {"n": 30, "radius": 0.3},
+    "community": {"n": 30, "n_communities": 3, "p_intra": 0.3, "p_inter": 0.05},
+    "grid2d": {"rows": 4, "cols": 5},
+    "small-world": {"n": 30, "ring_degree": 4, "rewire_prob": 0.3},
+    "cycle": {"n": 30},
+    "complete": {"n": 8},
+}
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_only_seedless_kinds_ignore_the_seed(kind):
+    # localagg generate refuses --seed for exactly these kinds
+    graphs = [la.generate(kind, SMALL_PARAMS[kind], seed) for seed in (0, 1, 2)]
+    same = [g.edge_set() == graphs[0].edge_set() for g in graphs[1:]]
+    assert same == ([True, True] if kind in SEEDLESS_KINDS else [False, False])
 
 
 # equivalence with the all-pairs geometric builder

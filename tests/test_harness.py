@@ -1,6 +1,8 @@
 """Experiment drivers: seeding, sweeps, result tables, sensor-network costs."""
 
 import json
+import multiprocessing
+import os
 import pathlib
 
 import numpy as np
@@ -469,6 +471,102 @@ def test_route_power_equals_the_walk_on_one_hop_plans(seed):
         assert plan.p == 1
         assert harness._forward_route_power(pos, plan) == \
             _legacy_forward_route_power(graph, pos, plan)
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Let this process's affinity mask report ``count`` CPUs, over a BLAS
+    held to one thread whatever the environment held it to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(harness, "_ONE_BLAS_THREAD", True)
+
+
+def _small_field() -> WsnScenario:
+    return WsnScenario(n=40, k=4, radius=0.4, cluster_head_counts=(3, 8), m_values=(20, 30),
+                       trials=2, master_seed=5, solver=SolverParams(max_iter=1000))
+
+
+def test_units_run_in_forked_workers_and_return_in_order(monkeypatch):
+    units = [(i,) for i in range(6)]
+
+    def where(i):
+        return i, os.getpid()
+
+    _cpus(monkeypatch, 2)
+    pooled = harness._map_in_order(where, units, "bp_l1")
+    assert [i for i, _ in pooled] == list(range(6))
+    assert os.getpid() not in {pid for _, pid in pooled}
+    _cpus(monkeypatch, 1)
+    here = harness._map_in_order(where, units, "bp_l1")
+    assert here == [(i, os.getpid()) for i in range(6)]
+    # a threaded BLAS already uses every CPU
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_ONE_BLAS_THREAD", False)
+    assert harness._map_in_order(where, units, "bp_l1") == here
+
+
+@pytest.mark.parametrize("env, one", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, True), ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+    ({"OMP_NUM_THREADS": "4"}, False), ({}, False)])
+def test_workers_are_forked_only_over_one_blas_thread(env, one):
+    assert harness._one_blas_thread(env) is one
+
+
+@pytest.mark.parametrize("run, config", [
+    (wsn_experiment, _small_field()),
+    (run_unknown_support, _small_config(trials=4, signal_model="random-support")),
+    (run_known_support, _small_config(sigma=0.1, trials=4)),
+], ids=["wsn", "unknown-support", "known-support"])
+def test_rows_do_not_depend_on_the_worker_count(monkeypatch, run, config):
+    _cpus(monkeypatch, 1)
+    alone = run(config)
+    _cpus(monkeypatch, 2)
+    assert run(config) == alone
+
+
+def test_a_stand_in_solver_sees_every_solve_in_process(monkeypatch):
+    # perfbench/tracing.py times the solves by rebinding harness.bp_l1; a
+    # solve in a forked worker would leave its record in the worker
+    sc = _small_field()
+    _cpus(monkeypatch, 2)
+    rows = wsn_experiment(sc)
+    calls = []
+
+    def counting(*args):
+        calls.append(os.getpid())
+        return recon.bp_l1(*args)
+
+    monkeypatch.setattr(harness, "bp_l1", counting)
+    assert wsn_experiment(sc) == rows
+    solves = (1 + len(sc.cluster_head_counts)) * len(sc.m_values) * sc.trials
+    assert calls == [os.getpid()] * solves
+
+
+class _Refused(Exception):
+    pass
+
+
+def test_no_worker_outlives_its_run(monkeypatch):
+    _cpus(monkeypatch, 2)
+    wsn_experiment(_small_field())
+    assert multiprocessing.active_children() == []
+
+    def refuse(basis, spec):
+        raise _Refused(f"no signal in process {os.getpid()}")
+
+    monkeypatch.setattr(harness, "synthesize", refuse)
+    with pytest.raises(_Refused) as info:
+        run_known_support(_small_config())
+    # the error of a worker, not of this process, with its own type and message
+    assert type(info.value) is _Refused
+    message = str(info.value)
+    assert message.startswith("no signal in process ")
+    assert message != f"no signal in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Source hygiene: every name a library module imports is used in it, numpy is
-reached through its public API only, and no heavy scipy module is loaded."""
+reached through its public API only, no heavy scipy module is loaded, and only
+the harness starts processes."""
 
 import ast
 import os
@@ -99,8 +100,8 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def _optimize_imports(source: str) -> list[str]:
-    """Imports of scipy.optimize or any of its submodules, at any depth."""
+def _imports_of(source: str, *modules: str) -> list[str]:
+    """Imports of any of ``modules`` or of their submodules, at any depth."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -109,8 +110,8 @@ def _optimize_imports(source: str) -> list[str]:
             names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
         else:
             continue
-        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
-               for name in names):
+        if any(name == module or name.startswith(module + ".")
+               for name in names for module in modules):
             hits.append(f"line {node.lineno}")
     return hits
 
@@ -120,7 +121,7 @@ def test_module_does_not_import_scipy_optimize(path):
     # importing scipy.optimize raised perfbench peak_rss_mb by 16.7 MB on
     # blind-community (69.1 -> 85.9 MB, +24 %); the exact LP (linprog/HiGHS)
     # stays a test-only oracle and recon finishes l1 solves with its own simplex
-    assert _optimize_imports(path.read_text()) == []
+    assert _imports_of(path.read_text(), "scipy.optimize") == []
 
 
 def test_scan_flags_scipy_optimize():
@@ -128,7 +129,23 @@ def test_scan_flags_scipy_optimize():
               "from scipy.optimize import linprog\n"
               "def f():\n    import scipy.optimize._linprog as lp\n"
               "from scipy import linalg\nimport scipy.optimizer_ish\n")
-    assert _optimize_imports(source) == ["line 1", "line 2", "line 3", "line 5"]
+    assert _imports_of(source, "scipy.optimize") == ["line 1", "line 2", "line 3", "line 5"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "harness.py"),
+                         ids=lambda p: p.name)
+def test_only_the_harness_starts_processes(path):
+    # harness._map_in_order is the one home of process parallelism: its
+    # fork-inherited inputs, in-order results and torn-down pool
+    assert _imports_of(path.read_text(), "multiprocessing", "concurrent.futures") == []
+
+
+def test_scan_flags_process_pools():
+    source = ("import multiprocessing as mp\nfrom multiprocessing.pool import Pool\n"
+              "from concurrent import futures\nimport concurrent.futures.process\n"
+              "import concurrent\nimport multiprocessingish\n")
+    assert _imports_of(source, "multiprocessing", "concurrent.futures") == [
+        "line 1", "line 2", "line 3", "line 4"]
 
 
 def test_cli_names_no_experiment_kind():
