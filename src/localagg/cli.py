@@ -8,8 +8,8 @@ import sys
 from dataclasses import fields
 
 from . import harness
-from .graph import (SEEDLESS_KINDS, HopPlanInfeasibleError, check_int, generate, load_edge_list,
-                    save_edge_list)
+from .graph import (SEEDLESS_KINDS, HopPlanInfeasibleError, check_int, check_seed, generate,
+                    load_edge_list, save_edge_list)
 from .recon import bp_l1, check_support, ls_known_support
 from .sampler import (STRATEGIES, PoolExhaustedError, SamplingOperator, build_plan,
                       draw_operator, plan_to_json)
@@ -24,9 +24,7 @@ def _cmd_generate(args):
     if not isinstance(params, dict):
         raise SystemExit(f"--params must be a JSON object, got {args.params}")
     if args.seed is not None:
-        check_int("--seed", args.seed, minimum=0, error=SystemExit)
-        if args.kind in SEEDLESS_KINDS:
-            raise SystemExit(f"--seed is not read by --kind {args.kind}, which draws nothing")
+        check_seed("--seed", args.seed, args.kind, "--kind", SystemExit)
     try:
         graph = generate(args.kind, params, args.seed or 0)
     except ValueError as exc:
@@ -100,8 +98,6 @@ def _cmd_experiment(args):
     except ValueError as exc:  # not JSON, or not UTF-8 text
         raise SystemExit(f"{args.config}: {exc}") from None
     if isinstance(payload, dict):  # from_dict refuses any other JSON value
-        if "output" in payload:
-            raise SystemExit("config key 'output' is not read: pass the CSV path with --out")
         payload.update(overrides)
     try:
         config = config_class.from_dict(payload)

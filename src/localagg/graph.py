@@ -353,6 +353,13 @@ GENERATOR_KINDS = tuple(_BUILDERS)
 SEEDLESS_KINDS = ("grid2d", "cycle", "complete")
 
 
+def check_seed(name: str, seed, kind: str, kind_name: str, error=ValueError) -> None:
+    """Raise ``error`` unless ``seed`` is an integer >= 0 that a graph of ``kind`` reads."""
+    check_int(name, seed, minimum=0, error=error)
+    if kind in SEEDLESS_KINDS:
+        raise error(f"{name} is not read by {kind_name} {kind}, which draws nothing")
+
+
 def generate(kind: str, params: dict, seed: int) -> Graph:
     """Build a random graph; identical (kind, params, seed) give identical graphs."""
     if kind not in _BUILDERS:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import multiprocessing
 import os
-from dataclasses import MISSING, dataclass, field, fields, asdict, replace
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from functools import partial
 
 import numpy as np
@@ -22,9 +22,11 @@ import numpy as np
 from . import __version__, recon
 from .baselines import successive_aggregations, uniform_node_sampling
 from .graph import (
+    SEEDLESS_KINDS,
     Graph,
     check_int,
     check_real,
+    check_seed,
     generate,
     geometric_graph_from_positions,
     p_hop_graph,
@@ -181,23 +183,42 @@ class _Config:
         return cls(**_read(d, cls.WHERE, *_schema(cls)))
 
     def to_dict(self) -> dict:
-        """The JSON object of the config; a field left as None is left out."""
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in asdict(self).items() if value is not None}
+        """The JSON object of the config; a field left as None, nested or not, is left out."""
+        d = asdict(self, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+        return {key: list(value) if isinstance(value, tuple) else value for key, value in d.items()}
+
+
+def _seeded(label: str, spec: "GraphSpec") -> None:
+    """Refuse a graph of a random kind without the seed that its run draws it from."""
+    if spec.seed is None and spec.kind not in SEEDLESS_KINDS:
+        raise ConfigError(f"missing {label} key(s) 'seed'")
+
+
+def _unseeded(label: str, spec: "GraphSpec") -> None:
+    if spec.seed is not None:
+        raise ConfigError(f"{label} seed is not read by condition-table, "
+                          f"whose trials draw their graphs from master_seed")
 
 
 @dataclass(frozen=True)
 class GraphSpec(_Config):
     kind: str
     params: dict
-    seed: int
+    seed: int | None = None
 
     WHERE = "graph"
-    CHECKS = {"seed": partial(check_int, minimum=0, error=ConfigError)}
 
-    def build(self) -> Graph:
+    def __post_init__(self):
+        if self.seed is not None:
+            check_seed("graph seed", self.seed, self.kind, "graph kind", ConfigError)
+
+    def build(self, seed: int | None = None) -> Graph:
+        """The graph, drawn from ``seed`` if given, else from the spec's; never from OS entropy."""
+        if seed is None:
+            _seeded("graph", self)
+            seed = self.seed or 0
         try:
-            return generate(self.kind, self.params, self.seed)
+            return generate(self.kind, self.params, seed)
         except ValueError as exc:
             raise ConfigError(f"graph: {exc}") from None
 
@@ -222,8 +243,8 @@ class ExperimentConfig(_Config):
     # a count such as "trials": 2.5 is refused, not truncated; _known_cell adds
     # noise only when sigma > 0, so a NaN or negative level would run
     # noiseless under its own label
-    CHECKS = {"k": _count, "trials": _count, "master_seed": _seed, "sigma": _real,
-              "samplers": _check_samplers}
+    CHECKS = {"graph": _seeded, "k": _count, "trials": _count, "master_seed": _seed,
+              "sigma": _real, "samplers": _check_samplers}
 
     def __post_init__(self):
         self.samplers = tuple(self.samplers)
@@ -279,8 +300,8 @@ class ConditionTableConfig(_Config):
     master_seed: int = 0
     methods: tuple = ("proposed-insert", "successive")
 
-    CHECKS = {"methods": _check_samplers, "k": _count, "trials": _count, "master_seed": _seed,
-              "m_values": _budgets}
+    CHECKS = {"graph": _unseeded, "methods": _check_samplers, "k": _count, "trials": _count,
+              "master_seed": _seed, "m_values": _budgets}
 
 
 @dataclass
@@ -290,11 +311,11 @@ class DominatingCurveConfig(_Config):
     graph: GraphSpec
     p_max: int = 4
 
-    CHECKS = {"p_max": _count}
+    CHECKS = {"graph": _seeded, "p_max": _count}
 
     @property
-    def master_seed(self) -> int:
-        """The seed a result table names: the curve's only randomness is its graph's."""
+    def master_seed(self) -> int | None:
+        """The seed a result table names, the graph's: a seedless kind has none."""
         return self.graph.seed
 
 
@@ -503,7 +524,7 @@ def run_condition_table(config: ConditionTableConfig) -> list[dict]:
     ms, methods, m_values = config.master_seed, config.methods, config.m_values
     conds: dict = {(meth, m): [] for meth in methods for m in m_values}
     for t in range(config.trials):
-        g = replace(config.graph, seed=derive_seed(ms, "graph", t)).build()
+        g = config.graph.build(derive_seed(ms, "graph", t))
         _check_fits(g, config.k, methods, max(m_values))
         basis = gft_basis(g, normalized=True)
         factory = _OperatorFactory(g)

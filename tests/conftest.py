@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, set before numpy loads, as scripts/run_experiments.py sets it:
+# harness._map_in_order then forks its workers, and the tables get the runner's bits
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck

@@ -105,7 +105,7 @@ def test_03_square_budget_known_support_is_exact():
 
 def test_04_conditioning_beats_successive_aggregation():
     rows = run_condition_table(ConditionTableConfig(
-        GraphSpec("erdos-renyi", {"n": 100, "p_e": 0.2}, seed=0),
+        GraphSpec("erdos-renyi", {"n": 100, "p_e": 0.2}),
         k=10, m_values=(20,), trials=100, master_seed=21))
     med = {r["method"]: r["median_cond"] for r in rows}
     ok = 1.0 <= med["proposed-insert"] <= 50.0 and med["successive"] >= 1e10
@@ -168,7 +168,7 @@ def test_06_aggregation_transitions_before_point_sampling():
 
 
 def test_07_low_coherence_graph_recovers_earlier():
-    grid_spec = GraphSpec("grid2d", {"rows": 10, "cols": 10}, seed=0)
+    grid_spec = GraphSpec("grid2d", {"rows": 10, "cols": 10})
     sw_spec = GraphSpec("small-world", {"n": 100, "ring_degree": 2,
                                         "rewire_prob": 0.15}, seed=1)
     grid, sw = grid_spec.build(), sw_spec.build()

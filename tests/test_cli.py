@@ -145,6 +145,11 @@ def _graph_payload():
     return {"kind": "erdos-renyi", "params": {"n": 18, "p_e": 0.35}, "seed": 1}
 
 
+def _table_graph():
+    # a condition table draws each trial's graph from its master seed, so it takes no graph seed
+    return {key: value for key, value in _graph_payload().items() if key != "seed"}
+
+
 def _sparse_geometric():
     return {"kind": "random-geometric", "params": {"n": 60, "radius": 0.05}, "seed": 0}
 
@@ -210,8 +215,7 @@ def test_experiment_seed_and_trials_overrides(tmp_path):
 
 def test_experiment_condition_table(tmp_path):
     cfg = _write_config(tmp_path, {
-        "graph": {"kind": "erdos-renyi", "params": {"n": 20, "p_e": 0.3},
-                  "seed": 0},
+        "graph": {"kind": "erdos-renyi", "params": {"n": 20, "p_e": 0.3}},
         "k": 4, "m_values": [8, 12], "trials": 2, "master_seed": 5})
     out = tmp_path / "cond.csv"
     assert _run("experiment", "condition-table", "--config", cfg,
@@ -222,13 +226,15 @@ def test_experiment_condition_table(tmp_path):
 
 
 def test_experiment_dominating_curve(tmp_path):
-    cfg = _write_config(tmp_path, {
-        "graph": {"kind": "cycle", "params": {"n": 12}, "seed": 0},
-        "p_max": 6})
+    payload = {"graph": {"kind": "cycle", "params": {"n": 12}}, "p_max": 6}
+    cfg = _write_config(tmp_path, payload)
     out = tmp_path / "curve.csv"
     assert _run("experiment", "dominating-curve", "--config", cfg,
                 "--out", out) == 0
     lines = _read_table(out)
+    # a cycle draws nothing, so the header names no seed
+    assert lines[0] == (f"# config-hash={la.harness.config_hash(payload)}, seed=None, "
+                        f"version={la.__version__}")
     assert lines[1] == "p,dominating_size"
     assert [line.split(",")[1] for line in lines[2:]] == \
         ["6", "4", "3", "2", "2", "1"]
@@ -262,7 +268,7 @@ def test_experiment_dominating_curve_refuses_seed_and_trials(tmp_path, overrides
 
 def test_experiment_hash_reads_omitted_defaults_as_spelled_out(tmp_path):
     # the header hashes the config as read, so leaving out a default is the same config
-    short = {"graph": _graph_payload(), "k": 2, "m_values": [4]}
+    short = {"graph": _table_graph(), "k": 2, "m_values": [4]}
     spelled = dict(short, trials=10, master_seed=0, methods=["proposed-insert", "successive"])
     for name, payload in (("short", short), ("spelled", spelled)):
         (tmp_path / name).mkdir()
@@ -283,7 +289,7 @@ def test_experiment_requires_output(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
     # the path comes from --out only; a config that still names one is refused
     cfg = _write_config(tmp_path, dict(payload, output=str(tmp_path / "x.csv")))
-    with pytest.raises(SystemExit, match="--out"):
+    with pytest.raises(SystemExit, match="unknown config key\\(s\\) 'output'"):
         _run("experiment", "known-support", "--config", cfg, "--out", tmp_path / "y.csv")
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()
 
@@ -343,11 +349,11 @@ def _blind_payload(**changes):
      "m_values entry must be an integer >= 1, got 9.5"),
     ("wsn", {"n": 16, "k": 3, "cluster_head_counts": [2, 30]},
      "cluster head counts must lie in [1, n]"),
-    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4], "trials": 2.5},
+    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [4], "trials": 2.5},
      "trials must be an integer >= 1, got 2.5"),
-    ("condition-table", {"graph": _graph_payload(), "k": 2.0, "m_values": [4]},
+    ("condition-table", {"graph": _table_graph(), "k": 2.0, "m_values": [4]},
      "k must be an integer >= 1, got 2.0"),
-    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4.5]},
+    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [4.5]},
      "m_values entry must be an integer >= 1, got 4.5"),
     ("dominating-curve", {"graph": _graph_payload(), "p_max": 2.5},
      "p_max must be an integer >= 1, got 2.5"),
@@ -361,12 +367,12 @@ def _blind_payload(**changes):
      "graph: n must be >= 1"),
     ("unknown-support", _blind_payload(graph=dict(_graph_payload(), kind="torus")),
      f"graph: unknown graph kind 'torus', expected one of {la.graph.GENERATOR_KINDS}"),
-    ("condition-table", {"graph": dict(_graph_payload(), params={"n": 0, "p_e": 0.3}), "k": 2,
+    ("condition-table", {"graph": dict(_table_graph(), params={"n": 0, "p_e": 0.3}), "k": 2,
                          "m_values": [4]}, "graph: n must be >= 1"),
     ("dominating-curve", {"graph": dict(_graph_payload(), kind="torus")},
      f"graph: unknown graph kind 'torus', expected one of {la.graph.GENERATOR_KINDS}"),
     ("known-support", _blind_payload(k=20), "k must be <= the graph's n = 18, got 20"),
-    ("condition-table", {"graph": _graph_payload(), "k": 200, "m_values": [4]},
+    ("condition-table", {"graph": _table_graph(), "k": 200, "m_values": [4]},
      "k must be <= the graph's n = 18, got 200"),
     # a generator parameter left out, and a budget that no node sampler can draw
     ("known-support", _blind_payload(graph=dict(_graph_payload(), params={"n": 18})),
@@ -377,7 +383,7 @@ def _blind_payload(**changes):
     ("known-support", _blind_payload(samplers=["successive", "proposed-repeat"], fixed_m=19,
                                      sweep={"variable": "sigma", "values": [0.1]}),
      "m must be <= the graph's n = 18 for sampler 'proposed-repeat', got 19"),
-    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4, 30]},
+    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [4, 30]},
      "m must be <= the graph's n = 18 for sampler 'proposed-insert', got 30"),
     # a key that holds a list or an object refuses any other JSON type
     ("wsn", {"n": 16, "k": 3, "m_values": 8}, "m_values must be a list, got 8"),
@@ -402,15 +408,29 @@ def _blind_payload(**changes):
     ("wsn", {"n": 20, "k": 3, "cluster_head_counts": [2], "m_values": [25], "trials": 1},
      "m must be <= the field's n = 20, got 25"),
     # a repeated entry would write its rows twice, or merge two rows into one
-    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [6, 6]},
+    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [6, 6]},
      "m_values repeats 6"),
-    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [6],
+    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [6],
                          "methods": ["uniform", "successive", "uniform"]},
      "methods repeats 'uniform'"),
     ("known-support", _blind_payload(samplers=["uniform", "uniform"]),
      "samplers repeats 'uniform'"),
     ("wsn", {"n": 16, "k": 3, "m_values": [12, 12]}, "m_values repeats 12"),
     ("wsn", {"n": 16, "k": 3, "cluster_head_counts": [2, 2]}, "cluster_head_counts repeats 2"),
+    # a graph seed is required where the run draws the graph from it, and
+    # refused where no run reads it: the kind draws nothing, or each trial draws its own graph
+    ("dominating-curve", {"graph": {"kind": "random-geometric",
+                                    "params": {"n": 30, "radius": 0.3}}},
+     "missing graph key(s) 'seed'"),
+    ("known-support", _blind_payload(graph={"kind": "grid2d", "params": {"rows": 3, "cols": 6},
+                                            "seed": 0}),
+     "graph seed is not read by graph kind grid2d, which draws nothing"),
+    ("dominating-curve", {"graph": {"kind": "cycle", "params": {"n": 12}, "seed": 9}},
+     "graph seed is not read by graph kind cycle, which draws nothing"),
+    ("dominating-curve", {"graph": {"kind": "cycle", "params": {"n": 12}, "seed": -1}},
+     "graph seed must be an integer >= 0, got -1"),
+    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4]},
+     "graph seed is not read by condition-table, whose trials draw their graphs from master_seed"),
 ])
 def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem):
     # Python's json reads and writes NaN, so a config file can carry one; the
@@ -655,7 +675,7 @@ def test_an_output_in_a_missing_directory_is_refused_in_one_line(tmp_path, monke
     _sample_inputs(tmp_path)
     la.save_matrix_csv(tmp_path / "phi.csv", np.eye(6)[:4])
     la.save_matrix_csv(tmp_path / "y.csv", np.ones((4, 1)))
-    _write_config(tmp_path, {"graph": _graph_payload(), "k": 2, "m_values": [4],
+    _write_config(tmp_path, {"graph": _table_graph(), "k": 2, "m_values": [4],
                              "trials": 1, "master_seed": 0})
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as info:
@@ -687,9 +707,9 @@ def test_experiment_refuses_values_nothing_reads(tmp_path, kind, payload, proble
 
 @pytest.mark.parametrize("kind, payload, problem", [
     ("known-support", _blind_payload(samplers=[]), "samplers must be nonempty"),
-    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4], "methods": []},
+    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [4], "methods": []},
      "methods must be nonempty"),
-    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": []},
+    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": []},
      "m_values must be nonempty"),
     ("wsn", {"n": 16, "k": 3, "cluster_head_counts": [2], "m_values": []},
      "m_values must be nonempty"),

@@ -114,6 +114,28 @@ def test_config_validation_errors():
         GraphSpec("cycle", {"n": 5}, seed=-1)
 
 
+def test_a_graph_seed_is_taken_only_where_a_run_reads_it():
+    # a seedless kind builds as `localagg generate` does, and its config names no seed
+    spec = GraphSpec("cycle", {"n": 5})
+    assert spec.to_dict() == {"kind": "cycle", "params": {"n": 5}}
+    assert np.array_equal(spec.build().edges, la.generate("cycle", {"n": 5}, 0).edges)
+    with pytest.raises(ConfigError,
+                       match="^graph seed is not read by graph kind cycle, which draws nothing$"):
+        GraphSpec("cycle", {"n": 5}, seed=0)
+    # a random kind without a seed is refused, never drawn from OS entropy
+    random_kind = GraphSpec("erdos-renyi", {"n": 12, "p_e": 0.4})
+    with pytest.raises(ConfigError, match="^missing graph key\\(s\\) 'seed'$"):
+        random_kind.build()
+    for build in (lambda: _small_config(graph=random_kind),
+                  lambda: DominatingCurveConfig(random_kind)):
+        with pytest.raises(ConfigError, match="^missing graph key\\(s\\) 'seed'$"):
+            build()
+    # a condition-table trial draws its graph from the master seed
+    with pytest.raises(ConfigError, match="^graph seed is not read by condition-table, "):
+        ConditionTableConfig(GraphSpec("erdos-renyi", {"n": 12, "p_e": 0.4}, seed=0),
+                             k=2, m_values=(4,))
+
+
 def test_config_dict_round_trip():
     cfg = _small_config(sigma=0.05, fixed_m=None,
                         solver=SolverParams(rho=2.0, max_iter=100))
@@ -295,7 +317,7 @@ def test_unknown_support_rejects_bad_configs():
 # conditioning table and dominating-set curve
 
 def test_condition_table_shape_and_determinism():
-    spec = GraphSpec("erdos-renyi", {"n": 30, "p_e": 0.3}, seed=0)
+    spec = GraphSpec("erdos-renyi", {"n": 30, "p_e": 0.3})
     config = ConditionTableConfig(spec, k=5, m_values=(10, 20), trials=4, master_seed=6)
     rows = run_condition_table(config)
     assert [(r["method"], r["m"]) for r in rows] == [
@@ -307,31 +329,31 @@ def test_condition_table_shape_and_determinism():
 
 
 def test_condition_table_rejects_unknown_method():
-    spec = GraphSpec("cycle", {"n": 10}, seed=0)
+    spec = GraphSpec("cycle", {"n": 10})
     with pytest.raises(ConfigError, match="sampler"):
         ConditionTableConfig(spec, k=2, m_values=(4,), methods=("nope",))
     # the methods are checked before any graph is generated
-    unbuildable = GraphSpec("no-such-kind", {}, seed=0)
+    unbuildable = GraphSpec("no-such-kind", {})
     with pytest.raises(ConfigError, match="sampler"):
         ConditionTableConfig(unbuildable, k=2, m_values=(4,), methods=("nope",))
 
 
 def test_dominating_curve_complete_graph():
-    rows = run_dominating_curve(DominatingCurveConfig(GraphSpec("complete", {"n": 7}, seed=0),
+    rows = run_dominating_curve(DominatingCurveConfig(GraphSpec("complete", {"n": 7}),
                                                       p_max=3))
     assert [r["dominating_size"] for r in rows] == [1, 1, 1]
     assert [r["p"] for r in rows] == [1, 2, 3]
 
 
 def test_dominating_curve_cycle_twelve():
-    rows = run_dominating_curve(DominatingCurveConfig(GraphSpec("cycle", {"n": 12}, seed=0),
+    rows = run_dominating_curve(DominatingCurveConfig(GraphSpec("cycle", {"n": 12}),
                                                       p_max=6))
     assert [r["dominating_size"] for r in rows] == [6, 4, 3, 2, 2, 1]
 
 
 def test_dominating_curve_rejects_bad_p():
     with pytest.raises(ConfigError, match="p_max must be an integer >= 1, got 0"):
-        DominatingCurveConfig(GraphSpec("cycle", {"n": 12}, seed=0), p_max=0)
+        DominatingCurveConfig(GraphSpec("cycle", {"n": 12}), p_max=0)
 
 
 # ---------------------------------------------------------------------------
