@@ -13,7 +13,9 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
+import traceback
 from dataclasses import MISSING, dataclass, field, fields, asdict
 from functools import partial
 
@@ -367,48 +369,103 @@ def _one_blas_thread(environ) -> bool:
 # and 88 s without), so _map_in_order forks only over a BLAS held to one thread.
 _ONE_BLAS_THREAD = _one_blas_thread(os.environ)
 
-# the (fn, units) that a forked worker of _map_in_order inherits through its initializer
-_inherited: tuple = ()
+
+def _run_taken(fn, units: list, counter):
+    """Run the units this process takes from the shared ``counter``, in index
+    order across all processes, and yield each as (index, ok, result or error).
+    A failure hands out no further unit: every lower index is taken by then."""
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(units):
+            return
+        try:
+            ok, value = True, fn(*units[i])
+        except Exception as exc:
+            with counter.get_lock():
+                counter.value = len(units)
+            ok, value = False, exc
+        yield i, ok, value
 
 
-def _adopt(fn, units) -> None:
-    global _inherited
-    _inherited = fn, units
-
-
-def _run_unit(i: int):
-    fn, units = _inherited
-    return fn(*units[i])
+def _work(fn, units: list, counter, send) -> None:
+    """A forked child's loop: send each unit it runs as (index, ok, result or error).
+    A value that does not pickle ends the child, and the caller reports its unit lost."""
+    for i, ok, value in _run_taken(fn, units, counter):
+        if not ok:   # a pickled error leaves its traceback behind, so send its text along
+            value.__notes__ = [*getattr(value, "__notes__", ()), "raised in a forked worker:\n"
+                               + "".join(traceback.format_exception(value)).rstrip()]
+        send.send((i, ok, value))
 
 
 def _map_in_order(fn, units: list, solver: str) -> list:
-    """``[fn(*unit) for unit in units]``, run by one forked worker per CPU.
+    """``[fn(*unit) for unit in units]``, run by this process beside one forked
+    child per further CPU.
 
-    The workers inherit ``fn`` and ``units`` at the fork, so nothing of them
-    is pickled: unit indices go out, results come back in unit order, and a
-    reduction over them keeps its order and bits.  The pool is torn down on
-    every path, and a unit's error reaches the caller with its own type and
-    message.
+    Every process takes the next unit index from one shared counter, so units
+    start in index order.  The children inherit ``fn`` and ``units`` at the
+    fork, so nothing of them is pickled; each sends its results back through
+    its own pipe, and they are returned in unit order, so a reduction over
+    them keeps its order and bits.  A failing unit stops the handing out of
+    further units, and the error raised is the lowest-index failing unit's,
+    with its own type and message, as the serial loop raises it.  A child
+    that ends without returning its unit raises an error naming that unit.
+    Every child is killed and reaped on every path.
 
-    The units run in this process when one CPU or one unit leaves nothing to
-    share; when BLAS was not held to one thread (``_ONE_BLAS_THREAD``), as
-    the runner script and the benchmark hold it; on a platform without CPU
-    affinity masks (macOS, Windows), where forking is unsafe or missing; and
-    when this module's name ``solver`` is bound to a stand-in for recon's
-    function, such as the timing wrapper of ``perfbench/tracing.py``: a
-    stand-in records what it sees in its own process, and a worker's records
-    would never reach this one.
+    The units run in this process alone when one CPU or one unit leaves
+    nothing to share; when BLAS was not held to one thread
+    (``_ONE_BLAS_THREAD``), as the runner script and the benchmark hold it;
+    on a platform without CPU affinity masks (macOS, Windows), where forking
+    is unsafe or missing; and when this module's name ``solver`` is bound to a
+    stand-in for recon's function, such as the timing wrapper of
+    ``perfbench/tracing.py``: a stand-in records what it sees in its own
+    process, and a child's records would never reach this one.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(units)) if _ONE_BLAS_THREAD else 1
     if workers < 2 or globals()[solver] is not getattr(recon, solver):
         return [fn(*unit) for unit in units]
-    pool = multiprocessing.get_context("fork").Pool(workers, _adopt, (fn, units))
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+    children, pipes, results = [], [], {}
+
+    def receive(ready) -> None:
+        for conn in ready:
+            try:
+                i, ok, value = conn.recv()
+                results[i] = ok, value
+            except EOFError:   # the child has exited
+                pipes.remove(conn)
+                conn.close()
+
     try:
-        return list(pool.imap(_run_unit, range(len(units))))
+        for _ in range(workers - 1):
+            conn, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_work, args=(fn, units, counter, send))
+            child.start()
+            children.append(child)
+            send.close()   # before the next fork, so only its child holds the sending end
+            pipes.append(conn)
+        for i, ok, value in _run_taken(fn, units, counter):
+            results[i] = ok, value
+            receive(multiprocessing.connection.wait(pipes, 0))   # a child blocks once its pipe fills
+        while pipes:
+            receive(multiprocessing.connection.wait(pipes))
     finally:
-        pool.terminate()   # as a Pool's with-block does on leaving; join reaps the workers
-        pool.join()
+        for child in children:
+            child.kill()
+            child.join()
+        for conn in pipes:
+            conn.close()
+    for i in range(len(units)):
+        if i not in results:
+            codes = ", ".join(str(child.exitcode) for child in children)
+            raise RuntimeError(f"unit {i} was lost: a worker process ended before returning it "
+                               f"(exit codes {codes})")
+        if not results[i][0]:
+            raise results[i][1]
+    return [results[i][1] for i in range(len(units))]
 
 
 @dataclass(frozen=True)
@@ -443,8 +500,9 @@ def _sweep(config: ExperimentConfig, column: str, reduce, cell, solver: str) -> 
     """One row per sampler and sweep value, ``column`` = reduce(mean trial score).
 
     ``cell(sweep, tag, value)`` returns the scores of one cell's trials in
-    trial order.  The cells run through ``_map_in_order``, with ``solver`` the
-    name of the recon function they call.
+    trial order.  The cells run through ``_map_in_order``, this process and
+    its forked children taking them in order, with ``solver`` the name of
+    the recon function they call.
     """
     graph = config.graph.build()
     m_max = max(config.sweep_values) if config.sweep_variable == "m" else config.fixed_m
@@ -621,6 +679,11 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
     reconstruction error.  A budget below a field's one-hop dominating set
     is refused: its plan would aggregate over several hops, which the
     forwarding cost does not model.
+
+    This process draws each field (positions, graph, DCT basis, signal and
+    cluster heads); its rows then run through ``_map_in_order``, one unit per
+    (method, m) row, which builds the row's plan or cluster operator, costs
+    its forwarding and solves.
     """
     _Config.__post_init__(scenario)  # the CHECKS that WsnScenario's construction skips
     if any(nc > scenario.n for nc in scenario.cluster_head_counts):
@@ -639,31 +702,29 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
         spec = SparseSignalSpec(support=np.arange(scenario.k),
                                 seed=derive_seed(ms, "signal", t))
         x = synthesize(basis, spec)
-        solves = []       # this field's (method, m, op, power), in row order
+        clusters = {nc: _draw_clusters(scenario, pos, t, nc) for nc in scenario.cluster_head_counts}
 
-        for m in scenario.m_values:
-            plan = build_plan(graph, m, "insert-new")
-            if plan.p > 1:
-                raise ConfigError(
-                    f"m = {m} is below the field's one-hop dominating set of "
-                    f"{graph.dominating_set.size} nodes; forwarding is costed one hop only")
-            solves.append(("proposed", m, draw_operator(plan, seed=derive_seed(ms, "draw", t, m)),
-                           _forward_route_power(pos, plan)))
-
-        for nc in scenario.cluster_head_counts:
-            _, members, cost = _draw_clusters(scenario, pos, t, nc)
-            for m in scenario.m_values:
+        def row(nc, m):
+            """(intra-network power, mse) of one row: the proposed plan if nc is None."""
+            if nc is None:
+                plan = build_plan(graph, m, "insert-new")
+                if plan.p > 1:
+                    raise ConfigError(
+                        f"m = {m} is below the field's one-hop dominating set of "
+                        f"{graph.dominating_set.size} nodes; forwarding is costed one hop only")
+                op = draw_operator(plan, seed=derive_seed(ms, "draw", t, m))
+                power = _forward_route_power(pos, plan)
+            else:
+                _, members, cost = clusters[nc]
                 seed = derive_seed(ms, "cluster-draw", t, nc, m)
-                solves.append((f"cluster-{nc}", m,
-                               *_cluster_operator(members, cost, m, scenario.n, seed)))
-
-        def mse(op):
+                op, power = _cluster_operator(members, cost, m, scenario.n, seed)
             res = bp_l1(op, basis, op.phi @ x, scenario.solver)
-            return float(np.mean((res.x_star - x) ** 2))
+            return power, float(np.mean((res.x_star - x) ** 2))
 
-        errs = _map_in_order(mse, [(op,) for _, _, op, _ in solves], "bp_l1")
-        for (method, m, _, power), err in zip(solves, errs):
-            agg.setdefault((method, m), []).append((power, err))
+        units = [(nc, m) for nc in (None, *scenario.cluster_head_counts)
+                 for m in scenario.m_values]
+        for (nc, m), result in zip(units, _map_in_order(row, units, "bp_l1")):
+            agg.setdefault(("proposed" if nc is None else f"cluster-{nc}", m), []).append(result)
 
     rows = []
     for (method, m), vals in agg.items():

@@ -1,9 +1,12 @@
 """Experiment drivers: seeding, sweeps, result tables, sensor-network costs."""
 
+import contextlib
 import json
 import multiprocessing
 import os
 import pathlib
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -512,21 +515,30 @@ def _small_field() -> WsnScenario:
 
 def test_units_run_in_forked_workers_and_return_in_order(monkeypatch):
     units = [(i,) for i in range(6)]
+    for cpus in (2, 3, 1):
+        # each of the first `cpus` units waits for the others, so that many
+        # processes take one each: this one and cpus - 1 forked children
+        meet = multiprocessing.get_context("fork").Barrier(cpus)
 
-    def where(i):
-        return i, os.getpid()
+        def where(i):
+            children = len(multiprocessing.active_children())
+            if i < cpus:
+                meet.wait(timeout=60)
+            return i, os.getpid(), children
 
-    _cpus(monkeypatch, 2)
-    pooled = harness._map_in_order(where, units, "bp_l1")
-    assert [i for i, _ in pooled] == list(range(6))
-    assert os.getpid() not in {pid for _, pid in pooled}
-    _cpus(monkeypatch, 1)
-    here = harness._map_in_order(where, units, "bp_l1")
-    assert here == [(i, os.getpid()) for i in range(6)]
+        _cpus(monkeypatch, cpus)
+        ran = harness._map_in_order(where, units, "bp_l1")
+        assert [i for i, _, _ in ran] == list(range(6))
+        pids = {pid for _, pid, _ in ran}
+        assert os.getpid() in pids and len(pids) == cpus
+        assert [c for i, pid, c in ran if pid == os.getpid() and i < cpus] == [cpus - 1]
+        assert multiprocessing.active_children() == []
+    # one CPU runs every unit in this process
+    assert ran == [(i, os.getpid(), 0) for i in range(6)]
     # a threaded BLAS already uses every CPU
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "_ONE_BLAS_THREAD", False)
-    assert harness._map_in_order(where, units, "bp_l1") == here
+    assert harness._map_in_order(where, units, "bp_l1") == ran
 
 
 @pytest.mark.parametrize("env, one", [
@@ -538,16 +550,32 @@ def test_workers_are_forked_only_over_one_blas_thread(env, one):
     assert harness._one_blas_thread(env) is one
 
 
-@pytest.mark.parametrize("run, config", [
-    (wsn_experiment, _small_field()),
-    (run_unknown_support, _small_config(trials=4, signal_model="random-support")),
-    (run_known_support, _small_config(sigma=0.1, trials=4)),
-], ids=["wsn", "unknown-support", "known-support"])
-def test_rows_do_not_depend_on_the_worker_count(monkeypatch, run, config):
+@pytest.mark.parametrize("run, config, refusal", [
+    (wsn_experiment, _small_field(), None),
+    (run_unknown_support, _small_config(trials=4, signal_model="random-support"), None),
+    (run_known_support, _small_config(sigma=0.1, trials=4), None),
+    # refusals raised inside a unit: a plan past saturation, and one of two hops
+    (wsn_experiment, WsnScenario(n=16, k=3, radius=0.01, cluster_head_counts=(2,),
+                                 m_values=(3,)),
+     "dominating set has 16 nodes at saturation, budget is 3"),
+    (wsn_experiment, WsnScenario(n=16, k=3, radius=0.3, cluster_head_counts=(2,),
+                                 m_values=(4,), master_seed=1),
+     "m = 4 is below the field's one-hop dominating set of 5 nodes; "
+     "forwarding is costed one hop only"),
+], ids=["wsn", "unknown-support", "known-support", "wsn-saturated", "wsn-two-hop"])
+def test_rows_do_not_depend_on_the_worker_count(monkeypatch, run, config, refusal):
+    def outcome():
+        try:
+            return run(config)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
     _cpus(monkeypatch, 1)
-    alone = run(config)
+    alone = outcome()
+    assert alone[1] == refusal if refusal else isinstance(alone, list)
     _cpus(monkeypatch, 2)
-    assert run(config) == alone
+    assert outcome() == alone
+    assert multiprocessing.active_children() == []
 
 
 def test_a_stand_in_solver_sees_every_solve_in_process(monkeypatch):
@@ -578,16 +606,96 @@ def test_no_worker_outlives_its_run(monkeypatch):
     assert multiprocessing.active_children() == []
 
     def refuse(basis, spec):
-        raise _Refused(f"no signal in process {os.getpid()}")
+        raise _Refused(f"no signal on support {spec.support.tolist()}")
 
     monkeypatch.setattr(harness, "synthesize", refuse)
     with pytest.raises(_Refused) as info:
         run_known_support(_small_config())
-    # the error of a worker, not of this process, with its own type and message
+    assert multiprocessing.active_children() == []
+    # the lowest-index failing cell's error, with its own type and message,
+    # as the serial loop raises it, whichever process ran that cell
+    _cpus(monkeypatch, 1)
+    with pytest.raises(_Refused) as alone:
+        run_known_support(_small_config())
     assert type(info.value) is _Refused
-    message = str(info.value)
-    assert message.startswith("no signal in process ")
-    assert message != f"no signal in process {os.getpid()}"
+    assert str(info.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("bad", [0, 4, 7, None], ids=["first", "middle", "last", "in-caller"])
+def test_a_failure_reads_the_same_at_every_worker_count(monkeypatch, bad):
+    # units fail from index `bad` on, so the serial loop stops at `bad`; with
+    # bad None, every unit that the calling process runs fails
+    caller = os.getpid()
+
+    def unit(i):
+        if bad is None and os.getpid() == caller:
+            raise _Refused("refused in the calling process")
+        if bad is None:
+            time.sleep(0.05)
+        elif i >= bad:
+            raise _Refused(f"unit {i} refused")
+        return i
+
+    raised = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(_Refused) as info:
+            harness._map_in_order(unit, [(i,) for i in range(8)], "bp_l1")
+        raised.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    message = "refused in the calling process" if bad is None else f"unit {bad} refused"
+    assert raised == [(_Refused, message)] * 2
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block is still running after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_every_unit_runs_once_over_more_workers_than_cores(monkeypatch):
+    # a lost update of the shared counter would run a unit twice and lose another
+    runs = multiprocessing.get_context("fork").Value("q", 0)
+
+    def unit(i):
+        with runs.get_lock():
+            runs.value += 1
+        return i * i
+
+    _cpus(monkeypatch, len(os.sched_getaffinity(0)) + 2)
+    with _deadline(60):
+        assert harness._map_in_order(unit, [(i,) for i in range(500)], "bp_l1") == \
+            [i * i for i in range(500)]
+    assert runs.value == 500
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_raises_an_error_naming_its_unit(monkeypatch):
+    caller = os.getpid()
+    lost = multiprocessing.get_context("fork").Value("q", -1)
+
+    def unit(i):
+        if os.getpid() != caller:
+            lost.value = i
+            os._exit(1)
+        while lost.value < 0:   # until the child has taken a unit
+            time.sleep(0.001)
+        return i
+
+    _cpus(monkeypatch, 2)
+    with _deadline(60), pytest.raises(RuntimeError) as info:
+        harness._map_in_order(unit, [(i,) for i in range(4)], "bp_l1")
+    assert str(info.value) == (f"unit {lost.value} was lost: a worker process ended "
+                               f"before returning it (exit codes 1)")
     assert multiprocessing.active_children() == []
 
 

@@ -136,7 +136,7 @@ def test_scan_flags_scipy_optimize():
                          ids=lambda p: p.name)
 def test_only_the_harness_starts_processes(path):
     # harness._map_in_order is the one home of process parallelism: its
-    # fork-inherited inputs, in-order results and torn-down pool
+    # fork-inherited inputs, in-order results and children reaped on every path
     assert _imports_of(path.read_text(), "multiprocessing", "concurrent.futures") == []
 
 
