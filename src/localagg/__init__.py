@@ -55,7 +55,6 @@ from .recon import (
     SolverParams,
     SparseSignalSpec,
     bp_l1,
-    bp_l1_many,
     ls_known_support,
     mse_db,
     realized_coefficients,

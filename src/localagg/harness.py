@@ -38,7 +38,6 @@ from .recon import (
     SolverParams,
     SparseSignalSpec,
     bp_l1,
-    bp_l1_many,
     ls_known_support,
     synthesize,
     to_db,
@@ -399,7 +398,7 @@ def _work(fn, units: list, counter, send) -> None:
         send.send((i, ok, value))
 
 
-def _map_in_order(fn, units: list, solver: str) -> list:
+def _map_in_order(fn, units: list) -> list:
     """``[fn(*unit) for unit in units]``, run by this process beside one forked
     child per further CPU.
 
@@ -417,14 +416,13 @@ def _map_in_order(fn, units: list, solver: str) -> list:
     nothing to share; when BLAS was not held to one thread
     (``_ONE_BLAS_THREAD``), as the runner script and the benchmark hold it;
     on a platform without CPU affinity masks (macOS, Windows), where forking
-    is unsafe or missing; and when this module's name ``solver`` is bound to a
-    stand-in for recon's function, such as the timing wrapper of
-    ``perfbench/tracing.py``: a stand-in records what it sees in its own
-    process, and a child's records would never reach this one.
+    is unsafe or missing; and when this module's ``bp_l1`` is a stand-in,
+    such as the timing wrapper of ``perfbench/tracing.py``, whose records of
+    a child's solves would never reach this process.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(units)) if _ONE_BLAS_THREAD else 1
-    if workers < 2 or globals()[solver] is not getattr(recon, solver):
+    if workers < 2 or bp_l1 is not recon.bp_l1:
         return [fn(*unit) for unit in units]
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
@@ -496,13 +494,12 @@ class _Sweep:
             yield self.factory.operator(tag, m, derive_seed(ts, "operator")), spec, x, ts
 
 
-def _sweep(config: ExperimentConfig, column: str, reduce, cell, solver: str) -> list[dict]:
+def _sweep(config: ExperimentConfig, column: str, reduce, cell) -> list[dict]:
     """One row per sampler and sweep value, ``column`` = reduce(mean trial score).
 
     ``cell(sweep, tag, value)`` returns the scores of one cell's trials in
     trial order.  The cells run through ``_map_in_order``, this process and
-    its forked children taking them in order, with ``solver`` the name of
-    the recon function they call.
+    its forked children taking them in order.
     """
     graph = config.graph.build()
     m_max = max(config.sweep_values) if config.sweep_variable == "m" else config.fixed_m
@@ -510,7 +507,7 @@ def _sweep(config: ExperimentConfig, column: str, reduce, cell, solver: str) -> 
     sweep = _Sweep(config, graph, build_basis(graph, config.basis), _OperatorFactory(graph))
     cells = [(tag, value) for tag in config.samplers for value in config.sweep_values]
     rows = []
-    for (tag, value), scores in zip(cells, _map_in_order(partial(cell, sweep), cells, solver)):
+    for (tag, value), scores in zip(cells, _map_in_order(partial(cell, sweep), cells)):
         total = 0.0
         for score in scores:
             total += score
@@ -536,15 +533,8 @@ def _known_cell(sweep: _Sweep, tag: str, value) -> list[float]:
 
 def _unknown_cell(sweep: _Sweep, tag: str, value) -> list[float]:
     """1.0 for each trial of one cell that l1 recovers perfectly, else 0.0."""
-    signals = []
-
-    def problems():
-        for op, _, x, _ in sweep.trials(tag, value):
-            signals.append(x)
-            yield op, op.phi @ x
-
-    results = bp_l1_many(problems(), sweep.basis, sweep.config.solver)
-    return [float(res.scored(x).perfect) for res, x in zip(results, signals)]
+    return [float(bp_l1(op, sweep.basis, op.phi @ x, sweep.config.solver).scored(x).perfect)
+            for op, _, x, _ in sweep.trials(tag, value)]
 
 
 def run_known_support(config: ExperimentConfig) -> list[dict]:
@@ -556,21 +546,20 @@ def run_known_support(config: ExperimentConfig) -> list[dict]:
     """
     if config.solver != SolverParams():
         raise ConfigError("least-squares runs take no l1 solver settings")
-    return _sweep(config, "mean_mse_db", to_db, _known_cell, "ls_known_support")
+    return _sweep(config, "mean_mse_db", to_db, _known_cell)
 
 
 def run_unknown_support(config: ExperimentConfig) -> list[dict]:
     """Perfect-recovery probability per sampler and budget, support unknown.
 
     Noiseless measurements, minimum-l1 reconstruction; a trial counts as
-    recovered when its error lands below the -40 dB threshold.  Each cell's
-    solves run through ``bp_l1_many``, in blocks of same-shape problems.
+    recovered when its error lands below the -40 dB threshold.
     """
     if config.sweep_variable != "m":
         raise ConfigError("blind recovery sweeps measurements only")
     if config.sigma != 0.0:
         raise ConfigError("blind recovery runs are noiseless")
-    return _sweep(config, "recovery_prob", float, _unknown_cell, "bp_l1_many")
+    return _sweep(config, "recovery_prob", float, _unknown_cell)
 
 
 def run_condition_table(config: ConditionTableConfig) -> list[dict]:
@@ -723,7 +712,7 @@ def wsn_experiment(scenario: WsnScenario) -> list[dict]:
 
         units = [(nc, m) for nc in (None, *scenario.cluster_head_counts)
                  for m in scenario.m_values]
-        for (nc, m), result in zip(units, _map_in_order(row, units, "bp_l1")):
+        for (nc, m), result in zip(units, _map_in_order(row, units)):
             agg.setdefault(("proposed" if nc is None else f"cluster-{nc}", m), []).append(result)
 
     rows = []

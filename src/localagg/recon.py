@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -528,130 +527,3 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     return _bp_result(basis, scale, x, iterations, converged, vertex is not None,
                       pivots, r_norm, s_norm, rho, setup)
 
-
-# bytes of operator stacks (each problem's psi and its pseudoinverse, 16 m n)
-# that bp_l1_many keeps in one block
-BLOCK_BYTES = 1 << 22
-
-
-def _row_dots(a: np.ndarray) -> np.ndarray:
-    """``a[i].dot(a[i])`` for every row, with the same BLAS dot and bits."""
-    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
-
-
-def bp_l1_many(problems, basis: OrthoBasis,
-               params: SolverParams | None = None) -> list[ReconResult]:
-    """``[bp_l1(op, basis, y, params) for op, y in problems]``, byte for byte.
-
-    The operators must share one shape (m, n).  Up to
-    ``BLOCK_BYTES // (16 m n)`` problems run the ``bp_l1`` iteration in
-    lockstep as the rows of (B, n) arrays: the projections are ``np.matmul``
-    over (B, m, n) and (B, n, m) stacks and the norms batched dots, which give
-    each row the bits of ``bp_l1``'s ``ndarray.dot`` calls, and every row keeps
-    its own penalty, iteration count, crossover attempts and pivots.  A row that
-    converges, is certified or reaches ``max_iter`` is recorded, and the next
-    problem takes its slot, so a capped solve does not leave the block nearly
-    empty; once the problems run out, finished rows leave the block.  Problems
-    are read one by one as slots free up, so a generator of them holds at most
-    one block of operators.
-    """
-    if params is None:
-        params = SolverParams()
-    tol_rel = params.tol_rel
-    max_iter = params.max_iter
-    pending = (_bp_setup(op, basis, y) for op, y in problems)
-    first = next(pending, None)
-    if first is None:
-        return []
-    m, n = first[0].shape
-
-    def same_shape(setup):
-        if setup[0].shape != (m, n):
-            raise ValueError(f"operators must share one shape: {setup[0].shape} after {(m, n)}")
-        return setup
-
-    pending = map(same_shape, pending)
-    block = [first, *itertools.islice(pending, max(1, BLOCK_BYTES // (16 * m * n)) - 1)]
-    results: list = [None] * len(block)
-    psi, pinv, x_feas, y = (np.stack([s[i] for s in block]) for i in range(4))
-    scales = [s[4] for s in block]
-    next_check = np.array([s[5] for s in block])
-    setups = [s[6] for s in block]
-    slot = list(range(len(block)))       # row -> index of its problem
-    b = len(block)
-    z = np.zeros((b, n))
-    u = np.zeros((b, n))
-    rho = np.full(b, float(params.rho))
-    its = np.zeros(b, dtype=np.int64)
-    pivots = np.zeros(b, dtype=np.int64)
-    s_norm = np.full(b, np.nan)
-    eps_abs = np.sqrt(n) * params.tol_abs
-    while b:
-        thresh = (1.0 / rho)[:, None]
-        v = z - u
-        x = v - np.matmul(pinv, np.matmul(psi, v[:, :, None]))[:, :, 0] + x_feas
-        z_prev = z
-        w = x + u
-        z = w - np.minimum(np.maximum(w, -thresh), thresh)
-        u = w - z
-        its += 1
-        r_norm = np.sqrt(_row_dots(x - z))
-        eps_pri = eps_abs + tol_rel * np.sqrt(np.maximum(_row_dots(x), _row_dots(z)))
-        primal_ok = r_norm <= eps_pri
-        balance = its % BALANCE_EVERY == 0
-        last = its == max_iter
-        crossover = its == next_check
-        check = primal_ok | balance | last | crossover
-        if not check.any():
-            continue
-        s_norm = np.where(check, rho * np.sqrt(_row_dots(z - z_prev)), s_norm)
-        converged = primal_ok & (s_norm <= eps_abs + tol_rel * rho * np.sqrt(_row_dots(u)))
-        balance &= ~converged
-        up = balance & (r_norm > BALANCE_MU * s_norm)
-        down = balance & ~up & (s_norm > BALANCE_MU * r_norm)
-        if up.any():
-            rho[up] *= BALANCE_TAU
-            u[up] /= BALANCE_TAU
-        if down.any():
-            rho[down] /= BALANCE_TAU
-            u[down] *= BALANCE_TAU
-        vertices = {}
-        if crossover.any():
-            for row in np.flatnonzero(crossover & ~converged).tolist():
-                vertex, spent = _simplex_finish(psi[row], y[row], x[row])
-                pivots[row] += spent
-                if vertex is not None:
-                    vertices[row] = vertex
-                    converged[row] = True
-                else:
-                    next_check[row] += CROSSOVER_EVERY
-        finished = converged | last
-        if not finished.any():
-            continue
-        for row in np.flatnonzero(finished).tolist():
-            x_row, r_row = vertices.get(row, (x[row], float(r_norm[row])))
-            results[slot[row]] = _bp_result(
-                basis, scales[row], x_row, int(its[row]), bool(converged[row]),
-                row in vertices, int(pivots[row]), r_row, float(s_norm[row]),
-                float(rho[row]), setups[row])
-            setup = next(pending, None)
-            if setup is None:
-                continue
-            (psi[row], pinv[row], x_feas[row], y[row], scales[row], next_check[row],
-             setups[row]) = setup
-            slot[row] = len(results)
-            results.append(None)
-            z[row] = u[row] = 0.0
-            rho[row] = params.rho
-            its[row] = pivots[row] = 0
-            s_norm[row] = np.nan
-            finished[row] = False
-        if finished.any():
-            keep = np.flatnonzero(~finished)
-            psi, pinv, x_feas, y, z, u, rho, its, pivots, next_check, s_norm = (
-                a[keep] for a in (psi, pinv, x_feas, y, z, u, rho, its, pivots, next_check,
-                                  s_norm))
-            scales, setups, slot = ([seq[i] for i in keep.tolist()]
-                                    for seq in (scales, setups, slot))
-            b = keep.size
-    return results

@@ -17,6 +17,7 @@ from localagg.harness import (
     ExperimentConfig,
     GraphSpec,
     WsnScenario,
+    _map_in_order,
     derive_seed,
     run_condition_table,
     run_unknown_support,
@@ -205,28 +206,20 @@ def test_08_edge_weights_leave_recovery_unchanged():
     plans = {m: la.build_plan(gw, m, "insert-new",
                               seed=derive_seed(master, "plan", m)) for m in ms}
 
-    def curve(basis):
-        out = []
-        for m in ms:
-            signals = []
+    def point(basis, m):
+        hits = 0
+        for t in range(200):
+            ts = derive_seed(master, m, t)
+            spec = la.SparseSignalSpec.draw(100, 10, "bandlimited", derive_seed(ts, "signal"))
+            x = la.synthesize(basis, spec)
+            op = la.draw_operator(plans[m], seed=derive_seed(ts, "operator"))
+            hits += int(la.bp_l1(op, basis, op.phi @ x, SWEEP_SOLVER).scored(x).perfect)
+        return hits / 200
 
-            def problems():
-                for t in range(200):
-                    ts = derive_seed(master, m, t)
-                    spec = la.SparseSignalSpec.draw(100, 10, "bandlimited",
-                                                    derive_seed(ts, "signal"))
-                    x = la.synthesize(basis, spec)
-                    signals.append(x)
-                    op = la.draw_operator(plans[m], seed=derive_seed(ts, "operator"))
-                    yield op, op.phi @ x
-
-            results = la.bp_l1_many(problems(), basis, SWEEP_SOLVER)
-            hits = sum(int(res.scored(x).perfect) for res, x in zip(results, signals))
-            out.append(hits / 200)
-        return out
-
-    weighted = curve(basis_w)
-    binary = curve(basis_b)
+    # one unit per (basis, m) point, run in this process and its forked workers
+    units = [(basis, m) for basis in (basis_w, basis_b) for m in ms]
+    probs = _map_in_order(point, units)
+    weighted, binary = probs[:len(ms)], probs[len(ms):]
     gap = max(abs(a - b) for a, b in zip(weighted, binary))
     ok = gap <= 0.1
     record(8, "exponential edge weights barely move the curve", ok,

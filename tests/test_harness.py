@@ -277,33 +277,22 @@ def test_unknown_support_full_budget_recovers():
         assert row["trials"] == 5
 
 
-def test_unknown_support_blocks_match_a_per_trial_loop(monkeypatch):
-    # blocks of 3 (m = 8) and 2 (m = 12) problems, so slots are refilled in each cell
-    monkeypatch.setattr(recon, "BLOCK_BYTES", 3 * 16 * 8 * 20)
+def test_unknown_support_cells_mix_converged_and_capped_solves(monkeypatch):
+    # a cap of 60 iterations leaves some solves short of convergence, and the
+    # recovery probabilities are not all 0 or 1
     cfg = _small_config(trials=7, signal_model="random-support",
                         solver=SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=60))
-    solved = {}
+    solved = []
 
-    def recording(name, solve):
-        def run(problems, basis, params):
-            out = solve(problems, basis, params)
-            solved.setdefault(name, []).extend(out)
-            return out
-        return run
+    def recording(*args):
+        res = recon.bp_l1(*args)
+        solved.append(res)
+        return res
 
-    def per_trial(problems, basis, params):
-        return [recon.bp_l1(op, basis, y, params) for op, y in problems]
-
-    monkeypatch.setattr(harness, "bp_l1_many", recording("blocks", recon.bp_l1_many))
+    monkeypatch.setattr(harness, "bp_l1", recording)   # so every cell runs in this process
     rows = run_unknown_support(cfg)
-    monkeypatch.setattr(harness, "bp_l1_many", recording("loop", per_trial))
-    assert run_unknown_support(cfg) == rows
-    assert len(solved["blocks"]) == len(solved["loop"]) == 4 * 7
-    for new, old in zip(solved["blocks"], solved["loop"]):
-        assert new.x_star.tobytes() == old.x_star.tobytes()
-        assert new.xhat_star.tobytes() == old.xhat_star.tobytes()
-        assert repr(new.solver_stats) == repr(old.solver_stats)
-    converged = [res.solver_stats["converged"] for res in solved["loop"]]
+    assert len(solved) == 4 * 7
+    converged = [res.solver_stats["converged"] for res in solved]
     assert any(converged) and not all(converged)
     assert {row["recovery_prob"] for row in rows} - {0.0, 1.0}
 
@@ -527,7 +516,7 @@ def test_units_run_in_forked_workers_and_return_in_order(monkeypatch):
             return i, os.getpid(), children
 
         _cpus(monkeypatch, cpus)
-        ran = harness._map_in_order(where, units, "bp_l1")
+        ran = harness._map_in_order(where, units)
         assert [i for i, _, _ in ran] == list(range(6))
         pids = {pid for _, pid, _ in ran}
         assert os.getpid() in pids and len(pids) == cpus
@@ -538,7 +527,7 @@ def test_units_run_in_forked_workers_and_return_in_order(monkeypatch):
     # a threaded BLAS already uses every CPU
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(harness, "_ONE_BLAS_THREAD", False)
-    assert harness._map_in_order(where, units, "bp_l1") == ran
+    assert harness._map_in_order(where, units) == ran
 
 
 @pytest.mark.parametrize("env, one", [
@@ -578,12 +567,17 @@ def test_rows_do_not_depend_on_the_worker_count(monkeypatch, run, config, refusa
     assert multiprocessing.active_children() == []
 
 
-def test_a_stand_in_solver_sees_every_solve_in_process(monkeypatch):
+@pytest.mark.parametrize("run, config, solves", [
+    # (proposed + 2 head counts) x 2 budgets x 2 fields
+    (wsn_experiment, _small_field(), 3 * 2 * 2),
+    # 2 samplers x 2 budgets, 4 trials each
+    (run_unknown_support, _small_config(trials=4, signal_model="random-support"), 4 * 4),
+], ids=["wsn", "unknown-support"])
+def test_a_stand_in_solver_sees_every_solve_in_process(monkeypatch, run, config, solves):
     # perfbench/tracing.py times the solves by rebinding harness.bp_l1; a
     # solve in a forked worker would leave its record in the worker
-    sc = _small_field()
     _cpus(monkeypatch, 2)
-    rows = wsn_experiment(sc)
+    rows = run(config)
     calls = []
 
     def counting(*args):
@@ -591,8 +585,7 @@ def test_a_stand_in_solver_sees_every_solve_in_process(monkeypatch):
         return recon.bp_l1(*args)
 
     monkeypatch.setattr(harness, "bp_l1", counting)
-    assert wsn_experiment(sc) == rows
-    solves = (1 + len(sc.cluster_head_counts)) * len(sc.m_values) * sc.trials
+    assert run(config) == rows
     assert calls == [os.getpid()] * solves
 
 
@@ -640,7 +633,7 @@ def test_a_failure_reads_the_same_at_every_worker_count(monkeypatch, bad):
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         with pytest.raises(_Refused) as info:
-            harness._map_in_order(unit, [(i,) for i in range(8)], "bp_l1")
+            harness._map_in_order(unit, [(i,) for i in range(8)])
         raised.append((type(info.value), str(info.value)))
         assert multiprocessing.active_children() == []
     message = "refused in the calling process" if bad is None else f"unit {bad} refused"
@@ -673,7 +666,7 @@ def test_every_unit_runs_once_over_more_workers_than_cores(monkeypatch):
 
     _cpus(monkeypatch, len(os.sched_getaffinity(0)) + 2)
     with _deadline(60):
-        assert harness._map_in_order(unit, [(i,) for i in range(500)], "bp_l1") == \
+        assert harness._map_in_order(unit, [(i,) for i in range(500)]) == \
             [i * i for i in range(500)]
     assert runs.value == 500
     assert multiprocessing.active_children() == []
@@ -693,7 +686,7 @@ def test_a_dead_worker_raises_an_error_naming_its_unit(monkeypatch):
 
     _cpus(monkeypatch, 2)
     with _deadline(60), pytest.raises(RuntimeError) as info:
-        harness._map_in_order(unit, [(i,) for i in range(4)], "bp_l1")
+        harness._map_in_order(unit, [(i,) for i in range(4)])
     assert str(info.value) == (f"unit {lost.value} was lost: a worker process ended "
                                f"before returning it (exit codes 1)")
     assert multiprocessing.active_children() == []

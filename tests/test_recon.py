@@ -342,8 +342,6 @@ def test_setup_refuses_non_finite_and_empty_operators():
         broken = SamplingOperator(phi=phi)
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             la.bp_l1(broken, basis, y, params)
-        with pytest.raises(ValueError, match="matrix has non-finite entries"):
-            la.bp_l1_many([(op, y), (broken, y)], basis, params)
         # the Cholesky path is not tried, so it adds no floating-point warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -624,7 +622,7 @@ def test_solver_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# the soft threshold and the lockstep engine, against bp_l1 byte for byte
+# the soft threshold, and bp_l1 in each regime
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
                 1.7976931348623157e308, -1.7976931348623157e308]
@@ -646,8 +644,8 @@ def test_soft_threshold_forms_agree_bit_for_bit(values, t):
     assert not np.signbit(new[np.abs(w) <= t]).any()
 
 
-def _engine_block(name):
-    """(problems, basis, params) of one named block of same-shape problems."""
+def _bp_problems(name):
+    """(problems, basis, params) of one named solver regime."""
     if name == "degenerate":
         # criterion 6's setting under uniform sampling: the m largest |x| give
         # a singular psi_S, and the finish completes that basis and pivots
@@ -676,8 +674,6 @@ def _engine_block(name):
             y = y + 1e-3 * rng.standard_normal(op.m)     # inconsistent
         problems.append((op, (1e-3 if s == 4 else 1.0) * y))
     problems.insert(2, (problems[0][0], np.zeros(problems[0][0].m)))
-    if name == "crossover":
-        problems.append(problems[5])    # a repeated problem gets the same pivots
     params = {"default": SolverParams(),
               "capped-3": SolverParams(rho=1, max_iter=3),   # an int rho is reported as a float
               "capped-50": SolverParams(max_iter=50),
@@ -688,42 +684,16 @@ def _engine_block(name):
     return problems, basis, params
 
 
-_ENGINE_BLOCKS = ("default", "capped-3", "capped-50", "rho-0.001", "rho-1000", "repeated",
-                  "crossover", "degenerate")
-# block budgets: one problem per block, two (slots refilled), all seven at once
-_ENGINE_BUDGETS = {"B1": 1, "B2": 2 * 16 * 22 * 30, "all": 1 << 22}
+_BP_REGIMES = ("default", "capped-3", "capped-50", "rho-0.001", "rho-1000", "repeated",
+               "crossover", "degenerate")
 
 
-def _assert_same_result(new, old):
-    assert _same_bytes(new.x_star, old.x_star)
-    assert _same_bytes(new.xhat_star, old.xhat_star)
-    assert new.solver_stats.keys() == old.solver_stats.keys()
-    for key, value in old.solver_stats.items():
-        assert type(new.solver_stats[key]) is type(value), key
-        assert _same_bytes(new.solver_stats[key], value), key
-
-
-@pytest.mark.parametrize("budget", _ENGINE_BUDGETS)
-@pytest.mark.parametrize("name", _ENGINE_BLOCKS)
-def test_engine_matches_bp_l1_byte_for_byte(monkeypatch, name, budget):
-    problems, basis, params = _engine_block(name)
-    monkeypatch.setattr(recon, "BLOCK_BYTES", _ENGINE_BUDGETS[budget])
-    many = la.bp_l1_many(iter(problems), basis, params)
-    assert len(many) == len(problems)
-    for res, (op, y) in zip(many, problems):
-        _assert_same_result(res, la.bp_l1(op, basis, y, params))
-    certified = [res.solver_stats["pivots"] for res in many if res.solver_stats["certified"]]
-    # rows of the crossover block are certified with and without pivots, and
-    # degenerate rows only after pivots
-    assert sorted(certified) == {"crossover": [0, 0, 2], "degenerate": [19, 20, 29]}.get(name, [])
-
-
-def test_engine_blocks_cover_each_regime():
+def test_bp_l1_covers_each_regime():
     stats = {name: [la.bp_l1(op, basis, y, params).solver_stats
                     for op, y in problems]
              for name, (problems, basis, params) in
-             ((name, _engine_block(name)) for name in _ENGINE_BLOCKS)}
-    # rows of one block converge at different iterations, y = 0 at the first
+             ((name, _bp_problems(name)) for name in _BP_REGIMES)}
+    # solves of one set converge at different iterations, y = 0 at the first
     assert all(s["converged"] for s in stats["default"])
     assert len({s["iterations"] for s in stats["default"]}) >= 4
     assert stats["default"][2]["iterations"] == 1 and stats["default"][2]["objective"] == 0.0
@@ -735,27 +705,16 @@ def test_engine_blocks_cover_each_regime():
     assert all(s["converged"] for name in ("rho-0.001", "rho-1000") for s in stats[name])
     assert all(s["rho"] >= 0.001 * 2 ** 8 for s in stats["rho-0.001"] if s["iterations"] > 1)
     assert all(s["rho"] <= 1000 / 2 ** 7 for s in stats["rho-1000"] if s["iterations"] > 1)
-    # repeated rows: consistent rows converge, inconsistent ones run to the cap
+    # repeated rows: consistent solves converge, inconsistent ones run to the cap
     repeated = stats["repeated"]
     assert [s["converged"] for s in repeated] == [True, False, True, True, False, True, False]
     assert all(s["converged"] for s in stats["degenerate"])
     assert [s["certified"] for s in stats["degenerate"]] == [True, False, True, True]
-    # block sizes of the budgets: 1, 2 (fewer than the problems), all of them
-    for budget, size in (("B1", 1), ("B2", 2), ("all", 7)):
-        for name in ("default", "repeated"):
-            m, n = _engine_block(name)[0][0][0].phi.shape
-            assert min(7, max(1, _ENGINE_BUDGETS[budget] // (16 * m * n))) == size
-
-
-def test_engine_edge_cases():
-    problems, basis, params = _engine_block("default")
-    assert la.bp_l1_many([], basis, params) == []
-    mixed = [problems[0], _engine_block("repeated")[0][0]]
-    with pytest.raises(ValueError, match="share one shape"):
-        la.bp_l1_many(mixed, basis, params)
-    op, y = problems[0]
-    with pytest.raises(ValueError, match="finite"):
-        la.bp_l1_many([(op, np.full(op.m, np.nan))], basis, params)
+    # crossover solves are certified with and without pivots, degenerate ones only after pivots
+    certified = {name: sorted(s["pivots"] for s in stats[name] if s["certified"])
+                 for name in _BP_REGIMES}
+    assert certified == dict.fromkeys(_BP_REGIMES, []) | {"crossover": [0, 2],
+                                                          "degenerate": [19, 20, 29]}
 
 
 # ---------------------------------------------------------------------------
@@ -913,16 +872,14 @@ def test_spent_budget_returns_none_and_leaves_the_iterates(monkeypatch):
 
     monkeypatch.setattr(recon, "_simplex_finish", recording)
     spent = la.bp_l1(op, basis, y, params)
-    spent_many = la.bp_l1_many([(op, y)], basis, params)[0]
-    assert attempts == [(None, 1), (None, 1)]
+    assert attempts == [(None, 1)]
     monkeypatch.setattr(recon, "_simplex_finish", lambda psi, y, x: (None, 0))
     idle = la.bp_l1(op, basis, y, params)
     assert idle.solver_stats.pop("pivots") == 0
-    for res in (spent, spent_many):
-        assert res.solver_stats.pop("pivots") == 1
-        assert not res.solver_stats["certified"]
-        assert repr(res.solver_stats) == repr(idle.solver_stats)
-        assert _same_bytes(res.x_star, idle.x_star)
+    assert spent.solver_stats.pop("pivots") == 1
+    assert not spent.solver_stats["certified"]
+    assert repr(spent.solver_stats) == repr(idle.solver_stats)
+    assert _same_bytes(spent.x_star, idle.x_star)
     # with its full budget the same finish certifies at once
     monkeypatch.setattr(recon, "CROSSOVER_BUDGET", budget)
     monkeypatch.setattr(recon, "_simplex_finish", real)
@@ -958,9 +915,6 @@ def test_rank_deficient_solves_make_no_crossover_attempt(monkeypatch):
     params = SolverParams(tol_abs=1e-7, tol_rel=1e-7, max_iter=6000)
     res = la.bp_l1(op, basis, y, params)
     assert res.solver_stats["pivots"] == 0 and not res.solver_stats["certified"]
-    many = la.bp_l1_many([(op, y), (op, 2.0 * y)], basis, params)
-    _assert_same_result(many[0], res)
-    assert many[1].solver_stats["pivots"] == 0
 
 
 def test_singular_basis_is_completed_without_warnings(monkeypatch):
@@ -991,11 +945,8 @@ def test_singular_basis_is_completed_without_warnings(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = la.bp_l1(op, basis, y, params)
-            many = la.bp_l1_many([(op, y)], basis, params)[0]
         assert res.solver_stats["certified"] is certified
-        attempts = 1 if certified else 0
-        assert completed == 2 * attempts * [certified]
-        _assert_same_result(many, res)
+        assert completed == ([True] if certified else [])
     # an exactly singular psi_S (a zero column) and no column to complete it
     # with: getrf's info refuses it where lu_factor would warn
     psi = np.hstack([np.eye(3)[:, :2], np.zeros((3, 2))])
