@@ -12,7 +12,7 @@ from .graph import Graph
 from .sampler import SamplingOperator
 
 
-def uniform_node_sampling(n: int, m: int, seed: int | None = None) -> SamplingOperator:
+def uniform_node_sampling(n: int, m: int, seed: int) -> SamplingOperator:
     """m distinct nodes chosen uniformly; rows are plain identity rows."""
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n for sampling without replacement")

@@ -23,10 +23,10 @@ class SparseSignalSpec:
     which ``realized_coefficients`` draws its coefficients."""
 
     support: np.ndarray
-    seed: int | None = None
+    seed: int
 
     def __post_init__(self):
-        s = np.array(self.support, dtype=np.int64, copy=True)
+        s = _support_indices(self.support)
         if s.size == 0:
             raise ValueError("support must be nonempty")
         if s.min() < 0:
@@ -110,9 +110,21 @@ def _check_problem(op, basis: OrthoBasis, y: np.ndarray) -> None:
         raise ValueError("measurements must be finite (found NaN or inf)")
 
 
+def _support_indices(support) -> np.ndarray:
+    """The support as a new 1-D int64 array, refusing an entry that is not an
+    integer (a float or a bool) by name rather than truncating it."""
+    s = np.asarray(support)
+    if s.ndim != 1:
+        raise ValueError(f"support must be 1-D, got shape {s.shape}")
+    if not (isinstance(support, np.ndarray) and s.dtype.kind in "iu"):
+        for v in np.asarray(support, dtype=object):   # a list may mix bools into ints
+            check_int("support index", v)
+    return s.astype(np.int64)
+
+
 def check_support(support, n: int) -> np.ndarray:
-    """Support indices as int64, refusing negative, repeated and >= n ones."""
-    support = np.asarray(support, dtype=np.int64)
+    """Support indices as int64, refusing non-integer, negative, repeated and >= n ones."""
+    support = _support_indices(support)
     bad = support[(support < 0) | (support >= n)]
     if bad.size:
         raise ValueError(f"support index {int(bad[0])} is outside 0..{n - 1}")
@@ -137,9 +149,10 @@ def ls_known_support(op, basis: OrthoBasis, support, y: np.ndarray) -> ReconResu
     return ReconResult(x_star=x_star, xhat_star=xhat, solver_stats=stats)
 
 
-# residual balancing (Boyd et al. 2011, section 3.4.1): every BALANCE_EVERY-th
-# iteration the penalty moves by a factor BALANCE_TAU when one residual exceeds
-# BALANCE_MU times the other
+# residual balancing (Boyd et al. 2011, section 3.4.1): the penalty starts at
+# RHO_START, and every BALANCE_EVERY-th iteration it moves by a factor
+# BALANCE_TAU when one residual exceeds BALANCE_MU times the other
+RHO_START = 1.0
 BALANCE_EVERY = 10
 BALANCE_MU = 10.0
 BALANCE_TAU = 2.0
@@ -171,18 +184,17 @@ CHOLESKY_RESIDUAL = 1e-6
 class SolverParams:
     """Operator-splitting settings for the equality-constrained l1 problem.
 
-    ``rho`` is the starting penalty; the solver rebalances it as it runs.  The
-    tolerances apply to the problem divided by the norm of its minimum-norm
-    feasible point, so they are relative to the signal's scale.
+    The penalty starts at ``RHO_START``, rebalanced by ``BALANCE_*`` as the
+    solver runs.  The tolerances apply to the problem divided by the norm of
+    its minimum-norm feasible point, so they are relative to the signal's scale.
     """
 
-    rho: float = 1.0
     tol_abs: float = 1e-9
     tol_rel: float = 1e-9
     max_iter: int = 50_000
 
     def __post_init__(self):
-        for name in ("rho", "tol_abs", "tol_rel"):
+        for name in ("tol_abs", "tol_rel"):
             check_real(name, getattr(self, name), positive=True)
         check_int("max_iter", self.max_iter, 1)
 
@@ -438,11 +450,11 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     The iteration runs on the problem divided by ``scale``, the norm of the
     minimum-norm feasible point (1 when that is 0), so ``bp_l1(c * y)`` is
     ``c * bp_l1(y)``: bit for bit when c is a power of two.  Every
-    ``BALANCE_EVERY``-th iteration rebalances the penalty rho against the two
-    residuals and rescales the scaled dual u to match.  The estimate, the
-    residuals and the objective are reported in the caller's units
-    (``dual_residual`` is rho times the last change of z); ``rho`` is the final
-    penalty of the normalised problem.
+    ``BALANCE_EVERY``-th iteration rebalances the penalty rho (from
+    ``RHO_START``) against the two residuals and rescales the scaled dual u to
+    match.  The estimate, the residuals and the objective are reported in the
+    caller's units (``dual_residual`` is rho times the last change of z);
+    ``rho`` is the final penalty of the normalised problem.
 
     When psi has full row rank, at iteration ``CROSSOVER_START`` and every
     ``CROSSOVER_EVERY`` iterations after it, a crossover runs
@@ -475,7 +487,7 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     maximum = np.maximum
     minimum = np.minimum
 
-    rho = float(params.rho)
+    rho = RHO_START
     thresh = 1.0 / rho
     tol_rel = params.tol_rel
     eps_abs = np.sqrt(n) * params.tol_abs

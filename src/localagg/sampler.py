@@ -259,7 +259,7 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
                         base_graph=agg)
 
 
-def draw_operator(plan: SamplingPlan, seed: int | None = None) -> SamplingOperator:
+def draw_operator(plan: SamplingPlan, seed: int) -> SamplingOperator:
     """Draw the sparse Gaussian measurement matrix for a plan.
 
     Row t is supported on the closed neighborhood of plan.nodes[t]; the entry

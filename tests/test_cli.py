@@ -328,7 +328,7 @@ def _blind_payload(**changes):
 @pytest.mark.parametrize("kind, payload, problem", [
     ("unknown-support", {"graph": _graph_payload(), "k": 3, "solver": {"rho": float("nan")},
                          "sweep": {"variable": "m", "values": [6]}},
-     "solver rho must be a finite number > 0, got nan"),
+     "unknown solver key(s) 'rho'; accepted: max_iter, tol_abs, tol_rel"),
     ("wsn", {"n": 16, "k": 3, "solver": {"max_iter": 2.5}},
      "solver max_iter must be an integer >= 1, got 2.5"),
     ("known-support", _blind_payload(k=0), "k must be an integer >= 1, got 0"),

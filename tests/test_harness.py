@@ -141,11 +141,11 @@ def test_a_graph_seed_is_taken_only_where_a_run_reads_it():
 
 def test_config_dict_round_trip():
     cfg = _small_config(sigma=0.05, fixed_m=None,
-                        solver=SolverParams(rho=2.0, max_iter=100))
+                        solver=SolverParams(tol_abs=1e-8, max_iter=100))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert "output" not in cfg.to_dict()
-    assert again.solver.rho == 2.0 and again.solver.max_iter == 100
+    assert again.solver == SolverParams(tol_abs=1e-8, max_iter=100)
 
 
 @pytest.mark.parametrize("path, key", [

@@ -1,5 +1,6 @@
 """Sparse signal synthesis, error metric, least-squares and l1 recovery."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -33,17 +34,62 @@ def _setup(n=24, p_e=0.3, seed=0, k=4, m=12):
 # signal specs
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        la.SparseSignalSpec(support=[])
-    with pytest.raises(ValueError):
-        la.SparseSignalSpec(support=[1, 1])
+    with pytest.raises(ValueError, match="^support must be nonempty$"):
+        la.SparseSignalSpec(support=[], seed=0)
+    with pytest.raises(ValueError, match="^support indices must be distinct$"):
+        la.SparseSignalSpec(support=[1, 1], seed=0)
     # a negative index was accepted and synthesize wrapped it to the last atoms
     with pytest.raises(ValueError, match="support index -8 is negative"):
-        la.SparseSignalSpec(support=[0, -8, -1])
+        la.SparseSignalSpec(support=[0, -8, -1], seed=0)
+
+
+# a float or bool index was truncated: [0.9, 3.2] became [0, 3], [True, False] [1, 0]
+_NON_INTEGER_SUPPORTS = [
+    ([0.9, 3.2], "^support index must be an integer, got 0.9$"),
+    ([1, 2.0], "^support index must be an integer, got 2.0$"),
+    (np.array([1.5, 2.7]), "^support index must be an integer, got 1.5$"),
+    ([True, False], "^support index must be an integer, got True$"),
+    ([2, True], "^support index must be an integer, got True$"),
+    (np.array([False, True]), "^support index must be an integer, got False$"),
+    (["1"], "^support index must be an integer, got '1'$"),
+    ([[0, 1], [2, 3]], "^support must be 1-D, got shape \\(2, 2\\)$"),
+    (3, "^support must be 1-D, got shape \\(\\)$"),
+]
+
+
+@pytest.mark.parametrize("support, message", _NON_INTEGER_SUPPORTS)
+def test_support_refuses_non_integer_entries(support, message):
+    with pytest.raises(ValueError, match=message):
+        la.SparseSignalSpec(support=support, seed=0)
+    with pytest.raises(ValueError, match=message):
+        recon.check_support(support, 5)
+    _, basis, op, _, x = _setup()
+    with pytest.raises(ValueError, match=message):
+        la.ls_known_support(op, basis, support, la.measure(op, x))
+
+
+def test_support_takes_any_integer_type():
+    for support in ([3, 1], (3, 1), np.array([3, 1], dtype=np.uint8),
+                    [np.int32(3), np.int64(1)], np.array([3, 1], dtype=object)):
+        assert la.SparseSignalSpec(support=support, seed=0).support.tolist() == [1, 3]
+        checked = recon.check_support(support, 5)
+        assert checked.dtype == np.int64 and checked.tolist() == [3, 1]
+
+
+def test_every_draw_takes_its_seed():
+    # without a seed a draw would fall back to OS entropy and define no one result
+    plan = la.build_plan(la.generate("cycle", {"n": 8}, 0), 4, "insert-new")
+    for draw in (lambda: la.draw_operator(plan), lambda: la.uniform_node_sampling(8, 4),
+                 lambda: la.SparseSignalSpec(support=[1, 2])):
+        with pytest.raises(TypeError, match="seed"):
+            draw()
+    basis = la.dct_basis(8)
+    spec = la.SparseSignalSpec(support=[1, 2], seed=3)
+    assert _same_bytes(la.synthesize(basis, spec), la.synthesize(basis, spec))
 
 
 def test_spec_sorts_support():
-    spec = la.SparseSignalSpec(support=[5, 2, 9])
+    spec = la.SparseSignalSpec(support=[5, 2, 9], seed=0)
     assert spec.support.tolist() == [2, 5, 9]
     assert spec.k == 3
 
@@ -88,7 +134,7 @@ def test_synthesize_parseval_and_off_support():
 def test_synthesize_rejects_out_of_range():
     basis = la.dct_basis(5)
     with pytest.raises(ValueError):
-        la.synthesize(basis, la.SparseSignalSpec(support=[5]))
+        la.synthesize(basis, la.SparseSignalSpec(support=[5], seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +320,7 @@ def _sigma_at_bound(m):
     return np.sqrt(2 * (m - 1) / (beta + np.sqrt(beta ** 2 - 4 * (m - 1) ** 2)))
 
 
-def test_setup_takes_the_svd_without_full_row_rank():
+def test_setup_takes_the_svd_without_full_row_rank(monkeypatch):
     # repeated rows, a zero row and more rows than columns: no rank m, no
     # Cholesky, no crossover attempt
     op, basis, y, _ = _blind_problem("default")
@@ -289,7 +335,7 @@ def test_setup_takes_the_svd_without_full_row_rank():
         assert la.bp_l1(op, basis, y, SolverParams(max_iter=50)).solver_stats["setup"] == "svd"
     # every full-rank problem of the byte comparison takes the Cholesky path
     for name in _BLIND_CASES:
-        op, basis, y, _ = _blind_problem(name)
+        op, basis, y, _ = _blind_problem(name, monkeypatch)
         full = name not in ("repeated-rows", "inconsistent", "tall")
         assert recon._bp_setup(op, basis, y)[-2:] == (
             (recon.CROSSOVER_START, "cholesky") if full else (0, "svd"))
@@ -397,7 +443,7 @@ def _legacy_bp_l1(op, basis, y, params):
     def project(v):
         return v - pinv @ (psi @ v) + x_feas
 
-    rho = params.rho
+    rho = recon.RHO_START
     z = np.zeros(n)
     u = np.zeros(n)
     x = x_feas.copy()
@@ -450,8 +496,9 @@ def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _blind_problem(name):
-    """(op, basis, y, params) of one named case for the byte comparison."""
+def _blind_problem(name, monkeypatch=None):
+    """(op, basis, y, params) of one named case for the byte comparison; a
+    ``rho-*`` case sets ``recon.RHO_START`` through ``monkeypatch``."""
     _, basis, op, _, x = _setup(n=30, m=18, k=3, seed=11)
     y = la.measure(op, x)
     params = SolverParams()
@@ -460,7 +507,8 @@ def _blind_problem(name):
     elif name == "capped-50":
         params = SolverParams(max_iter=50)
     elif name.startswith("rho-"):
-        params = SolverParams(rho=float(name[4:]), tol_abs=1e-7, tol_rel=1e-7)
+        monkeypatch.setattr(recon, "RHO_START", float(name[4:]))
+        params = SolverParams(tol_abs=1e-7, tol_rel=1e-7)
     elif name == "square":
         g = la.generate("erdos-renyi", {"n": 12, "p_e": 0.4}, seed=3)
         basis = la.gft_basis(g)
@@ -501,8 +549,8 @@ _BLIND_CASES = ("default", "capped-3", "capped-50", "rho-0.5", "rho-1.3", "rho-2
 
 
 @pytest.mark.parametrize("name", _BLIND_CASES)
-def test_bp_loop_matches_textbook_form_byte_for_byte(name):
-    op, basis, y, params = _blind_problem(name)
+def test_bp_loop_matches_textbook_form_byte_for_byte(name, monkeypatch):
+    op, basis, y, params = _blind_problem(name, monkeypatch)
     new = la.bp_l1(op, basis, y, params)
     old = _legacy_bp_l1(op, basis, y, params)
     assert _same_bytes(new.x_star, old.x_star)
@@ -513,10 +561,13 @@ def test_bp_loop_matches_textbook_form_byte_for_byte(name):
         assert _same_bytes(new.solver_stats[key], value), key
 
 
-def test_bp_byte_cases_cover_each_regime():
+def test_bp_byte_cases_cover_each_regime(monkeypatch):
     # the byte comparison above is only as good as the regimes it reaches
-    problems = {name: _blind_problem(name) for name in _BLIND_CASES}
-    stats = {name: la.bp_l1(*problem).solver_stats for name, problem in problems.items()}
+    problems, stats = {}, {}
+    for name in _BLIND_CASES:
+        with monkeypatch.context() as patch:
+            problems[name] = _blind_problem(name, patch)
+            stats[name] = la.bp_l1(*problems[name]).solver_stats
     assert stats["default"]["converged"] and stats["community"]["converged"]
     assert all(stats[f"rho-{rho}"]["converged"]
                for rho in ("0.5", "1.3", "2.0", "0.001", "1000"))
@@ -608,17 +659,18 @@ def test_bp_small_signal_converges():
 
 def test_solver_params_validation():
     inf, nan = float("inf"), float("nan")
-    for key, bad in [("rho", 0.0), ("rho", nan), ("rho", inf), ("rho", -inf), ("rho", True),
-                     ("tol_abs", 0.0), ("tol_abs", nan), ("tol_abs", inf),
+    for key, bad in [("tol_abs", 0.0), ("tol_abs", nan), ("tol_abs", inf),
                      ("tol_rel", -1.0), ("tol_rel", nan), ("tol_rel", -inf),
                      ("max_iter", 0), ("max_iter", 2.5), ("max_iter", True),
                      ("max_iter", 100.0)]:
         with pytest.raises(ValueError, match=key):
             SolverParams(**{key: bad})
     defaults = SolverParams()
-    assert (defaults.rho, defaults.tol_abs, defaults.tol_rel, defaults.max_iter) == \
-        (1.0, 1e-9, 1e-9, 50_000)
-    assert SolverParams(rho=2, max_iter=np.int64(7)).max_iter == 7
+    assert dataclasses.astuple(defaults) == (1e-9, 1e-9, 50_000)
+    assert SolverParams(max_iter=np.int64(7)).max_iter == 7
+    # the starting penalty is the module's RHO_START, not a setting
+    with pytest.raises(TypeError, match="rho"):
+        SolverParams(rho=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +696,9 @@ def test_soft_threshold_forms_agree_bit_for_bit(values, t):
     assert not np.signbit(new[np.abs(w) <= t]).any()
 
 
-def _bp_problems(name):
-    """(problems, basis, params) of one named solver regime."""
+def _bp_problems(name, monkeypatch):
+    """(problems, basis, params) of one named solver regime; a ``rho-*``
+    regime sets ``recon.RHO_START`` through ``monkeypatch``."""
     if name == "degenerate":
         # criterion 6's setting under uniform sampling: the m largest |x| give
         # a singular psi_S, and the finish completes that basis and pivots
@@ -675,12 +728,14 @@ def _bp_problems(name):
         problems.append((op, (1e-3 if s == 4 else 1.0) * y))
     problems.insert(2, (problems[0][0], np.zeros(problems[0][0].m)))
     params = {"default": SolverParams(),
-              "capped-3": SolverParams(rho=1, max_iter=3),   # an int rho is reported as a float
+              "capped-3": SolverParams(max_iter=3),
               "capped-50": SolverParams(max_iter=50),
-              "rho-0.001": SolverParams(rho=0.001, tol_abs=1e-7, tol_rel=1e-7),
-              "rho-1000": SolverParams(rho=1000.0, tol_abs=1e-7, tol_rel=1e-7),
+              "rho-0.001": SolverParams(tol_abs=1e-7, tol_rel=1e-7),
+              "rho-1000": SolverParams(tol_abs=1e-7, tol_rel=1e-7),
               "repeated": SolverParams(max_iter=2000),
               "crossover": SolverParams()}[name]
+    if name.startswith("rho-"):
+        monkeypatch.setattr(recon, "RHO_START", float(name[4:]))
     return problems, basis, params
 
 
@@ -688,11 +743,12 @@ _BP_REGIMES = ("default", "capped-3", "capped-50", "rho-0.001", "rho-1000", "rep
                "crossover", "degenerate")
 
 
-def test_bp_l1_covers_each_regime():
-    stats = {name: [la.bp_l1(op, basis, y, params).solver_stats
-                    for op, y in problems]
-             for name, (problems, basis, params) in
-             ((name, _bp_problems(name)) for name in _BP_REGIMES)}
+def test_bp_l1_covers_each_regime(monkeypatch):
+    stats = {}
+    for name in _BP_REGIMES:
+        with monkeypatch.context() as patch:
+            problems, basis, params = _bp_problems(name, patch)
+            stats[name] = [la.bp_l1(op, basis, y, params).solver_stats for op, y in problems]
     # solves of one set converge at different iterations, y = 0 at the first
     assert all(s["converged"] for s in stats["default"])
     assert len({s["iterations"] for s in stats["default"]}) >= 4

@@ -155,3 +155,56 @@ def test_cli_names_no_experiment_kind():
     strings = [node.value for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert [s for s in strings if any(kind in s for kind in EXPERIMENTS)] == []
+
+
+# public names whose seed may be left out, and why; every other draw takes its
+# seed, so none falls back to OS entropy
+SEED_MAY_BE_NONE = {
+    "sampler.build_plan": "the seed is not read; the benchmark workloads still pass one",
+    "harness.GraphSpec": "None marks a seedless graph kind, or a seed left to the caller",
+    "harness.GraphSpec.build": "None means the spec's own seed; build refuses a random "
+                               "kind that has none",
+}
+
+
+def _seed_defaults_none(source: str, module: str) -> list[str]:
+    """Public functions, methods and class fields whose ``seed`` defaults to None."""
+    def none(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value is None
+
+    hits = []
+
+    def scan(body, prefix: str, in_class: bool) -> None:
+        for node in body:
+            if (in_class and isinstance(node, ast.AnnAssign) and none(node.value)
+                    and isinstance(node.target, ast.Name) and node.target.id == "seed"):
+                hits.append(prefix)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                scan(node.body, f"{prefix}.{node.name}", True)
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaults = [*zip(positional[len(positional) - len(args.defaults):],
+                                 args.defaults), *zip(args.kwonlyargs, args.kw_defaults)]
+                if any(arg.arg == "seed" and none(default) for arg, default in defaults):
+                    hits.append(f"{prefix}.{node.name}")
+
+    scan(ast.parse(source).body, module, False)
+    return hits
+
+
+def test_every_public_draw_takes_its_seed():
+    hits = [name for path in sorted(SRC.glob("*.py"))
+            for name in _seed_defaults_none(path.read_text(), path.stem)]
+    assert sorted(hits) == sorted(SEED_MAY_BE_NONE)
+
+
+def test_scan_flags_a_seed_that_defaults_to_none():
+    source = ("def draw(n, seed=None): pass\ndef take(n, seed): pass\n"
+              "def kw(n, *, seed: int | None = None): pass\ndef _private(seed=None): pass\n"
+              "def zero(seed=0, other=None): pass\nseed: int | None = None\n"
+              "class Spec:\n    seed: int | None = None\n    other: int | None = None\n"
+              "    def build(self, seed=None): pass\n    def _hidden(self, seed=None): pass\n"
+              "class _Hidden:\n    seed: int | None = None\n"
+              "    def build(self, seed=None): pass\n")
+    assert _seed_defaults_none(source, "m") == ["m.draw", "m.kw", "m.Spec", "m.Spec.build"]
