@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_int
 from .sampler import SamplingOperator
 
 
 def uniform_node_sampling(n: int, m: int, seed: int) -> SamplingOperator:
     """m distinct nodes chosen uniformly; rows are plain identity rows."""
+    check_int("seed", seed, 0)
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n for sampling without replacement")
     rng = np.random.default_rng(seed)

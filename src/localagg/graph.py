@@ -362,6 +362,7 @@ def check_seed(name: str, seed, kind: str, kind_name: str, error=ValueError) -> 
 
 def generate(kind: str, params: dict, seed: int) -> Graph:
     """Build a random graph; identical (kind, params, seed) give identical graphs."""
+    check_int("seed", seed, 0)
     if kind not in _BUILDERS:
         raise ValueError(f"unknown graph kind {kind!r}, expected one of {GENERATOR_KINDS}")
     builder, allowed = _BUILDERS[kind]

@@ -43,13 +43,15 @@ from .recon import (
     to_db,
 )
 from .sampler import SamplingOperator, _closed_rows, build_plan, draw_operator
-from .spectral import BASIS_TAGS, OrthoBasis, build_basis, condition_number, dct_basis, gft_basis
+from .spectral import OrthoBasis, condition_number, dct_basis, gft_basis
 
 SAMPLER_TAGS = ("proposed-insert", "proposed-repeat", "uniform", "successive")
 # plan-building strategy of each aggregation sampler
 STRATEGY = {"proposed-insert": "insert-new", "proposed-repeat": "repeat-dominating"}
 # these give at most n measurements: distinct nodes, or a plan of full row rank
 AT_MOST_N = ("proposed-insert", "proposed-repeat", "uniform")
+# the conditioning table compares aggregation against successive powers
+CONDITION_METHODS = ("proposed-insert", "successive")
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -231,49 +233,42 @@ class ExperimentConfig(_Config):
     graph: GraphSpec
     k: int
     samplers: tuple = ("proposed-insert",)
-    basis: str = "gft-normalized"
     signal_model: str = "bandlimited"
     sweep_variable: str = "m"
     sweep_values: tuple = ()
     trials: int = 1
     master_seed: int = 0
-    sigma: float = 0.0
     fixed_m: int | None = None
     solver: SolverParams = field(default_factory=SolverParams)
 
-    # a count such as "trials": 2.5 is refused, not truncated; _known_cell adds
-    # noise only when sigma > 0, so a NaN or negative level would run
-    # noiseless under its own label
+    # a count such as "trials": 2.5 is refused, not truncated
     CHECKS = {"graph": _seeded, "k": _count, "trials": _count, "master_seed": _seed,
-              "sigma": _real, "samplers": _check_samplers}
+              "samplers": _check_samplers}
 
     def __post_init__(self):
         self.samplers = tuple(self.samplers)
         self.sweep_values = tuple(self.sweep_values)
         super().__post_init__()
-        self.sigma = float(self.sigma)
         if self.fixed_m is not None:
             _count("fixed_m", self.fixed_m)
         if self.sweep_variable not in ("m", "sigma"):
             raise ConfigError("sweep_variable must be 'm' or 'sigma'")
         _nonempty("sweep_values", self.sweep_values)
+        # _known_cell adds noise only when sigma > 0, so a NaN or negative swept
+        # level would run noiseless under its own label
         swept = _count if self.sweep_variable == "m" else _real
         for value in self.sweep_values:
             swept(f"swept {self.sweep_variable}", value)
         if list(self.sweep_values) != sorted(set(self.sweep_values)):
             raise ConfigError("sweep values must be strictly increasing")
-        if self.basis not in BASIS_TAGS:
-            raise ConfigError(f"unknown basis {self.basis!r}, expected one of {BASIS_TAGS}")
         if self.signal_model not in SIGNAL_MODELS:
             raise ConfigError(f"unknown signal_model {self.signal_model!r}, "
                               f"expected one of {SIGNAL_MODELS}")
         if self.sweep_variable == "sigma" and self.fixed_m is None:
             raise ConfigError("sweeping sigma requires fixed_m")
-        # the swept variable's value comes from the sweep, so these go unread
+        # the swept m comes from the sweep, so a fixed one goes unread
         if self.sweep_variable == "m" and self.fixed_m is not None:
             raise ConfigError("fixed_m is not read when sweeping m")
-        if self.sweep_variable == "sigma" and self.sigma != 0.0:
-            raise ConfigError("sigma is not read when sweeping sigma")
 
     # the file nests the sweep as {"sweep": {"variable": ..., "values": [...]}}
     def to_dict(self) -> dict:
@@ -299,10 +294,9 @@ class ConditionTableConfig(_Config):
     m_values: tuple
     trials: int = 10
     master_seed: int = 0
-    methods: tuple = ("proposed-insert", "successive")
 
-    CHECKS = {"graph": _unseeded, "methods": _check_samplers, "k": _count, "trials": _count,
-              "master_seed": _seed, "m_values": _budgets}
+    CHECKS = {"graph": _unseeded, "k": _count, "trials": _count, "master_seed": _seed,
+              "m_values": _budgets}
 
 
 @dataclass
@@ -476,9 +470,9 @@ class _Sweep:
     factory: _OperatorFactory
 
     def point(self, value) -> tuple[int, float]:
-        """(m, sigma) at sweep value ``value``."""
+        """(m, sigma) at sweep value ``value``: an m sweep is noiseless."""
         if self.config.sweep_variable == "m":
-            return int(value), self.config.sigma
+            return int(value), 0.0
         return int(self.config.fixed_m), float(value)
 
     def trials(self, tag: str, value):
@@ -504,7 +498,7 @@ def _sweep(config: ExperimentConfig, column: str, reduce, cell) -> list[dict]:
     graph = config.graph.build()
     m_max = max(config.sweep_values) if config.sweep_variable == "m" else config.fixed_m
     _check_fits(graph, config.k, config.samplers, m_max)
-    sweep = _Sweep(config, graph, build_basis(graph, config.basis), _OperatorFactory(graph))
+    sweep = _Sweep(config, graph, gft_basis(graph), _OperatorFactory(graph))
     cells = [(tag, value) for tag in config.samplers for value in config.sweep_values]
     rows = []
     for (tag, value), scores in zip(cells, _map_in_order(partial(cell, sweep), cells)):
@@ -557,8 +551,6 @@ def run_unknown_support(config: ExperimentConfig) -> list[dict]:
     """
     if config.sweep_variable != "m":
         raise ConfigError("blind recovery sweeps measurements only")
-    if config.sigma != 0.0:
-        raise ConfigError("blind recovery runs are noiseless")
     return _sweep(config, "recovery_prob", float, _unknown_cell)
 
 
@@ -568,24 +560,23 @@ def run_condition_table(config: ConditionTableConfig) -> list[dict]:
     Each trial regenerates the graph, draws a random size-k support, realizes
     each method's operator and records cond(Phi @ U restricted to the support).
     """
-    ms, methods, m_values = config.master_seed, config.methods, config.m_values
-    conds: dict = {(meth, m): [] for meth in methods for m in m_values}
+    ms, m_values = config.master_seed, config.m_values
+    conds: dict = {(meth, m): [] for meth in CONDITION_METHODS for m in m_values}
     for t in range(config.trials):
         g = config.graph.build(derive_seed(ms, "graph", t))
-        _check_fits(g, config.k, methods, max(m_values))
+        _check_fits(g, config.k, CONDITION_METHODS, max(m_values))
         basis = gft_basis(g, normalized=True)
         factory = _OperatorFactory(g)
         rng = np.random.default_rng(derive_seed(ms, "support", t))
         support = np.sort(rng.choice(g.n, size=config.k, replace=False))
         u_s = basis.u[:, support]
-        for meth in methods:
+        for meth in CONDITION_METHODS:
             for m in m_values:
-                draw = "unif" if meth == "uniform" else "draw"
-                op = factory.operator(meth, m, derive_seed(ms, draw, t, m))
+                op = factory.operator(meth, m, derive_seed(ms, "draw", t, m))
                 conds[(meth, m)].append(condition_number(op.phi @ u_s))
     return [{"method": meth, "m": m, "median_cond": float(np.median(conds[(meth, m)])),
              "trials": config.trials}
-            for meth in methods for m in m_values]
+            for meth in CONDITION_METHODS for m in m_values]
 
 
 def run_dominating_curve(config: DominatingCurveConfig) -> list[dict]:

@@ -26,6 +26,7 @@ class SparseSignalSpec:
     seed: int
 
     def __post_init__(self):
+        check_int("seed", self.seed, 0)
         s = _support_indices(self.support)
         if s.size == 0:
             raise ValueError("support must be nonempty")
@@ -44,6 +45,7 @@ class SparseSignalSpec:
     @classmethod
     def draw(cls, n: int, k: int, model: str, seed: int) -> "SparseSignalSpec":
         """Random spec: the first k indices when bandlimited, else k random ones."""
+        check_int("seed", seed, 0)   # before the support is drawn from it
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         if model == "bandlimited":

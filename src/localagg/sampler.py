@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csgraph
 
-from .graph import Graph, minimal_hop_level
+from .graph import Graph, check_int, minimal_hop_level
 
 STRATEGIES = ("repeat-dominating", "insert-new")
 
@@ -246,6 +246,7 @@ def build_plan(graph: Graph, m: int, strategy: str = "insert-new",
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
+    check_int("measurement budget m", m)   # a budget of 5.5 or True is refused, not rounded
     if m < 1:
         raise ValueError("measurement budget m must be >= 1")
     p, agg = minimal_hop_level(graph, m)
@@ -268,6 +269,7 @@ def draw_operator(plan: SamplingPlan, seed: int) -> SamplingOperator:
     Entries are drawn in one call, row by row in ascending column order, from
     a PCG64 generator, making draws reproducible per seed.
     """
+    check_int("seed", seed, 0)
     n = plan.base_graph.n
     rows, cols = _closed_rows(plan.base_graph, plan.nodes)
     scale = np.sqrt(np.bincount(cols, minlength=n))

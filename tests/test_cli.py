@@ -269,7 +269,7 @@ def test_experiment_dominating_curve_refuses_seed_and_trials(tmp_path, overrides
 def test_experiment_hash_reads_omitted_defaults_as_spelled_out(tmp_path):
     # the header hashes the config as read, so leaving out a default is the same config
     short = {"graph": _table_graph(), "k": 2, "m_values": [4]}
-    spelled = dict(short, trials=10, master_seed=0, methods=["proposed-insert", "successive"])
+    spelled = dict(short, trials=10, master_seed=0)
     for name, payload in (("short", short), ("spelled", spelled)):
         (tmp_path / name).mkdir()
         _run("experiment", "condition-table", "--config", _write_config(tmp_path / name, payload),
@@ -308,6 +308,15 @@ def test_experiment_requires_output(tmp_path, capsys):
     ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4],
                          "method": ["uniform"]}, "method"),
     ("dominating-curve", {"graph": _graph_payload(), "pmax": 3}, "pmax"),
+    # settings that every run of the kind holds fixed: an m sweep is noiseless and
+    # runs in the normalized graph Fourier basis, and the conditioning table
+    # compares aggregation against successive powers
+    ("unknown-support", {"graph": _graph_payload(), "k": 3, "sigma": 0.0,
+                         "sweep": {"variable": "m", "values": [6]}}, "sigma"),
+    ("known-support", {"graph": _graph_payload(), "k": 3, "basis": "dct",
+                       "sweep": {"variable": "m", "values": [6]}}, "basis"),
+    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [4],
+                         "methods": ["proposed-insert", "successive"]}, "methods"),
 ])
 def test_experiment_rejects_unknown_config_keys(tmp_path, kind, payload, key):
     cfg = _write_config(tmp_path, payload)
@@ -392,8 +401,8 @@ def _blind_payload(**changes):
     ("unknown-support", _blind_payload(sweep={"values": 6}), "sweep values must be a list, got 6"),
     ("unknown-support", _blind_payload(solver=5), "solver must be an object, got 5"),
     ("wsn", {"n": 16, "k": 3, "solver": 5}, "solver must be an object, got 5"),
-    ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4],
-                         "methods": "uniform"}, "methods must be a list, got 'uniform'"),
+    ("wsn", {"n": 16, "k": 3, "cluster_head_counts": 5},
+     "cluster_head_counts must be a list, got 5"),
     ("known-support", _blind_payload(graph="er"), "graph must be an object, got 'er'"),
     ("dominating-curve", [1, 2], "config must be an object, got [1, 2]"),
     ("known-support", _blind_payload(samplers="uniform"),
@@ -410,9 +419,8 @@ def _blind_payload(**changes):
     # a repeated entry would write its rows twice, or merge two rows into one
     ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [6, 6]},
      "m_values repeats 6"),
-    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [6],
-                         "methods": ["uniform", "successive", "uniform"]},
-     "methods repeats 'uniform'"),
+    ("unknown-support", _blind_payload(sweep={"variable": "m", "values": [6, 6]}),
+     "sweep values must be strictly increasing"),
     ("known-support", _blind_payload(samplers=["uniform", "uniform"]),
      "samplers repeats 'uniform'"),
     ("wsn", {"n": 16, "k": 3, "m_values": [12, 12]}, "m_values repeats 12"),
@@ -456,10 +464,13 @@ def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem
      "swept sigma must be a finite number >= 0, got inf"),
     ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": [True]}),
      "swept sigma must be a finite number >= 0, got True"),
-    ("known-support", _blind_payload(sigma=-0.1), "sigma must be a finite number >= 0, got -0.1"),
-    ("known-support", _blind_payload(sigma=float("nan")),
-     "sigma must be a finite number >= 0, got nan"),
-    ("known-support", _blind_payload(sigma="0.1"), "sigma must be a finite number >= 0, got '0.1'"),
+    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": ["0.1"]}),
+     "swept sigma must be a finite number >= 0, got '0.1'"),
+    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": [None]}),
+     "swept sigma must be a finite number >= 0, got None"),
+    # blind recovery sweeps m only, and noiselessly
+    ("unknown-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": [0.1]}),
+     "blind recovery sweeps measurements only"),
     # a graph count such as "n": 40.7 is refused, not truncated to another graph
     ("known-support", _blind_payload(graph=dict(_graph_payload(), params={"n": 40.7, "p_e": 0.3})),
      "graph: n must be an integer, got 40.7"),
@@ -694,9 +705,7 @@ def test_a_write_that_fails_at_flush_is_refused_in_one_line():
 @pytest.mark.parametrize("kind, payload, problem", [
     # the swept variable takes its value from the sweep, so a fixed one goes unread
     ("known-support", _blind_payload(fixed_m=6), "fixed_m is not read when sweeping m"),
-    ("known-support", _blind_payload(fixed_m=6, sigma=0.1,
-                                     sweep={"variable": "sigma", "values": [0.1]}),
-     "sigma is not read when sweeping sigma"),
+    ("unknown-support", _blind_payload(fixed_m=6), "fixed_m is not read when sweeping m"),
     # least squares on the known support runs no l1 solve
     ("known-support", _blind_payload(solver={"max_iter": 100}),
      "least-squares runs take no l1 solver settings"),
@@ -707,8 +716,8 @@ def test_experiment_refuses_values_nothing_reads(tmp_path, kind, payload, proble
 
 @pytest.mark.parametrize("kind, payload, problem", [
     ("known-support", _blind_payload(samplers=[]), "samplers must be nonempty"),
-    ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [4], "methods": []},
-     "methods must be nonempty"),
+    ("unknown-support", _blind_payload(sweep={"variable": "m", "values": []}),
+     "sweep_values must be nonempty"),
     ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": []},
      "m_values must be nonempty"),
     ("wsn", {"n": 16, "k": 3, "cluster_head_counts": [2], "m_values": []},

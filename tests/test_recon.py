@@ -83,6 +83,15 @@ def test_every_draw_takes_its_seed():
                  lambda: la.SparseSignalSpec(support=[1, 2])):
         with pytest.raises(TypeError, match="seed"):
             draw()
+    # nor does an explicit None; a bool, a float or a negative seed is refused by name
+    for seed in (None, True, 1.5, -1):
+        for draw in (lambda: la.draw_operator(plan, seed),
+                     lambda: la.uniform_node_sampling(8, 4, seed),
+                     lambda: la.SparseSignalSpec(support=[1, 2], seed=seed),
+                     lambda: la.SparseSignalSpec.draw(10, 3, "random-support", seed),
+                     lambda: la.generate("erdos-renyi", {"n": 10, "p_e": 0.5}, seed)):
+            with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed}$"):
+                draw()
     basis = la.dct_basis(8)
     spec = la.SparseSignalSpec(support=[1, 2], seed=3)
     assert _same_bytes(la.synthesize(basis, spec), la.synthesize(basis, spec))

@@ -207,6 +207,12 @@ def test_plan_validates_arguments():
         la.build_plan(g, 0)
     with pytest.raises(ValueError):
         la.build_plan(g, 3, "round-robin")
+    # a budget that is not an integer is refused, not rounded up to a plan of another size
+    g = la.generate("erdos-renyi", {"n": 30, "p_e": 0.2}, 1)
+    for m in (5.5, 12.2, True):
+        with pytest.raises(ValueError, match=f"^measurement budget m must be an integer, got {m}$"):
+            la.build_plan(g, m)
+    assert la.build_plan(g, np.int64(7)).m == 7
 
 
 @given(st.integers(0, 10 ** 6))
