@@ -15,6 +15,7 @@ from .sampler import SamplingOperator
 def uniform_node_sampling(n: int, m: int, seed: int) -> SamplingOperator:
     """m distinct nodes chosen uniformly; rows are plain identity rows."""
     check_int("seed", seed, 0)
+    check_int("m", m)
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n for sampling without replacement")
     rng = np.random.default_rng(seed)
@@ -31,6 +32,7 @@ def successive_aggregations(graph: Graph, m: int) -> SamplingOperator:
     The observation node is the highest-degree node, ties toward the lowest
     index.
     """
+    check_int("m", m)
     if m < 1:
         raise ValueError("need m >= 1")
     node = int(np.argmax(graph.degrees))

@@ -228,13 +228,13 @@ class GraphSpec(_Config):
 
 @dataclass
 class ExperimentConfig(_Config):
-    """Knobs for the known- and unknown-support sweeps."""
+    """Knobs for the known- and unknown-support sweeps: a sweep of the noise
+    level sigma at ``fixed_m`` when that is set, else of the budget m."""
 
     graph: GraphSpec
     k: int
     samplers: tuple = ("proposed-insert",)
     signal_model: str = "bandlimited"
-    sweep_variable: str = "m"
     sweep_values: tuple = ()
     trials: int = 1
     master_seed: int = 0
@@ -245,14 +245,17 @@ class ExperimentConfig(_Config):
     CHECKS = {"graph": _seeded, "k": _count, "trials": _count, "master_seed": _seed,
               "samplers": _check_samplers}
 
+    @property
+    def sweep_variable(self) -> str:
+        """What the sweep values set: "sigma" at a fixed m, else "m"."""
+        return "m" if self.fixed_m is None else "sigma"
+
     def __post_init__(self):
         self.samplers = tuple(self.samplers)
         self.sweep_values = tuple(self.sweep_values)
         super().__post_init__()
         if self.fixed_m is not None:
             _count("fixed_m", self.fixed_m)
-        if self.sweep_variable not in ("m", "sigma"):
-            raise ConfigError("sweep_variable must be 'm' or 'sigma'")
         _nonempty("sweep_values", self.sweep_values)
         # _known_cell adds noise only when sigma > 0, so a NaN or negative swept
         # level would run noiseless under its own label
@@ -264,25 +267,6 @@ class ExperimentConfig(_Config):
         if self.signal_model not in SIGNAL_MODELS:
             raise ConfigError(f"unknown signal_model {self.signal_model!r}, "
                               f"expected one of {SIGNAL_MODELS}")
-        if self.sweep_variable == "sigma" and self.fixed_m is None:
-            raise ConfigError("sweeping sigma requires fixed_m")
-        # the swept m comes from the sweep, so a fixed one goes unread
-        if self.sweep_variable == "m" and self.fixed_m is not None:
-            raise ConfigError("fixed_m is not read when sweeping m")
-
-    # the file nests the sweep as {"sweep": {"variable": ..., "values": [...]}}
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d["sweep"] = {"variable": d.pop("sweep_variable"), "values": d.pop("sweep_values")}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        types, required = _schema(cls)
-        sweep_types = {key: types.pop(f"sweep_{key}") for key in ("variable", "values")}
-        values = _read(d, cls.WHERE, dict(types, sweep="dict"), required)
-        sweep = _read(values.pop("sweep", {}), "sweep", sweep_types)
-        return cls(**values, **{f"sweep_{key}": value for key, value in sweep.items()})
 
 
 @dataclass

@@ -46,6 +46,7 @@ class SparseSignalSpec:
     def draw(cls, n: int, k: int, model: str, seed: int) -> "SparseSignalSpec":
         """Random spec: the first k indices when bandlimited, else k random ones."""
         check_int("seed", seed, 0)   # before the support is drawn from it
+        check_int("k", k)
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         if model == "bandlimited":
@@ -250,24 +251,6 @@ def _bp_pinv(psi: np.ndarray):
     return pinv, rank, "svd"
 
 
-def _bp_setup(op, basis: OrthoBasis, y):
-    """(psi, pinv, x_feas, y, scale, first_check, setup) of one l1 problem,
-    x_feas and y divided by scale and pinv from ``_bp_pinv``.
-
-    ``first_check`` is the iteration of the first crossover attempt, 0 (never)
-    when psi has rank below m: no m columns of it are then independent, so no
-    basis is regular and ``_simplex_finish`` could only fail.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    _check_problem(op, basis, y)
-    psi = op.phi @ basis.u
-    pinv, rank, setup = _bp_pinv(psi)
-    x_feas = pinv @ y
-    scale = math.sqrt(x_feas.dot(x_feas)) or 1.0
-    first_check = CROSSOVER_START if rank == psi.shape[0] else 0
-    return psi, pinv, x_feas / scale, y / scale, scale, first_check, setup
-
-
 def _factor(psi_s: np.ndarray):
     """LAPACK's LU of psi_s (``lu_factor`` without its singular-matrix warning),
     or None when psi_s is singular by its pivots."""
@@ -428,18 +411,6 @@ def _certify(psi: np.ndarray, y: np.ndarray, s: np.ndarray, sigma: np.ndarray, l
     return c, r_norm
 
 
-def _bp_result(basis: OrthoBasis, scale: float, x: np.ndarray, iterations: int,
-               converged: bool, certified: bool, pivots: int, r_norm: float,
-               s_norm: float, rho: float, setup: str) -> ReconResult:
-    """The finished solve of the normalised problem, in the caller's units."""
-    xhat = scale * x
-    stats = {"method": "bp", "iterations": iterations, "converged": converged,
-             "certified": certified, "primal_residual": scale * r_norm,
-             "dual_residual": scale * s_norm, "objective": float(np.abs(xhat).sum()),
-             "rho": rho, "pivots": pivots, "setup": setup}
-    return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
-
-
 def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
           params: SolverParams | None = None) -> ReconResult:
     """Minimum-l1 coefficients subject to matching the measurements.
@@ -482,8 +453,18 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
     """
     if params is None:
         params = SolverParams()
-    psi, pinv, x_feas, y, scale, next_check, setup = _bp_setup(op, basis, y)
-    n = psi.shape[1]
+    y = np.asarray(y, dtype=np.float64)
+    _check_problem(op, basis, y)
+    psi = op.phi @ basis.u
+    pinv, rank, setup = _bp_pinv(psi)
+    x_feas = pinv @ y
+    scale = math.sqrt(x_feas.dot(x_feas)) or 1.0
+    x_feas = x_feas / scale
+    y = y / scale
+    m, n = psi.shape
+    # below rank m no m columns of psi are independent, so no simplex basis is
+    # regular and _simplex_finish could only fail: no crossover is attempted
+    next_check = CROSSOVER_START if rank == m else 0
     psi_dot = psi.dot
     pinv_dot = pinv.dot
     maximum = np.maximum
@@ -538,6 +519,10 @@ def bp_l1(op, basis: OrthoBasis, y: np.ndarray,
                 converged = True
                 break
             next_check += CROSSOVER_EVERY
-    return _bp_result(basis, scale, x, iterations, converged, vertex is not None,
-                      pivots, r_norm, s_norm, rho, setup)
+    xhat = scale * x
+    stats = {"method": "bp", "iterations": iterations, "converged": converged,
+             "certified": vertex is not None, "primal_residual": scale * r_norm,
+             "dual_residual": scale * s_norm, "objective": float(np.abs(xhat).sum()),
+             "rho": rho, "pivots": pivots, "setup": setup}
+    return ReconResult(x_star=basis.u @ xhat, xhat_star=xhat, solver_stats=stats)
 

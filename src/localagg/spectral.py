@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsyevd
 
-from .graph import Graph, closed_in_neighborhood
+from .graph import Graph, check_int, closed_in_neighborhood
 
 # relative singular-value cutoff used for rank decisions
 RANK_RTOL = 2.0 ** -45
@@ -141,6 +141,7 @@ def gft_basis(graph: Graph, normalized: bool = True) -> OrthoBasis:
 
 def dct_basis(n: int) -> OrthoBasis:
     """Orthonormal DCT-II basis; column k oscillates at frequency k."""
+    check_int("basis size", n)
     if n < 1:
         raise ValueError("basis size must be >= 1")
     j = np.arange(n)[:, None]

@@ -40,6 +40,11 @@ def test_uniform_rejects_oversampling():
         la.uniform_node_sampling(5, 6, seed=0)
     with pytest.raises(ValueError):
         la.uniform_node_sampling(5, 0, seed=0)
+    # a budget that is not an integer is refused by name, not in numpy's TypeError
+    for m in (True, 2.0, 2.5):
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {m}$"):
+            la.uniform_node_sampling(8, m, seed=0)
+    assert la.uniform_node_sampling(8, np.int64(3), seed=0).m == 3
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +84,13 @@ def test_successive_default_node_is_max_degree():
 
 def test_successive_validates_arguments():
     g = la.generate("cycle", {"n": 5}, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need m >= 1$"):
         la.successive_aggregations(g, 0)
+    # a budget that is not an integer is refused by name, not in numpy's TypeError
+    for m in (True, 2.0, 2.5):
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {m}$"):
+            la.successive_aggregations(g, m)
+    assert la.successive_aggregations(g, np.int64(3)).m == 3
 
 
 def test_successive_conditioning_degrades_with_depth():

@@ -171,7 +171,7 @@ def test_experiment_known_support(tmp_path):
     cfg = _write_config(tmp_path, {
         "graph": _graph_payload(), "k": 3,
         "samplers": ["proposed-insert", "uniform"],
-        "sweep": {"variable": "m", "values": [6, 10]},
+        "sweep_values": [6, 10],
         "trials": 2, "master_seed": 9})
     out = tmp_path / "known.csv"
     assert _run("experiment", "known-support", "--config", cfg,
@@ -186,7 +186,7 @@ def test_experiment_unknown_support(tmp_path):
         "graph": {"kind": "erdos-renyi", "params": {"n": 12, "p_e": 0.4},
                   "seed": 2},
         "k": 2, "samplers": ["proposed-insert"],
-        "sweep": {"variable": "m", "values": [12]},
+        "sweep_values": [12],
         "trials": 2, "master_seed": 0})
     assert _run("experiment", "unknown-support", "--config", cfg,
                 "--out", tmp_path / "blind.csv") == 0
@@ -198,7 +198,7 @@ def test_experiment_unknown_support(tmp_path):
 def test_experiment_seed_and_trials_overrides(tmp_path):
     base = {"graph": _graph_payload(), "k": 3,
             "samplers": ["proposed-insert"],
-            "sweep": {"variable": "m", "values": [8]},
+            "sweep_values": [8],
             "trials": 1, "master_seed": 0}
     cfg = _write_config(tmp_path, base)
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -281,7 +281,7 @@ def test_experiment_hash_reads_omitted_defaults_as_spelled_out(tmp_path):
 def test_experiment_requires_output(tmp_path, capsys):
     payload = {"graph": _graph_payload(), "k": 3,
                "samplers": ["proposed-insert"],
-               "sweep": {"variable": "m", "values": [6]},
+               "sweep_values": [6],
                "trials": 1, "master_seed": 0}
     cfg = _write_config(tmp_path, payload)
     with pytest.raises(SystemExit):
@@ -295,14 +295,13 @@ def test_experiment_requires_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, payload, key", [
-    ("known-support", {"graph": _graph_payload(), "k": 3, "sigmaa": 0.5,
-                       "sweep": {"variable": "m", "values": [6]}}, "sigmaa"),
-    ("unknown-support", {"graph": _graph_payload(), "k": 3,
-                         "sweep": {"variable": "m", "value": [6]}}, "value"),
+    ("known-support", {"graph": _graph_payload(), "k": 3, "sigmaa": 0.5, "sweep_values": [6]},
+     "sigmaa"),
+    ("unknown-support", {"graph": _graph_payload(), "k": 3, "value": [6]}, "value"),
     ("unknown-support", {"graph": _graph_payload(), "k": 3, "solver": {"max_iters": 9},
-                         "sweep": {"variable": "m", "values": [6]}}, "max_iters"),
-    ("known-support", {"graph": dict(_graph_payload(), sed=2), "k": 3,
-                       "sweep": {"variable": "m", "values": [6]}}, "sed"),
+                         "sweep_values": [6]}, "max_iters"),
+    ("known-support", {"graph": dict(_graph_payload(), sed=2), "k": 3, "sweep_values": [6]},
+     "sed"),
     ("wsn", {"n": 16, "k": 3, "trails": 1}, "trails"),
     ("wsn", {"n": 16, "k": 3, "solver": {"rh": 2.0}}, "rh"),
     ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": [4],
@@ -311,12 +310,15 @@ def test_experiment_requires_output(tmp_path, capsys):
     # settings that every run of the kind holds fixed: an m sweep is noiseless and
     # runs in the normalized graph Fourier basis, and the conditioning table
     # compares aggregation against successive powers
-    ("unknown-support", {"graph": _graph_payload(), "k": 3, "sigma": 0.0,
-                         "sweep": {"variable": "m", "values": [6]}}, "sigma"),
-    ("known-support", {"graph": _graph_payload(), "k": 3, "basis": "dct",
-                       "sweep": {"variable": "m", "values": [6]}}, "basis"),
+    ("unknown-support", {"graph": _graph_payload(), "k": 3, "sigma": 0.0, "sweep_values": [6]},
+     "sigma"),
+    ("known-support", {"graph": _graph_payload(), "k": 3, "basis": "dct", "sweep_values": [6]},
+     "basis"),
     ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [4],
                          "methods": ["proposed-insert", "successive"]}, "methods"),
+    # the sweep's values sit beside the other keys, and what it varies follows from fixed_m
+    ("known-support", {"graph": _graph_payload(), "k": 3,
+                       "sweep": {"variable": "m", "values": [6]}}, "sweep"),
 ])
 def test_experiment_rejects_unknown_config_keys(tmp_path, kind, payload, key):
     cfg = _write_config(tmp_path, payload)
@@ -326,17 +328,17 @@ def test_experiment_rejects_unknown_config_keys(tmp_path, kind, payload, key):
     message = str(info.value)
     assert f"{cfg}: unknown" in message and repr(key) in message
     assert "accepted: " in message and "\n" not in message
+    if key == "sweep":
+        assert "sweep_values" in message.split("accepted: ")[1].split(", ")
     assert not out.exists()
 
 
 def _blind_payload(**changes):
-    return dict({"graph": _graph_payload(), "k": 3,
-                 "sweep": {"variable": "m", "values": [6]}}, **changes)
+    return dict({"graph": _graph_payload(), "k": 3, "sweep_values": [6]}, **changes)
 
 
 @pytest.mark.parametrize("kind, payload, problem", [
-    ("unknown-support", {"graph": _graph_payload(), "k": 3, "solver": {"rho": float("nan")},
-                         "sweep": {"variable": "m", "values": [6]}},
+    ("unknown-support", _blind_payload(solver={"rho": float("nan")}),
      "unknown solver key(s) 'rho'; accepted: max_iter, tol_abs, tol_rel"),
     ("wsn", {"n": 16, "k": 3, "solver": {"max_iter": 2.5}},
      "solver max_iter must be an integer >= 1, got 2.5"),
@@ -345,9 +347,9 @@ def _blind_payload(**changes):
     ("unknown-support", _blind_payload(trials=0), "trials must be an integer >= 1, got 0"),
     ("unknown-support", _blind_payload(trials=2.5), "trials must be an integer >= 1, got 2.5"),
     ("known-support", _blind_payload(master_seed=1.5), "master_seed must be an integer, got 1.5"),
-    ("known-support", _blind_payload(fixed_m=6.0, sweep={"variable": "sigma", "values": [0.1]}),
+    ("known-support", _blind_payload(fixed_m=6.0, sweep_values=[0.1]),
      "fixed_m must be an integer >= 1, got 6.0"),
-    ("unknown-support", _blind_payload(sweep={"variable": "m", "values": [6.5]}),
+    ("unknown-support", _blind_payload(sweep_values=[6.5]),
      "swept m must be an integer >= 1, got 6.5"),
     ("unknown-support", _blind_payload(samplers=["nope"]), "unknown sampler tag 'nope'"),
     ("unknown-support", _blind_payload(samplers=["weighted"]), "unknown sampler tag 'weighted'"),
@@ -367,7 +369,7 @@ def _blind_payload(**changes):
     ("dominating-curve", {"graph": _graph_payload(), "p_max": 2.5},
      "p_max must be an integer >= 1, got 2.5"),
     # required keys, graphs that the generator refuses, supports larger than the graph
-    ("known-support", {"graph": _graph_payload(), "sweep": {"variable": "m", "values": [6]}},
+    ("known-support", {"graph": _graph_payload(), "sweep_values": [6]},
      "missing config key(s) 'k'"),
     ("condition-table", {"graph": _graph_payload(), "k": 2}, "missing config key(s) 'm_values'"),
     ("known-support", _blind_payload(graph={"kind": "erdos-renyi", "params": {"n": 18}}),
@@ -386,11 +388,10 @@ def _blind_payload(**changes):
     # a generator parameter left out, and a budget that no node sampler can draw
     ("known-support", _blind_payload(graph=dict(_graph_payload(), params={"n": 18})),
      "graph: missing parameter 'p_e'"),
-    ("known-support", _blind_payload(samplers=["uniform"],
-                                     sweep={"variable": "m", "values": [6, 30]}),
+    ("known-support", _blind_payload(samplers=["uniform"], sweep_values=[6, 30]),
      "m must be <= the graph's n = 18 for sampler 'uniform', got 30"),
     ("known-support", _blind_payload(samplers=["successive", "proposed-repeat"], fixed_m=19,
-                                     sweep={"variable": "sigma", "values": [0.1]}),
+                                     sweep_values=[0.1]),
      "m must be <= the graph's n = 18 for sampler 'proposed-repeat', got 19"),
     ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [4, 30]},
      "m must be <= the graph's n = 18 for sampler 'proposed-insert', got 30"),
@@ -398,7 +399,7 @@ def _blind_payload(**changes):
     ("wsn", {"n": 16, "k": 3, "m_values": 8}, "m_values must be a list, got 8"),
     ("condition-table", {"graph": _graph_payload(), "k": 2, "m_values": 8},
      "m_values must be a list, got 8"),
-    ("unknown-support", _blind_payload(sweep={"values": 6}), "sweep values must be a list, got 6"),
+    ("unknown-support", _blind_payload(sweep_values=6), "sweep_values must be a list, got 6"),
     ("unknown-support", _blind_payload(solver=5), "solver must be an object, got 5"),
     ("wsn", {"n": 16, "k": 3, "solver": 5}, "solver must be an object, got 5"),
     ("wsn", {"n": 16, "k": 3, "cluster_head_counts": 5},
@@ -407,7 +408,7 @@ def _blind_payload(**changes):
     ("dominating-curve", [1, 2], "config must be an object, got [1, 2]"),
     ("known-support", _blind_payload(samplers="uniform"),
      "samplers must be a list, got 'uniform'"),
-    ("known-support", _blind_payload(sweep=[6]), "sweep must be an object, got [6]"),
+    ("known-support", _blind_payload(sweep_values="6"), "sweep_values must be a list, got '6'"),
     ("dominating-curve", {"graph": dict(_graph_payload(), params=[1])},
      "graph params must be an object, got [1]"),
     ("known-support",
@@ -419,7 +420,7 @@ def _blind_payload(**changes):
     # a repeated entry would write its rows twice, or merge two rows into one
     ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": [6, 6]},
      "m_values repeats 6"),
-    ("unknown-support", _blind_payload(sweep={"variable": "m", "values": [6, 6]}),
+    ("unknown-support", _blind_payload(sweep_values=[6, 6]),
      "sweep values must be strictly increasing"),
     ("known-support", _blind_payload(samplers=["uniform", "uniform"]),
      "samplers repeats 'uniform'"),
@@ -453,23 +454,20 @@ def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem
 
 @pytest.mark.parametrize("kind, payload, problem", [
     # a NaN or negative noise level would run noiseless under its own label
-    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma",
-                                                       "values": [-0.01, 0.02]}),
+    ("known-support", _blind_payload(fixed_m=6, sweep_values=[-0.01, 0.02]),
      "swept sigma must be a finite number >= 0, got -0.01"),
-    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma",
-                                                       "values": [0.01, float("nan")]}),
+    ("known-support", _blind_payload(fixed_m=6, sweep_values=[0.01, float("nan")]),
      "swept sigma must be a finite number >= 0, got nan"),
-    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma",
-                                                       "values": [0.01, float("inf")]}),
+    ("known-support", _blind_payload(fixed_m=6, sweep_values=[0.01, float("inf")]),
      "swept sigma must be a finite number >= 0, got inf"),
-    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": [True]}),
+    ("known-support", _blind_payload(fixed_m=6, sweep_values=[True]),
      "swept sigma must be a finite number >= 0, got True"),
-    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": ["0.1"]}),
+    ("known-support", _blind_payload(fixed_m=6, sweep_values=["0.1"]),
      "swept sigma must be a finite number >= 0, got '0.1'"),
-    ("known-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": [None]}),
+    ("known-support", _blind_payload(fixed_m=6, sweep_values=[None]),
      "swept sigma must be a finite number >= 0, got None"),
     # blind recovery sweeps m only, and noiselessly
-    ("unknown-support", _blind_payload(fixed_m=6, sweep={"variable": "sigma", "values": [0.1]}),
+    ("unknown-support", _blind_payload(fixed_m=6, sweep_values=[0.1]),
      "blind recovery sweeps measurements only"),
     # a graph count such as "n": 40.7 is refused, not truncated to another graph
     ("known-support", _blind_payload(graph=dict(_graph_payload(), params={"n": 40.7, "p_e": 0.3})),
@@ -493,11 +491,9 @@ def test_experiment_refuses_bad_solver_settings(tmp_path, kind, payload, problem
     ("wsn", {"n": 16, "k": 3, "bs_distance_factor": -5.0},
      "bs_distance_factor must be a finite number > 0, got -5.0"),
     # a budget below the saturated dominating set ended in a traceback
-    ("unknown-support", _blind_payload(graph=_sparse_geometric(), sweep={"variable": "m",
-                                                                        "values": [3]}),
+    ("unknown-support", _blind_payload(graph=_sparse_geometric(), sweep_values=[3]),
      "dominating set has 50 nodes at saturation, budget is 3"),
-    ("known-support", _blind_payload(graph=_sparse_geometric(), sweep={"variable": "m",
-                                                                      "values": [3]}),
+    ("known-support", _blind_payload(graph=_sparse_geometric(), sweep_values=[3]),
      "dominating set has 50 nodes at saturation, budget is 3"),
     ("wsn", {"n": 16, "k": 3, "radius": 0.01, "cluster_head_counts": [2], "m_values": [3]},
      "dominating set has 16 nodes at saturation, budget is 3"),
@@ -703,9 +699,10 @@ def test_a_write_that_fails_at_flush_is_refused_in_one_line():
 
 
 @pytest.mark.parametrize("kind, payload, problem", [
-    # the swept variable takes its value from the sweep, so a fixed one goes unread
-    ("known-support", _blind_payload(fixed_m=6), "fixed_m is not read when sweeping m"),
-    ("unknown-support", _blind_payload(fixed_m=6), "fixed_m is not read when sweeping m"),
+    # least squares reads no tolerance, and blind recovery no fixed m
+    ("known-support", _blind_payload(solver={"tol_rel": 1e-6}),
+     "least-squares runs take no l1 solver settings"),
+    ("unknown-support", _blind_payload(fixed_m=6), "blind recovery sweeps measurements only"),
     # least squares on the known support runs no l1 solve
     ("known-support", _blind_payload(solver={"max_iter": 100}),
      "least-squares runs take no l1 solver settings"),
@@ -716,7 +713,7 @@ def test_experiment_refuses_values_nothing_reads(tmp_path, kind, payload, proble
 
 @pytest.mark.parametrize("kind, payload, problem", [
     ("known-support", _blind_payload(samplers=[]), "samplers must be nonempty"),
-    ("unknown-support", _blind_payload(sweep={"variable": "m", "values": []}),
+    ("unknown-support", _blind_payload(sweep_values=[]),
      "sweep_values must be nonempty"),
     ("condition-table", {"graph": _table_graph(), "k": 2, "m_values": []},
      "m_values must be nonempty"),

@@ -92,8 +92,9 @@ def test_config_validation_errors():
         _small_config(k=0)
     with pytest.raises(ValueError, match="trials"):
         _small_config(trials=0)
-    with pytest.raises(ValueError, match="sweep_variable"):
-        _small_config(sweep_variable="rho")
+    # what a sweep varies follows from fixed_m, so no config names it
+    with pytest.raises(TypeError, match="sweep_variable"):
+        _small_config(sweep_variable="m")
     with pytest.raises(ValueError, match="nonempty"):
         _small_config(sweep_values=())
     with pytest.raises(ValueError, match="increasing"):
@@ -104,8 +105,6 @@ def test_config_validation_errors():
         _small_config(samplers=("nope",))
     with pytest.raises(ValueError, match="signal_model"):
         _small_config(signal_model="smooth")
-    with pytest.raises(ValueError, match="fixed_m"):
-        _small_config(sweep_variable="sigma", sweep_values=(0.1, 0.2))
     # a spec read from a file and one built in code are checked alike, at construction
     with pytest.raises(ConfigError, match="graph seed must be an integer >= 0, got -1"):
         GraphSpec.from_dict({"kind": "cycle", "params": {"n": 5}, "seed": -1})
@@ -136,7 +135,7 @@ def test_a_graph_seed_is_taken_only_where_a_run_reads_it():
 
 
 def test_config_dict_round_trip():
-    cfg = _small_config(sweep_variable="sigma", sweep_values=(0.05,), fixed_m=8,
+    cfg = _small_config(sweep_values=(0.05,), fixed_m=8,
                         solver=SolverParams(tol_abs=1e-8, max_iter=100))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
@@ -145,7 +144,7 @@ def test_config_dict_round_trip():
 
 
 @pytest.mark.parametrize("path, key", [
-    ((), "sigmaa"), (("sweep",), "value"), (("solver",), "max_iters"), (("graph",), "sed"),
+    ((), "sigmaa"), ((), "sweep"), (("solver",), "max_iters"), (("graph",), "sed"),
 ])
 def test_config_from_dict_rejects_unknown_keys(path, key):
     d = _small_config().to_dict()
@@ -230,18 +229,32 @@ def test_known_support_noiseless_hits_floor():
         assert row["mean_mse_db"] <= -200.0
 
 
+def test_fixed_m_makes_the_sweep_one_of_noise_levels():
+    # without fixed_m the sweep values are budgets m; with it they are noise levels
+    m_sweep = _small_config(sweep_values=(8, 12))
+    sigma_sweep = _small_config(sweep_values=(0.0, 0.1), fixed_m=8)
+    assert (m_sweep.sweep_variable, sigma_sweep.sweep_variable) == ("m", "sigma")
+    rows = run_known_support(m_sweep)
+    assert [(r["sweep_variable"], r["sweep_value"]) for r in rows] == [("m", 8), ("m", 12)] * 2
+    rows = run_known_support(sigma_sweep)
+    assert [(r["sweep_variable"], r["sweep_value"]) for r in rows] == \
+        [("sigma", 0.0), ("sigma", 0.1)] * 2
+    # the noiseless point hits the floor and the noisy one does not
+    assert [r["mean_mse_db"] <= -200.0 for r in rows] == [True, False] * 2
+
+
 def test_known_support_noise_doubling_costs_six_db():
     cfg = ExperimentConfig(
         graph=GraphSpec("erdos-renyi", {"n": 40, "p_e": 0.3}, seed=5),
-        k=5, samplers=("proposed-insert",), sweep_variable="sigma",
-        sweep_values=(0.01, 0.02, 0.04), trials=600, fixed_m=15, master_seed=3)
+        k=5, samplers=("proposed-insert",), sweep_values=(0.01, 0.02, 0.04), trials=600,
+        fixed_m=15, master_seed=3)
     rows = run_known_support(cfg)
     gaps = np.diff([r["mean_mse_db"] for r in rows])
     assert np.all(np.abs(gaps - 6.02) <= 1.0)
 
 
 def test_known_support_rerun_is_bit_identical():
-    cfg = _small_config(sweep_variable="sigma", sweep_values=(0.05, 0.1), fixed_m=8, trials=4)
+    cfg = _small_config(sweep_values=(0.05, 0.1), fixed_m=8, trials=4)
     assert run_known_support(cfg) == run_known_support(cfg)
 
 
@@ -295,8 +308,7 @@ def test_unknown_support_cells_mix_converged_and_capped_solves(monkeypatch):
 
 def test_unknown_support_rejects_bad_configs():
     with pytest.raises(ValueError, match="measurements"):
-        run_unknown_support(_small_config(sweep_variable="sigma",
-                                          sweep_values=(0.1,), fixed_m=8))
+        run_unknown_support(_small_config(sweep_values=(0.1,), fixed_m=8))
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +538,7 @@ def test_workers_are_forked_only_over_one_blas_thread(env, one):
 @pytest.mark.parametrize("run, config, refusal", [
     (wsn_experiment, _small_field(), None),
     (run_unknown_support, _small_config(trials=4, signal_model="random-support"), None),
-    (run_known_support, _small_config(sweep_variable="sigma", sweep_values=(0.05, 0.1),
-                                      fixed_m=8, trials=4), None),
+    (run_known_support, _small_config(sweep_values=(0.05, 0.1), fixed_m=8, trials=4), None),
     # refusals raised inside a unit: a plan past saturation, and one of two hops
     (wsn_experiment, WsnScenario(n=16, k=3, radius=0.01, cluster_head_counts=(2,),
                                  m_values=(3,)),

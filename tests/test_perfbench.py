@@ -4,7 +4,8 @@ perfbench/ is loaded from its files, as they are, and two workloads run
 their set-up and first trial with the plain library layers.  A library change
 that breaks a call the benchmark makes, such as a dropped keyword, fails here
 instead of only as a failed benchmark run.  sampling-rgg2000 is left out: its
-set-up alone takes about 2 s.
+set-up alone takes about 2 s.  The self-test's check that blind-community's
+loop matches the harness runs too, from perfbench/ on the import path.
 """
 
 import importlib.util
@@ -39,3 +40,15 @@ def test_workload_set_up_and_first_trial_run(perfbench, name):
     result = workload.trial(lib, state, 0)
     assert isinstance(result, workloads.TrialResult)
     assert result.solves >= 1
+
+
+def test_benchmark_blind_loop_matches_the_harness(monkeypatch):
+    # the first check of perfbench/selftest.py: blind-community's trial loop
+    # gives the recovery counts run_unknown_support gives for the config the
+    # self-test builds, so a change to its ExperimentConfig keywords, or a drift
+    # between the two loops, fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+
+    ok, detail = selftest.blind_matches_harness(1)
+    assert ok, detail

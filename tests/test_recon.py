@@ -111,8 +111,15 @@ def test_spec_draw_models():
     assert np.array_equal(r.support, np.sort(r.support))
     same = la.SparseSignalSpec.draw(10, 4, "random-support", seed=0)
     assert np.array_equal(r.support, same.support)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need 1 <= k <= n$"):
         la.SparseSignalSpec.draw(10, 0, "bandlimited", seed=0)
+    # a k that is not an integer is refused by name: True drew a 1-sparse spec,
+    # and 2.5 was refused as "support index must be an integer, got 0.0"
+    for k, model in [(True, "bandlimited"), (2.5, "bandlimited"), (3.0, "bandlimited"),
+                     (2.5, "random-support")]:
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+            la.SparseSignalSpec.draw(10, k, model, seed=0)
+    assert la.SparseSignalSpec.draw(10, np.int64(3), "bandlimited", seed=0).k == 3
 
 
 def test_realized_coefficients_unit_norm_and_deterministic():
@@ -336,18 +343,27 @@ def test_setup_takes_the_svd_without_full_row_rank(monkeypatch):
     zero_row = SamplingOperator(phi=np.vstack([op.phi, np.zeros(op.n)]))
     cases = [_blind_problem("repeated-rows")[:3], _blind_problem("tall")[:3],
              (zero_row, basis, np.append(y, 0.0))]
+
+    def refuse(*args):
+        raise AssertionError("crossover attempted below full row rank")
+
+    # tolerances no iterate meets, so each solve reaches the first crossover iteration
+    params = SolverParams(tol_abs=1e-300, tol_rel=1e-300, max_iter=recon.CROSSOVER_START)
     for op, basis, y in cases:
-        psi, pinv, *_, first_check, setup = recon._bp_setup(op, basis, y)
-        assert setup == "svd" and first_check == 0
-        assert la.numerical_rank(psi) < op.m
+        psi = op.phi @ basis.u
+        pinv, rank, setup = recon._bp_pinv(psi)
+        assert setup == "svd" and rank == la.numerical_rank(psi) < op.m
         assert _same_bytes(pinv, pseudoinverse(psi))
-        assert la.bp_l1(op, basis, y, SolverParams(max_iter=50)).solver_stats["setup"] == "svd"
+        with monkeypatch.context() as patch:
+            patch.setattr(recon, "_simplex_finish", refuse)
+            stats = la.bp_l1(op, basis, y, params).solver_stats
+        assert stats["setup"] == "svd" and stats["iterations"] == recon.CROSSOVER_START
     # every full-rank problem of the byte comparison takes the Cholesky path
     for name in _BLIND_CASES:
         op, basis, y, _ = _blind_problem(name, monkeypatch)
         full = name not in ("repeated-rows", "inconsistent", "tall")
-        assert recon._bp_setup(op, basis, y)[-2:] == (
-            (recon.CROSSOVER_START, "cholesky") if full else (0, "svd"))
+        _, rank, setup = recon._bp_pinv(op.phi @ basis.u)
+        assert (rank == op.m, setup) == ((True, "cholesky") if full else (False, "svd"))
 
 
 def test_setup_refuses_a_row_that_combines_others():

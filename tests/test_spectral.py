@@ -303,8 +303,13 @@ def test_dct_matches_scipy_transform():
 
 
 def test_dct_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^basis size must be >= 1$"):
         la.dct_basis(0)
+    # 2.5 gave a 3 x 3 matrix far from orthonormal, and True a 1 x 1 basis
+    for n in (True, 4.0, 2.5):
+        with pytest.raises(ValueError, match=f"^basis size must be an integer, got {n}$"):
+            la.dct_basis(n)
+    assert la.dct_basis(np.int64(4)).u.shape == (4, 4)
 
 
 def test_build_basis_tags():
