@@ -16,6 +16,7 @@ def uniform_node_sampling(n: int, m: int, seed: int) -> SamplingOperator:
     """m distinct nodes chosen uniformly; rows are plain identity rows."""
     check_int("seed", seed, 0)
     check_int("m", m)
+    check_int("n", n)
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n for sampling without replacement")
     rng = np.random.default_rng(seed)

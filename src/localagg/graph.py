@@ -61,6 +61,7 @@ class Graph:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
+        check_int("node count", self.n)
         if self.n < 0:
             raise ValueError("node count must be nonnegative")
         e = np.array(self.edges, dtype=np.int64, copy=True).reshape(-1, 2)
@@ -182,6 +183,7 @@ def p_hop_graph(graph: Graph, p: int) -> Graph:
     saturates at the largest component diameter: once one more hop adds no
     edge, that level is returned for any larger p.
     """
+    check_int("hop count p", p)
     if p < 1:
         raise ValueError("hop count p must be >= 1")
     levels = graph._hop_levels
@@ -201,6 +203,7 @@ def minimal_hop_level(graph: Graph, m: int) -> tuple[int, Graph]:
     component diameter nothing changes, so the budget is infeasible once
     growth stops.
     """
+    check_int("budget m", m)
     if m < 1:
         raise ValueError("budget m must be >= 1")
     p = 1

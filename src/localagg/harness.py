@@ -298,30 +298,17 @@ class DominatingCurveConfig(_Config):
         return self.graph.seed
 
 
-class _OperatorFactory:
-    """Realizes sampler tags as operators, caching what is deterministic."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._cache: dict = {}
-
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def operator(self, tag: str, m: int, seed: int) -> SamplingOperator:
-        """Operator of sampler ``tag`` with budget m; ``seed`` drives its random draw.
-
-        An aggregation sampler's plan is deterministic, so one plan serves every draw.
-        """
-        if tag in STRATEGY:
-            plan = self._cached((tag, m), lambda: build_plan(self.graph, m, STRATEGY[tag]))
-            return draw_operator(plan, seed=seed)
-        if tag == "uniform":
-            return uniform_node_sampling(self.graph.n, m, seed=seed)
-        # every config checks its tags against SAMPLER_TAGS, so this is "successive"
-        return self._cached((tag, m), lambda: successive_aggregations(self.graph, m))
+def _sampler(graph: Graph, tag: str, m: int):
+    """Sampler ``tag``'s operator with budget m as a function of its seed: what is
+    deterministic (a plan, the successive powers) is built once for every draw."""
+    if tag in STRATEGY:
+        plan = build_plan(graph, m, STRATEGY[tag])
+        return lambda seed: draw_operator(plan, seed=seed)
+    if tag == "uniform":
+        return lambda seed: uniform_node_sampling(graph.n, m, seed=seed)
+    # every config checks its tags against SAMPLER_TAGS, so this is "successive"
+    op = successive_aggregations(graph, m)
+    return lambda seed: op
 
 
 def _check_fits(graph: Graph, k: int, samplers, m: int) -> None:
@@ -451,7 +438,6 @@ class _Sweep:
     config: ExperimentConfig
     graph: Graph
     basis: OrthoBasis
-    factory: _OperatorFactory
 
     def point(self, value) -> tuple[int, float]:
         """(m, sigma) at sweep value ``value``: an m sweep is noiseless."""
@@ -464,12 +450,13 @@ class _Sweep:
         x drawn from spec and measured through op, drawing it only when asked for."""
         c = self.config
         m, _ = self.point(value)
+        draw = _sampler(self.graph, tag, m)
         for t in range(c.trials):
             ts = derive_seed(c.master_seed, tag, value, t)
             spec = SparseSignalSpec.draw(self.graph.n, c.k, c.signal_model,
                                          derive_seed(ts, "signal"))
             x = synthesize(self.basis, spec)
-            yield self.factory.operator(tag, m, derive_seed(ts, "operator")), spec, x, ts
+            yield draw(derive_seed(ts, "operator")), spec, x, ts
 
 
 def _sweep(config: ExperimentConfig, column: str, reduce, cell) -> list[dict]:
@@ -482,7 +469,7 @@ def _sweep(config: ExperimentConfig, column: str, reduce, cell) -> list[dict]:
     graph = config.graph.build()
     m_max = max(config.sweep_values) if config.sweep_variable == "m" else config.fixed_m
     _check_fits(graph, config.k, config.samplers, m_max)
-    sweep = _Sweep(config, graph, gft_basis(graph), _OperatorFactory(graph))
+    sweep = _Sweep(config, graph, gft_basis(graph))
     cells = [(tag, value) for tag in config.samplers for value in config.sweep_values]
     rows = []
     for (tag, value), scores in zip(cells, _map_in_order(partial(cell, sweep), cells)):
@@ -550,13 +537,12 @@ def run_condition_table(config: ConditionTableConfig) -> list[dict]:
         g = config.graph.build(derive_seed(ms, "graph", t))
         _check_fits(g, config.k, CONDITION_METHODS, max(m_values))
         basis = gft_basis(g, normalized=True)
-        factory = _OperatorFactory(g)
         rng = np.random.default_rng(derive_seed(ms, "support", t))
         support = np.sort(rng.choice(g.n, size=config.k, replace=False))
         u_s = basis.u[:, support]
         for meth in CONDITION_METHODS:
             for m in m_values:
-                op = factory.operator(meth, m, derive_seed(ms, "draw", t, m))
+                op = _sampler(g, meth, m)(derive_seed(ms, "draw", t, m))
                 conds[(meth, m)].append(condition_number(op.phi @ u_s))
     return [{"method": meth, "m": m, "median_cond": float(np.median(conds[(meth, m)])),
              "trials": config.trials}

@@ -47,6 +47,7 @@ class SparseSignalSpec:
         """Random spec: the first k indices when bandlimited, else k random ones."""
         check_int("seed", seed, 0)   # before the support is drawn from it
         check_int("k", k)
+        check_int("n", n)
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         if model == "bandlimited":

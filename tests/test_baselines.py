@@ -45,6 +45,11 @@ def test_uniform_rejects_oversampling():
         with pytest.raises(ValueError, match=f"^m must be an integer, got {m}$"):
             la.uniform_node_sampling(8, m, seed=0)
     assert la.uniform_node_sampling(8, np.int64(3), seed=0).m == 3
+    # so is a node count that is not an integer
+    for n in (8.5, True, 8.0):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+            la.uniform_node_sampling(n, 1, seed=0)
+    assert la.uniform_node_sampling(np.int64(8), 3, seed=0).n == 8
 
 
 # ---------------------------------------------------------------------------

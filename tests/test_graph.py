@@ -32,6 +32,13 @@ def test_rejects_self_loop_duplicate_and_bad_weight():
         la.Graph(3, [[0, 1]], weights=[-2.0])
     with pytest.raises(ValueError):
         la.Graph(2, [[0, 2]])
+    # a node count that is not an integer is refused by name, so True is not read as 1
+    for n in (4.5, True, 3.0):
+        with pytest.raises(ValueError, match=f"^node count must be an integer, got {n}$"):
+            la.Graph(n, [])
+    with pytest.raises(ValueError, match="^node count must be nonnegative$"):
+        la.Graph(-1, [])
+    assert la.Graph(np.int64(3), [[0, 1]]).degrees.tolist() == [1, 1, 0]
 
 
 def test_input_arrays_are_copied():
@@ -244,8 +251,13 @@ def test_p_hop_cycle6_three_hops_is_complete():
 
 
 def test_p_hop_rejects_bad_p(path4):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hop count p must be >= 1$"):
         la.p_hop_graph(path4, 0)
+    # a hop count that is not an integer is refused by name, so True is not read as 1
+    for p in (1.5, True, 2.0):
+        with pytest.raises(ValueError, match=f"^hop count p must be an integer, got {p}$"):
+            la.p_hop_graph(path4, p)
+    assert la.p_hop_graph(path4, np.int64(2)) is la.p_hop_graph(path4, 2)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 4))
@@ -323,8 +335,13 @@ def test_minimal_hop_infeasible_on_disconnected():
 
 
 def test_minimal_hop_rejects_bad_budget(path4):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^budget m must be >= 1$"):
         la.minimal_hop_level(path4, 0)
+    # a budget that is not an integer is refused, not rounded into a level
+    for m in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match=f"^budget m must be an integer, got {m}$"):
+            la.minimal_hop_level(path4, m)
+    assert la.minimal_hop_level(path4, np.int64(2)) == la.minimal_hop_level(path4, 2)
 
 
 # ---------------------------------------------------------------------------

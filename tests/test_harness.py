@@ -260,8 +260,8 @@ def test_known_support_rerun_is_bit_identical():
 
 @pytest.mark.parametrize("tag", harness.SAMPLER_TAGS)
 def test_every_sampler_tag_runs_both_sweeps(tag):
-    # each tag reaches an operator through the harness, so a tag the
-    # operator factory does not realize fails here
+    # each tag reaches an operator through the harness, so a tag that
+    # harness._sampler does not realize fails here
     cfg = _small_config(graph=GraphSpec("erdos-renyi", {"n": 18, "p_e": 0.3}, seed=1),
                         samplers=(tag,), sweep_values=(6, 12))
     rows = run_known_support(cfg)
@@ -269,6 +269,22 @@ def test_every_sampler_tag_runs_both_sweeps(tag):
     assert all(row["mean_mse_db"] <= -200.0 for row in rows)
     rows = run_unknown_support(cfg)
     assert [(row["sampler"], row["sweep_value"]) for row in rows] == [(tag, 6), (tag, 12)]
+
+
+def test_each_aggregation_cell_builds_its_plan_once(monkeypatch):
+    # a plan is deterministic in graph, m and strategy, so a cell builds it
+    # once and draws each trial's operator from it; a uniform cell builds none
+    built = []
+
+    def counting(graph, m, strategy):
+        built.append(m)
+        return la.build_plan(graph, m, strategy)
+
+    monkeypatch.setattr(harness, "build_plan", counting)
+    monkeypatch.setattr(harness, "_ONE_BLAS_THREAD", False)   # so every cell runs in this process
+    cfg = _small_config(samplers=("proposed-insert", "uniform"), sweep_values=(6, 12), trials=3)
+    run_known_support(cfg)
+    assert built == [6, 12]
 
 
 # ---------------------------------------------------------------------------

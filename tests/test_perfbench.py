@@ -4,8 +4,9 @@ perfbench/ is loaded from its files, as they are, and two workloads run
 their set-up and first trial with the plain library layers.  A library change
 that breaks a call the benchmark makes, such as a dropped keyword, fails here
 instead of only as a failed benchmark run.  sampling-rgg2000 is left out: its
-set-up alone takes about 2 s.  The self-test's check that blind-community's
-loop matches the harness runs too, from perfbench/ on the import path.
+set-up alone takes about 2 s.  The self-test's checks that blind-community's
+loop matches the harness, and that each of the two workloads gives the same
+outputs traced as plain, run too, from perfbench/ on the import path.
 """
 
 import importlib.util
@@ -51,4 +52,15 @@ def test_benchmark_blind_loop_matches_the_harness(monkeypatch):
     import selftest
 
     ok, detail = selftest.blind_matches_harness(1)
+    assert ok, detail
+
+
+@pytest.mark.parametrize("name", ["blind-community", "wsn-field"])
+def test_traced_trials_match_plain_ones(monkeypatch, name):
+    # the tracer rebinds the harness names in tracing.HARNESS_IMPORTS, so a
+    # harness edit that drops or renames one of them fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+
+    ok, detail = selftest.traced_matches_plain(name, 1)
     assert ok, detail

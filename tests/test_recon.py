@@ -120,6 +120,11 @@ def test_spec_draw_models():
         with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
             la.SparseSignalSpec.draw(10, k, model, seed=0)
     assert la.SparseSignalSpec.draw(10, np.int64(3), "bandlimited", seed=0).k == 3
+    # so is an n that is not an integer
+    for n, model in [(10.5, "bandlimited"), (True, "bandlimited"), (10.5, "random-support")]:
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+            la.SparseSignalSpec.draw(n, 1, model, seed=0)
+    assert la.SparseSignalSpec.draw(np.int64(10), 3, "random-support", seed=0).k == 3
 
 
 def test_realized_coefficients_unit_norm_and_deterministic():
