@@ -23,7 +23,7 @@ def uniform_node_sampling(n: int, m: int, seed: int) -> SamplingOperator:
     sel = rng.choice(n, size=m, replace=False)
     phi = np.zeros((m, n))
     phi[np.arange(m), sel] = 1.0
-    return SamplingOperator(phi=phi)
+    return SamplingOperator._own(phi)
 
 
 def successive_aggregations(graph: Graph, m: int) -> SamplingOperator:
@@ -44,4 +44,4 @@ def successive_aggregations(graph: Graph, m: int) -> SamplingOperator:
     for ell in range(m):
         out[ell] = row
         row = row @ a
-    return SamplingOperator(phi=out)
+    return SamplingOperator._own(out)

@@ -69,7 +69,7 @@ def _cmd_reconstruct(args):
         y = load_matrix_csv(args.measurements).ravel()
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    op = SamplingOperator(phi=phi)
+    op = SamplingOperator._own(phi)
     if args.method == "ls":
         try:
             support = check_support([int(v) for v in args.support.split(",")], basis.n)

@@ -720,7 +720,7 @@ def _cluster_operator(members: list, cost: np.ndarray, m: int, n: int, seed: int
     rows = np.repeat(np.arange(m), [g.size for g in gathered])
     phi = np.zeros((m, n))
     phi[rows, cols] = np.random.default_rng(seed).standard_normal(cols.size)
-    return SamplingOperator(phi=phi), float(np.add.accumulate(alloc * cost)[-1])
+    return SamplingOperator._own(phi), float(np.add.accumulate(alloc * cost)[-1])
 
 
 # experiment kind -> (config class, run); each run returns one or more rows,

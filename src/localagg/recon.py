@@ -142,12 +142,12 @@ def ls_known_support(op, basis: OrthoBasis, support, y: np.ndarray) -> ReconResu
     y = np.asarray(y, dtype=np.float64)
     _check_problem(op, basis, y)
     support = check_support(support, basis.n)
-    psi_s = op.phi @ basis.u[:, support]
-    pinv, rank = _pinv_rank(psi_s)
+    u_s = basis.u[:, support]
+    pinv, rank = _pinv_rank(op.phi @ u_s)
     coef = pinv @ y
     xhat = np.zeros(basis.n)
     xhat[support] = coef
-    x_star = basis.u[:, support] @ coef
+    x_star = u_s @ coef
     stats = {"method": "ls", "rank": rank,
              "rank_deficient": bool(rank < support.size)}
     return ReconResult(x_star=x_star, xhat_star=xhat, solver_stats=stats)

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .graph import Graph, check_int, minimal_hop_level
 
@@ -61,12 +60,29 @@ class SamplingPlan:
 
 @dataclass(frozen=True, eq=False)
 class SamplingOperator:
-    """A realized measurement matrix."""
+    """A realized measurement matrix, held read-only.
+
+    The constructor copies ``phi``, so the caller's array stays the
+    caller's.  Library code that has just built a matrix and keeps no other
+    reference to it hands it over with ``_own``, which freezes it in place
+    of that copy.
+    """
 
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=np.float64, copy=True)
+        self._freeze(np.array(self.phi, dtype=np.float64, copy=True))
+
+    @classmethod
+    def _own(cls, phi: np.ndarray) -> SamplingOperator:
+        """The operator of a fresh float64 matrix that no one else holds, not copied."""
+        op = object.__new__(cls)
+        op._freeze(phi)
+        return op
+
+    def _freeze(self, phi: np.ndarray) -> None:
+        if phi.ndim != 2:
+            raise ValueError(f"phi must be 2-D, got shape {phi.shape}")
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
 
@@ -187,6 +203,62 @@ def _insert_new(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
         nodes.append(best)
 
 
+class _Matching:
+    """A matching of plan entries (rows) to nodes (columns) of their closed neighborhoods.
+
+    Row t may be matched only to a node of the closed neighborhood of its plan
+    node in ``agg``.  ``owner[j]`` is the row matched to node j (-1 while j is
+    free) and ``mate[t]`` the node matched to row t; every row is matched.  It
+    starts from ``diagonal``, distinct nodes each matched to itself, as the
+    first rows.
+    """
+
+    def __init__(self, agg: Graph, diagonal=()):
+        self.ac = agg.closed_adjacency
+        self.ipl = self.ac.indptr.tolist()
+        self.rows = [int(v) for v in diagonal]
+        self.mate = list(self.rows)
+        self.owner = np.full(agg.n, -1, dtype=np.int64)
+        self.owner[self.rows] = np.arange(len(self.rows))
+
+    def add(self, v: int) -> bool:
+        """Match one more row, on the closed neighborhood of v, if any matching can.
+
+        The matching covers every row so far, so it is maximum, and one more
+        row can be covered exactly when an augmenting path starts at it
+        (Berge 1957).  A breadth-first search over alternating paths looks
+        for one; the path found is flipped into the matching and the row
+        kept.  When there is none, the matching is left exactly as it was
+        and False is returned.
+        """
+        ix, ipl, owner, mate = self.ac.indices, self.ipl, self.owner, self.mate
+        new = len(mate)
+        via = {}                          # node -> the row whose search reached it
+        queue = [(new, v)]
+        for row, node in queue:           # the loop also reads the rows it appends
+            cols = ix[ipl[node]:ipl[node + 1]]
+            free = cols[owner[cols] < 0]
+            if free.size:
+                break
+            for c in cols.tolist():
+                if c not in via:
+                    via[c] = row
+                    held = int(owner[c])
+                    queue.append((held, self.rows[held]))
+        else:
+            return False
+        self.rows.append(int(v))
+        mate.append(-1)
+        col = int(free[0])
+        while True:                       # flip the path back to the new row
+            prev = mate[row]
+            owner[col] = row
+            mate[row] = col
+            if row == new:
+                return True
+            col, row = prev, via[prev]
+
+
 def _full_term_rank(agg: Graph, nodes) -> bool:
     """Whether the closed neighborhoods of ``nodes`` have full term rank.
 
@@ -195,21 +267,25 @@ def _full_term_rank(agg: Graph, nodes) -> bool:
     neighborhood in ``agg``.  With such a matching, a matrix of independent
     Gaussian entries on these neighborhoods has full row rank with
     probability one (Edmonds 1967); without it, every matrix supported on
-    them is row rank deficient.
+    them is row rank deficient.  The matching is built from scratch, one
+    row at a time by ``_Matching.add``.
     """
-    pattern = agg.closed_adjacency[np.asarray(nodes, dtype=np.int64)]
-    return bool((csgraph.maximum_bipartite_matching(pattern, perm_type="column") >= 0).all())
+    matching = _Matching(agg)
+    return all(matching.add(v) for v in nodes)
 
 
 def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
     """Grow ``nodes`` (the dominating set) and ``g`` to m entries by repeating dominators.
 
-    A candidate is rejected when the plan with it would lose full term rank
-    (see _full_term_rank), so that the operator drawn for the plan has full
-    row rank with probability one; the next best dominator is tried in its
-    place.  The dominating set itself has full term rank: its nodes are
-    distinct and each lies in its own closed neighborhood, so matching each
-    to itself is a full matching.
+    One matching of the plan's rows (see _Matching) is kept for the whole
+    growth.  It starts from the dominating set, each node matched to
+    itself: its nodes are distinct and each lies in its own closed
+    neighborhood, so the plan starts at full term rank (see
+    _full_term_rank).  Each candidate costs one augmenting-path search from
+    its new row.  A candidate with no such path would cost the plan its full
+    term rank, so that the operator drawn for it would be row rank
+    deficient; it is rejected, leaving the matching as it was, and the next
+    best dominator is tried in its place.
 
     A rejection is final.  For plans P inside P' (as multisets), a matching
     that covers every entry of P' + [c] covers P + [c], so a repetition of c
@@ -218,11 +294,12 @@ def _repeat_dominating(agg: Graph, nodes: list, g: np.ndarray, m: int) -> None:
     again, or leave the other members' level and scores as they are.
     """
     balance = _Balance(agg.closed_adjacency, g, list(nodes))
+    matching = _Matching(agg, nodes)
     while len(nodes) < m:
         if not balance.in_pool.any():
             raise PoolExhaustedError("no dominator repetition keeps the operator full row rank")
         cand = balance.pick()
-        if _full_term_rank(agg, nodes + [cand]):
+        if matching.add(cand):
             nodes.append(cand)
             balance.add(cand)
         else:
@@ -275,7 +352,7 @@ def draw_operator(plan: SamplingPlan, seed: int) -> SamplingOperator:
     scale = np.sqrt(np.bincount(cols, minlength=n))
     phi = np.zeros((plan.m, n))
     phi[rows, cols] = np.random.default_rng(seed).standard_normal(cols.size) / scale[cols]
-    return SamplingOperator(phi=phi)
+    return SamplingOperator._own(phi)
 
 
 def measure(op: SamplingOperator, x: np.ndarray) -> np.ndarray:

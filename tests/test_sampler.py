@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -339,6 +340,35 @@ def test_measure_rejects_bad_shape():
         la.measure(op, np.zeros(8))
 
 
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+def test_operator_refuses_phi_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match=re.escape(f"phi must be 2-D, got shape {shape}")):
+        la.SamplingOperator(phi=np.zeros(shape))
+
+
+def test_operator_copies_a_writable_caller_array():
+    phi = np.ones((2, 3))
+    op = la.SamplingOperator(phi=phi)
+    phi[0, 0] = 5.0
+    assert op.phi.tolist() == [[1.0] * 3] * 2
+    assert not op.phi.flags.writeable
+
+
+def test_library_built_operators_are_read_only():
+    from localagg.harness import _cluster_operator
+
+    g = la.generate("cycle", {"n": 7}, seed=0)
+    ops = [la.draw_operator(la.build_plan(g, 4, "insert-new"), seed=1),
+           la.draw_operator(la.build_plan(g, 5, "repeat-dominating"), seed=1),
+           la.uniform_node_sampling(7, 3, seed=2),
+           la.successive_aggregations(g, 3),
+           _cluster_operator([np.arange(3), np.arange(3, 7)], np.ones(2), 4, 7, seed=3)[0]]
+    for op in ops:
+        assert not op.phi.flags.writeable and op.phi.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            op.phi[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # plan files
 
@@ -567,26 +597,62 @@ def test_build_plan_matches_legacy_builder_on_a_larger_graph():
 
 
 def test_rejected_repetitions_are_never_tested_again(monkeypatch):
+    # every candidate of the growth is tested by one augmenting step of the
+    # kept matching; a repetition refused there is not offered to it again
     from localagg import sampler
 
-    real = sampler._full_term_rank
+    real = sampler._Matching.add
     rejected, retested = set(), []
 
-    def recorded(agg, nodes):
-        full = real(agg, nodes)
-        if nodes[-1] in rejected:
-            retested.append(nodes[-1])
+    def recorded(self, v):
+        if v in rejected:
+            retested.append(v)
+        full = real(self, v)
         if not full:
-            rejected.add(nodes[-1])
+            rejected.add(v)
         return full
 
-    monkeypatch.setattr(sampler, "_full_term_rank", recorded)
+    monkeypatch.setattr(sampler._Matching, "add", recorded)
     g = la.generate(*LARGE_GRAPH)
     for m in (140, 150):
         rejected.clear()
         la.build_plan(g, m, "repeat-dominating")
         assert rejected, m
     assert retested == []
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60)
+def test_kept_matching_agrees_with_a_maximum_matching_of_the_whole_pattern(seed):
+    # the verdict of one augmenting step against scipy's Hopcroft-Karp run on
+    # the plan with the candidate; a refusal leaves the matching untouched
+    from scipy.sparse import csgraph
+
+    from localagg.sampler import _Matching
+
+    g = random_graph(seed, n_max=16)
+    rng = np.random.default_rng(seed)
+    agg = la.p_hop_graph(g, int(rng.integers(1, 4)))
+    nodes = agg.dominating_set.tolist()
+    matching = _Matching(agg, nodes)
+    verdicts = set()
+    for _ in range(3 * agg.n):
+        cand = int(rng.choice(nodes) if rng.random() < 0.7 else rng.integers(agg.n))
+        pattern = agg.closed_adjacency[nodes + [cand]]
+        full = bool((csgraph.maximum_bipartite_matching(pattern, perm_type="column") >= 0).all())
+        owner, mate = matching.owner.copy(), list(matching.mate)
+        assert matching.add(cand) == full
+        verdicts.add(full)
+        if full:
+            nodes.append(cand)
+        else:
+            assert np.array_equal(matching.owner, owner) and matching.mate == mate
+        # a matching of every row, each to a distinct node of its closed neighborhood
+        assert len(matching.mate) == len(nodes) == len(set(matching.mate))
+        assert all(agg.closed_adjacency[v, c] for v, c in zip(nodes, matching.mate))
+        assert matching.owner[matching.mate].tolist() == list(range(len(nodes)))
+        assert (matching.owner >= 0).sum() == len(nodes)
+    assert False in verdicts      # the 3n candidates outnumber the n nodes
 
 
 @given(st.integers(0, 10 ** 6))
